@@ -11,15 +11,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, TypeVar
 
 from . import closure as _closure
 from .cores import CoreOutcome, Rejection, connected_core, find_core
-from .graphs import Graph, GraphFormatError, parse_graph, serialize_graph
+from .graphs import Graph, parse_graph, serialize_graph
 from .hardness import hardness_instance
 from .kernel import (
-    KernelInstance,
     kernelize,
     lift,
     params_from,
@@ -43,6 +41,8 @@ EXIT_REJECTED = 10
 
 CORE_MODES = ("exact", "heuristic", "trivial")
 
+T = TypeVar("T")
+
 
 class _CliError(Exception):
     """Input-level failure; carries the exit code."""
@@ -60,12 +60,16 @@ def _read_text(path: str) -> str:
         raise _CliError(f"cannot read {path}: {exc}") from exc
 
 
-def _load_graph(path: str, fmt: Optional[str]) -> Graph:
+def _parse_file(path: str, parse: Callable[[str], T]) -> T:
     text = _read_text(path)
     try:
-        return parse_graph(text, fmt=fmt)
-    except GraphFormatError as exc:
+        return parse(text)
+    except ValueError as exc:
         raise _CliError(f"{path}: {exc}") from exc
+
+
+def _load_graph(path: str, fmt: Optional[str]) -> Graph:
+    return _parse_file(path, lambda text: parse_graph(text, fmt=fmt))
 
 
 def _parse_ids(raw: str) -> List[int]:
@@ -98,36 +102,10 @@ def _budget_default() -> Optional[int]:
         raise _CliError(f"LKCDS_BUDGET_NODES must be an integer, got {raw!r}")
 
 
-def _alpha_of(args: argparse.Namespace) -> Fraction:
-    if args.alpha is not None and args.epsilon is not None:
-        raise _CliError("give either --alpha or --epsilon, not both")
-    if args.alpha is not None:
-        return Fraction(args.alpha)
-    if args.epsilon is not None:
-        return 1 + Fraction(args.epsilon)
-    raise _CliError("one of --alpha or --epsilon is required")
-
-
-def _params(args: argparse.Namespace):
-    try:
-        if args.alpha is not None and args.epsilon is not None:
-            raise _CliError("give either --alpha or --epsilon, not both")
-        if args.alpha is not None:
-            return params_from(args.k, args.r, alpha=Fraction(args.alpha))
-        if args.epsilon is not None:
-            return params_from(args.k, args.r, epsilon=Fraction(args.epsilon))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise _CliError(str(exc)) from exc
-    raise _CliError("one of --alpha or --epsilon is required")
-
-
 def _run_kernelize(args: argparse.Namespace):
     g = _load_graph(args.input, args.format)
-    params = _params(args)
-    try:
-        outcome = kernelize(g, params, core_mode=args.core_mode)
-    except ValueError as exc:
-        raise _CliError(str(exc)) from exc
+    params = params_from(args.k, args.r, alpha=args.alpha, epsilon=args.epsilon)
+    outcome = kernelize(g, params, core_mode=args.core_mode)
     if isinstance(outcome, Rejection):
         raise _CliError(f"rejected: {outcome.reason}", EXIT_REJECTED)
     return g, outcome
@@ -162,11 +140,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     g = _load_graph(args.input, args.format)
     budget = args.budget_nodes if args.budget_nodes is not None else _budget_default()
     if args.z is not None:
-        core = _parse_ids(args.z)
-        try:
-            res = exact_acds(g, core, args.r, args.k, budget_nodes=budget)
-        except ValueError as exc:
-            raise _CliError(str(exc)) from exc
+        res = exact_acds(g, _parse_ids(args.z), args.r, args.k, budget_nodes=budget)
     else:
         res = exact_cds(g, args.r, args.k, budget_nodes=budget)
     if res.status == BUDGET_EXHAUSTED:
@@ -178,17 +152,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
         print(res.status)
     return EXIT_OK
 
+
 def cmd_lift(args: argparse.Namespace) -> int:
     host = _load_graph(args.input, args.format)
-    try:
-        inst = parse_kernel(_read_text(args.kernel))
-    except GraphFormatError as exc:
-        raise _CliError(f"{args.kernel}: {exc}") from exc
+    inst = _parse_file(args.kernel, parse_kernel)
     sol = _parse_ids(args.solution) if args.solution else []
-    try:
-        res = lift(host, inst, sol)
-    except ValueError as exc:
-        raise _CliError(str(exc)) from exc
+    res = lift(host, inst, sol)
     print("lifted", " ".join(str(v) for v in res.solution))
     _note(
         f"value={res.value} dominates={res.dominates_host} connected={res.connected}"
@@ -199,11 +168,7 @@ def cmd_lift(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    sc_text = _read_text(args.input)
-    try:
-        sc = parse_setcover(sc_text)
-    except GraphFormatError as exc:
-        raise _CliError(f"{args.input}: {exc}") from exc
+    sc = _parse_file(args.input, parse_setcover)
     hi = hardness_instance(sc, args.r)
     _emit(serialize_graph(hi.graph, fmt=args.format or "edgelist"), args.out)
     _note(
@@ -238,12 +203,8 @@ def cmd_profile_stats(args: argparse.Namespace) -> int:
     else:
         if args.k is None:
             raise _CliError("profile-stats needs --z or --k")
-        ns = argparse.Namespace(**vars(args))
-        blockers = list(_core_outcome(ns).vertices)
-    try:
-        cls = classify(g, blockers, args.r)
-    except ValueError as exc:
-        raise _CliError(str(exc)) from exc
+        blockers = list(_core_outcome(args).vertices)
+    cls = classify(g, blockers, args.r)
     print(f"blockers {len(blockers)}")
     print(f"classes {len(cls)}")
     for i, c in enumerate(cls.classes):
@@ -253,10 +214,7 @@ def cmd_profile_stats(args: argparse.Namespace) -> int:
 
 def cmd_wcol_report(args: argparse.Namespace) -> int:
     g = _load_graph(args.input, args.format)
-    try:
-        og = heuristic_order(g, kind=args.order, seed=args.seed)
-    except ValueError as exc:
-        raise _CliError(str(exc)) from exc
+    og = heuristic_order(g, kind=args.order, seed=args.seed)
     rep = wreach_report(og, args.s)
     print(f"wcol {args.s} {rep.value}")
     print(f"witness {rep.witness}")
@@ -293,13 +251,7 @@ def _add_param_args(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_misc_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--budget-nodes", type=int, default=None,
-        help="search node budget; env LKCDS_BUDGET_NODES sets the default",
-    )
-    p.add_argument("--jobs", type=int, default=1, help="worker count (currently serial)")
-    p.add_argument("--seed", type=int, default=0, help="random seed where applicable")
+def _add_out_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="write payload here instead of stdout")
 
 
@@ -313,13 +265,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kernelize", help="reduce an instance and print the kernel")
     _add_graph_arg(p)
     _add_param_args(p)
-    _add_misc_args(p)
+    _add_out_arg(p)
     p.set_defaults(func=cmd_kernelize)
 
     p = sub.add_parser("verify", help="run structural checks on the produced kernel")
     _add_graph_arg(p)
     _add_param_args(p)
-    _add_misc_args(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("solve", help="exact connected domination search")
@@ -327,14 +278,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--z", default=None, help="annotated target vertices")
-    _add_misc_args(p)
+    p.add_argument(
+        "--budget-nodes", type=int, default=None,
+        help="search node budget; env LKCDS_BUDGET_NODES sets the default",
+    )
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("lift", help="translate a kernel solution back to the host")
     _add_graph_arg(p)
     p.add_argument("--kernel", required=True, help="kernel file")
     p.add_argument("--solution", default="", help="kernel vertex ids")
-    _add_misc_args(p)
     p.set_defaults(func=cmd_lift)
 
     p = sub.add_parser("gen", help="build a hardness instance from a set cover file")
@@ -344,13 +297,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("edgelist", "dimacs"), default=None,
         help="output graph format",
     )
-    _add_misc_args(p)
+    _add_out_arg(p)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("core", help="compute a stitched domination core")
     _add_graph_arg(p)
     _add_param_args(p)
-    _add_misc_args(p)
     p.set_defaults(func=cmd_core)
 
     p = sub.add_parser("profile-stats", help="projection class statistics")
@@ -361,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", default=None)
     p.add_argument("--epsilon", default=None)
     p.add_argument("--core-mode", choices=CORE_MODES, default="heuristic")
-    _add_misc_args(p)
     p.set_defaults(func=cmd_profile_stats)
 
     p = sub.add_parser("wcol-report", help="weak coloring number of an order")
@@ -370,13 +321,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--order", choices=("degeneracy", "bfs", "random"), default="degeneracy"
     )
-    _add_misc_args(p)
+    p.add_argument("--seed", type=int, default=0, help="seed of the random order")
     p.set_defaults(func=cmd_wcol_report)
 
     p = sub.add_parser("closure-stats", help="size accounting for the closure step")
     _add_graph_arg(p)
     _add_param_args(p)
-    _add_misc_args(p)
     p.set_defaults(func=cmd_closure_stats)
 
     return parser
@@ -385,14 +335,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.jobs is not None and args.jobs < 1:
-        print("error: --jobs must be positive", file=sys.stderr)
-        return EXIT_INPUT
     try:
         return args.func(args)
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except (ValueError, ZeroDivisionError) as exc:
+        # library routines reject bad parameters with ValueError; a bad
+        # fraction such as --alpha 1/0 raises ZeroDivisionError
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -12,26 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .graphs import Graph, bfs_layers, graph_on_vertices, iter_bits
+from .domination import Rational, piece_cap
+from .graphs import Graph, bfs_layers, graph_on_vertices, iter_bits, tree_problem
 from .projections import ProfileClassification, classify, profile
-from .steiner import (
-    FOUND,
-    SteinerQuery,
-    SteinerResult,
-    SteinerTree,
-    steiner_exact,
-    steiner_size,
-)
-
-Rational = Union[int, Fraction]
-
-
-def _coerce_t(t: Rational) -> Fraction:
-    if isinstance(t, float):
-        raise TypeError("t must be an int or Fraction, not float")
-    return Fraction(t)
+from .steiner import FOUND, SteinerQuery, SteinerTree, steiner_exact, steiner_size
 
 
 def avoiding_path_tree(
@@ -72,9 +58,6 @@ class ClosureResult:
     terminals: Tuple[int, ...]  # host ids of protected free vertices
     stats: Dict[str, int] = field(default_factory=dict)
 
-    def to_host(self, vertices: Iterable[int]) -> Tuple[int, ...]:
-        return tuple(sorted(self.vertex_map[v] for v in vertices))
-
 
 def _group_distances(g: Graph, groups: Sequence[Tuple[int, ...]]) -> List[List[Optional[int]]]:
     gn = len(groups)
@@ -110,8 +93,7 @@ def _bounded_cliques(compat: List[int], cap: int) -> List[Tuple[int, ...]]:
 def build_closure(
     g: Graph, blockers: Iterable[int], r: int, t: Rational
 ) -> ClosureResult:
-    tf = _coerce_t(t)
-    cap = (2 * tf).numerator // (2 * tf).denominator
+    tf, cap = piece_cap(t)
     if cap < 1:
         raise ValueError("t is too small for any tree to fit")
     xs = tuple(sorted(set(blockers)))
@@ -214,18 +196,18 @@ def verify_closure(g: Graph, closure: ClosureResult) -> ClosureReport:
     3. For each kept all-class bundle, the group Steiner value in the
        closure matches the host value, and every stored tree is a real
        tree of the host meeting its groups within the size cap.
-    Sizes are reported, not judged.
+    Each problem names its item ("item3: ..."). Sizes are reported, not
+    judged.
     """
     problems: List[str] = []
     xs = closure.blockers_old
-    xset = set(xs)
     old2new = {old: new for new, old in enumerate(closure.vertex_map)}
 
     for x in xs:
         if x not in old2new:
-            problems.append(f"blocker {x} missing from the closure")
+            problems.append(f"item1: blocker {x} missing from the closure")
     if tuple(old2new.get(x, -1) for x in xs) != closure.blockers_new:
-        problems.append("blocker relabeling is inconsistent")
+        problems.append("item1: blocker relabeling is inconsistent")
 
     if not problems:
         new2old = dict(enumerate(closure.vertex_map))
@@ -237,45 +219,43 @@ def verify_closure(g: Graph, closure: ClosureResult) -> ClosureReport:
             ).relabel(new2old)
             if want != got:
                 problems.append(
-                    f"profile of vertex {u} changed: {want.entries} "
+                    f"item2: profile of vertex {u} changed: {want.entries} "
                     f"-> {got.entries}"
                 )
         reps = set(cls_host.representatives)
         missing = reps.difference(closure.terminals)
         if missing:
             problems.append(
-                f"class representatives {sorted(missing)} were not protected"
+                f"item2: class representatives {sorted(missing)} were not protected"
             )
 
-    edge_set = set(g.edges())
+    all_class = []  # kept bundles of classes only, for the Steiner check
     for key, tree in closure.kept.items():
         if len(tree.vertices) > closure.cap:
-            problems.append(f"kept tree {key} exceeds the size cap")
-        if len(tree.edges) != len(tree.vertices) - 1:
-            problems.append(f"kept tree {key} is not a tree")
-        for e in tree.edges:
-            if e not in edge_set:
-                problems.append(f"kept tree {key} uses non-edge {e}")
-                break
+            problems.append(f"item3: kept tree {key} exceeds the size cap")
+        problem = tree_problem(g, tree.vertices, tree.edges)
+        if problem is not None:
+            problems.append(f"item3: kept tree {key} {problem}")
+        vs = set(tree.vertices)
         for i in key:
-            if not set(tree.vertices).intersection(closure.groups[i]):
-                problems.append(f"kept tree {key} misses group {i}")
+            if vs.isdisjoint(closure.groups[i]):
+                problems.append(f"item3: kept tree {key} misses group {i}")
+        if max(key) < closure.class_count:
+            all_class.append((key, tree))
     if not problems:
-        for key, tree in closure.kept.items():
-            if any(i >= closure.class_count for i in key):
-                continue
+        for key, tree in all_class:
             prime_groups = []
             for i in key:
                 members = [old2new[v] for v in closure.groups[i] if v in old2new]
                 if not members:
-                    problems.append(f"group {i} vanished from the closure")
+                    problems.append(f"item3: group {i} vanished from the closure")
                     break
                 prime_groups.append(members)
             else:
                 prime_value = steiner_size(closure.graph, prime_groups)
                 if prime_value != len(tree.vertices):
                     problems.append(
-                        f"bundle {key}: host tree has {len(tree.vertices)} "
+                        f"item3: bundle {key}: host tree has {len(tree.vertices)} "
                         f"vertices but the closure needs {prime_value}"
                     )
 
@@ -356,8 +336,8 @@ def build_translation(
 
 @dataclass(frozen=True)
 class TranslationCheck:
-    host_value: float
-    analysis_value: float
+    host_value: Optional[int]  # None: no tree exists
+    analysis_value: Optional[int]
     added_cost: int
     ok: bool
 
@@ -382,7 +362,7 @@ def check_translation(
     tg = build_translation(g, xs, r, class_subset, cls)
     host = steiner_size(g, [cls.classes[i].members for i in class_subset])
     analysis = steiner_size(tg.graph, [[v] for v in tg.roots])
-    if host == float("inf") or analysis == float("inf"):
+    if host is None or analysis is None:
         ok = host == analysis
     else:
         ok = analysis == host + tg.added_cost

@@ -14,7 +14,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .graphs import Graph, bfs_layers, iter_bits, mask_of
+from .graphs import (
+    Graph,
+    bfs_layers,
+    induced_components,
+    iter_bits,
+    mask_of,
+    tree_problem,
+)
 
 Rational = Union[int, Fraction]
 
@@ -64,26 +71,6 @@ class ConnectResult:
     merge_paths: Tuple[Tuple[int, ...], ...]
 
 
-def _induced_components(g: Graph, m: int) -> List[int]:
-    masks = g.neighbor_masks()
-    comps = []
-    remaining = m
-    while remaining:
-        start = remaining & -remaining
-        comp = start
-        frontier = start
-        while frontier:
-            grown = 0
-            for u in iter_bits(frontier):
-                grown |= masks[u] & m
-            grown &= ~comp
-            comp |= grown
-            frontier = grown
-        comps.append(comp)
-        remaining &= ~comp
-    return comps
-
-
 def connect(g: Graph, seeds: Iterable[int], stretch: int) -> ConnectResult:
     """Stitch the components induced by `seeds` into one, greedily.
 
@@ -100,11 +87,11 @@ def connect(g: Graph, seeds: Iterable[int], stretch: int) -> ConnectResult:
         if not 0 <= v < g.n:
             raise ValueError(f"vertex {v} out of range")
     current = mask_of(seed_tuple)
-    p0 = len(_induced_components(g, current))
+    p0 = len(induced_components(g, current))
     added: List[int] = []
     paths: List[Tuple[int, ...]] = []
     while True:
-        comps = _induced_components(g, current)
+        comps = induced_components(g, current)
         if len(comps) <= 1:
             break
         comp_of = {}
@@ -184,10 +171,15 @@ class _Residue:
             self.edges.append((min(parent, it.root), max(parent, it.root)))
 
 
-def _coerce_t(t: Rational) -> Fraction:
+def piece_cap(t: Rational) -> Tuple[Fraction, int]:
+    """t as an exact fraction, and the piece size cap floor(2t).
+
+    Floats are refused: a rounded t would silently move the cap.
+    """
     if isinstance(t, float):
         raise TypeError("t must be an int or Fraction, not float")
-    return Fraction(t)
+    tf = Fraction(t)
+    return tf, math.floor(2 * tf)
 
 
 def _piece_from(parent: int, items: Sequence[_Residue]) -> SubtreePiece:
@@ -210,19 +202,18 @@ def covering_family(g: Graph, t: Rational) -> CoveringFamily:
     that are at most 1, integral, or have fractional part at least one
     half are always fine.
     """
-    tf = _coerce_t(t)
+    tf, cap = piece_cap(t)
     if tf < Fraction(1, 2):
         raise ValueError("t must be at least 1/2")
     if g.n == 0:
         raise ValueError("graph must be nonempty")
     if not g.is_connected():
         raise ValueError("covering families need a connected graph")
-    cap = (2 * tf).numerator // (2 * tf).denominator
     pieces: List[SubtreePiece] = []
 
     if tf <= 1:
         pieces = [SubtreePiece((v,), ()) for v in range(g.n)]
-        return _checked_family(g, tf, cap, pieces)
+        return _checked_family(g, tf, pieces)
 
     need = math.ceil(tf)  # minimum consumption per non-final piece
     k_res = cap - 1
@@ -268,11 +259,11 @@ def covering_family(g: Graph, t: Rational) -> CoveringFamily:
     pieces.append(
         SubtreePiece(tuple(sorted(final.vertices)), tuple(sorted(final.edges)))
     )
-    return _checked_family(g, tf, cap, pieces)
+    return _checked_family(g, tf, pieces)
 
 
 def _checked_family(
-    g: Graph, tf: Fraction, cap: int, pieces: List[SubtreePiece]
+    g: Graph, tf: Fraction, pieces: List[SubtreePiece]
 ) -> CoveringFamily:
     fam = CoveringFamily(tf, tuple(pieces))
     problem = check_covering_family(g, fam)
@@ -283,35 +274,15 @@ def _checked_family(
 
 def check_covering_family(g: Graph, fam: CoveringFamily) -> Optional[str]:
     """None when the family meets its contract, else a description."""
-    cap = (2 * fam.t).numerator // (2 * fam.t).denominator
+    _, cap = piece_cap(fam.t)
     covered = 0
-    edge_set = set(g.edges())
     for i, piece in enumerate(fam.pieces):
-        vs = set(piece.vertices)
-        if not vs:
-            return f"piece {i} is empty"
+        problem = tree_problem(g, piece.vertices, piece.edges)
+        if problem is not None:
+            return f"piece {i} {problem}"
         if len(piece.vertices) > cap:
             return f"piece {i} has {len(piece.vertices)} vertices, cap {cap}"
-        if len(piece.edges) != len(vs) - 1:
-            return f"piece {i} is not a tree"
-        adj: Dict[int, List[int]] = {v: [] for v in vs}
-        for u, v in piece.edges:
-            if (min(u, v), max(u, v)) not in edge_set:
-                return f"piece {i} uses a non-edge {(u, v)}"
-            if u not in vs or v not in vs:
-                return f"piece {i} has a dangling edge {(u, v)}"
-            adj[u].append(v)
-            adj[v].append(u)
-        seen = {piece.vertices[0]}
-        stack = [piece.vertices[0]]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if seen != vs:
-            return f"piece {i} is disconnected"
-        covered |= mask_of(vs)
+        covered |= mask_of(piece.vertices)
     if covered != (1 << g.n) - 1:
         return "pieces do not cover the graph"
     if Fraction(len(fam.pieces)) > Fraction(g.n) / fam.t + 1:

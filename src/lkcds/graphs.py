@@ -75,9 +75,6 @@ class Graph:
             adj[v].append(u)
         return cls(adj)
 
-    def neighbors(self, v: int) -> Tuple[int, ...]:
-        return self.adj[v]
-
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
@@ -138,29 +135,9 @@ class Graph:
             self._dist[v] = row
         return row
 
-    def dist(self, u: int, v: int) -> Optional[int]:
-        d = self.dist_row(u)[v]
-        return None if d < 0 else d
-
     def component_masks(self) -> Tuple[int, ...]:
         """Connected components as bitmasks, ordered by smallest member."""
-        masks = self.neighbor_masks()
-        remaining = (1 << self.n) - 1
-        comps = []
-        while remaining:
-            start = remaining & -remaining
-            comp = start
-            frontier = start
-            while frontier:
-                grown = 0
-                for u in iter_bits(frontier):
-                    grown |= masks[u]
-                grown &= ~comp
-                comp |= grown
-                frontier = grown
-            comps.append(comp)
-            remaining &= ~comp
-        return tuple(comps)
+        return induced_components(self, (1 << self.n) - 1)
 
     def is_connected(self) -> bool:
         return self.n <= 1 or len(self.component_masks()) == 1
@@ -237,21 +214,71 @@ def bfs_layers(
     return BFSResult(dist, parent)
 
 
-def mask_connected(g: Graph, m: int) -> bool:
-    """Whether the vertices of a bitmask induce a connected subgraph."""
-    if m == 0:
-        return False
-    masks = g.neighbor_masks()
-    comp = m & -m
-    frontier = comp
+def _flood(masks: Sequence[int], start: int, within: int) -> int:
+    # the component of the `start` bit in the subgraph induced by `within`
+    comp = frontier = start
     while frontier:
         grown = 0
         for u in iter_bits(frontier):
-            grown |= masks[u] & m
-        grown &= ~comp
+            grown |= masks[u]
+        grown &= within & ~comp
         comp |= grown
         frontier = grown
-    return comp == m
+    return comp
+
+
+def induced_components(g: Graph, m: int) -> Tuple[int, ...]:
+    """Components induced by a bitmask, ordered by smallest member."""
+    masks = g.neighbor_masks()
+    comps = []
+    while m:
+        comp = _flood(masks, m & -m, m)
+        comps.append(comp)
+        m &= ~comp
+    return tuple(comps)
+
+
+def mask_connected(g: Graph, m: int) -> bool:
+    """Whether the vertices of a bitmask induce a connected subgraph."""
+    return m != 0 and _flood(g.neighbor_masks(), m & -m, m) == m
+
+
+def tree_problem(
+    g: Graph, vertices: Sequence[int], edges: Sequence[Tuple[int, int]]
+) -> Optional[str]:
+    """None when the vertices and edges form a tree of g, else what is wrong.
+
+    The message completes a sentence whose subject the caller names, as in
+    f"piece {i} {problem}".
+    """
+    vset = set(vertices)
+    if not vset:
+        return "is empty"
+    if len(vset) != len(vertices):
+        return "repeats a vertex"
+    if min(vset) < 0 or max(vset) >= g.n:
+        return "has a vertex outside the host"
+    if len(edges) != len(vset) - 1:
+        return "is not a tree"
+    masks = g.neighbor_masks()
+    # |V| - 1 edges inside V connect V exactly when none closes a cycle,
+    # which a union-find over the edges (with path halving) detects
+    parent: Dict[int, int] = {}
+    for u, v in edges:
+        if u not in vset or v not in vset:
+            return f"has a dangling edge {(u, v)}"
+        if not (masks[u] >> v) & 1:
+            return f"uses a non-edge {(u, v)}"
+        while u in parent:
+            parent[u] = parent.get(parent[u], parent[u])
+            u = parent[u]
+        while v in parent:
+            parent[v] = parent.get(parent[v], parent[v])
+            v = parent[v]
+        if u == v:
+            return "is disconnected"
+        parent[u] = v
+    return None
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Tuple[Graph, Tuple[int, ...]]:

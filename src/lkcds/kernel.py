@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
-from .closure import ClosureResult, avoiding_path_tree, build_closure
-from .cores import DominationCore, Rejection, connected_core, find_core
+from .closure import ClosureResult, build_closure
+from .cores import Rejection, connected_core, find_core
 from .domination import (
     ContractViolation,
     CoveringFamily,
@@ -29,22 +29,13 @@ from .domination import (
 from .graphs import (
     Graph,
     GraphFormatError,
-    graph_on_vertices,
     induced_subgraph,
     mask_connected,
     mask_of,
     parse_graph,
     serialize_graph,
 )
-from .oracles import (
-    FOUND,
-    INFEASIBLE,
-    NONE_WITHIN_BUDGET,
-    exact_acds,
-    exact_cds,
-    exact_ds,
-)
-from .projections import classify
+from .oracles import FOUND, NONE_WITHIN_BUDGET, SolveResult, exact_acds, exact_cds
 
 FORMAT_TAG = "lkcds/1"
 
@@ -203,9 +194,8 @@ def lift(g: Graph, inst: KernelInstance, solution: Iterable[int]) -> LiftResult:
     )
 
 
-def capped_host_opt(g: Graph, k: int, r: int) -> Optional[int]:
-    """Optimum connected r-domination value, capped at k+1; None if none exists."""
-    res = exact_cds(g, r, k)
+def _capped(res: SolveResult, k: int) -> Optional[int]:
+    # a search capped at k: its optimum, k+1 when none fits, None otherwise
     if res.status == FOUND:
         return res.value
     if res.status == NONE_WITHIN_BUDGET:
@@ -213,13 +203,14 @@ def capped_host_opt(g: Graph, k: int, r: int) -> Optional[int]:
     return None
 
 
+def capped_host_opt(g: Graph, k: int, r: int) -> Optional[int]:
+    """Optimum connected r-domination value, capped at k+1; None if none exists."""
+    return _capped(exact_cds(g, r, k), k)
+
+
 def capped_kernel_opt(inst: KernelInstance) -> Optional[int]:
-    res = exact_acds(inst.graph, inst.annotated, inst.params.r, inst.params.k)
-    if res.status == FOUND:
-        return res.value
-    if res.status == NONE_WITHIN_BUDGET:
-        return inst.params.k + 1
-    return None
+    k = inst.params.k
+    return _capped(exact_acds(inst.graph, inst.annotated, inst.params.r, k), k)
 
 
 @dataclass(frozen=True)
@@ -282,12 +273,7 @@ def certify_ratio(
         raise ContractViolation("lifted solution is not valid for the host")
     k = inst.params.k
     host_res = exact_cds(g, inst.params.r, k)
-    if host_res.status == FOUND:
-        host_opt: Optional[int] = host_res.value
-    elif host_res.status == NONE_WITHIN_BUDGET:
-        host_opt = k + 1
-    else:
-        host_opt = None
+    host_opt = _capped(host_res, k)
     kern_opt = capped_kernel_opt(inst)
     if host_opt is None or kern_opt is None:
         raise ContractViolation("a capped optimum is undefined on a connected instance")
@@ -309,58 +295,6 @@ def certify_ratio(
         rhs=rhs,
         ok=lhs <= rhs,
         replay=replay,
-    )
-
-
-# ---------------------------------------------------------------------------
-# plain (non-connected) domination kernel
-
-
-@dataclass(eq=False)
-class DSKernel:
-    graph: Graph
-    annotated: Tuple[int, ...]
-    k: int
-    r: int
-    vertex_map: Tuple[int, ...]
-    core_certified: str
-
-
-def ds_kernelize(
-    g: Graph, k: int, r: int, core_mode: str = "exact"
-) -> Union[DSKernel, Rejection]:
-    """Kernel for domination without the connectivity requirement.
-
-    Keeps the core, one representative per profile class with its
-    projection paths, and the core-internal edges.  Equal profiles cover
-    equal core vertices, so restricting candidates to representatives
-    preserves the optimum.
-    """
-    core = find_core(g, k, r, core_mode)
-    if isinstance(core, Rejection):
-        return core
-    xs = core.vertices
-    xset = set(xs)
-    cls = classify(g, xs, r)
-    vertices = set(xs)
-    edges = set()
-    for pc in cls.classes:
-        rep = pc.representative
-        vs, es = avoiding_path_tree(g, rep, xset, r)
-        vertices.update(vs)
-        edges.update(es)
-    for u, v in g.edges():
-        if u in xset and v in xset:
-            edges.add((u, v))
-    sub, vmap = graph_on_vertices(vertices, edges)
-    old2new = {old: new for new, old in enumerate(vmap)}
-    return DSKernel(
-        graph=sub,
-        annotated=tuple(old2new[x] for x in xs),
-        k=k,
-        r=r,
-        vertex_map=vmap,
-        core_certified=core.certified,
     )
 
 

@@ -80,22 +80,6 @@ def _cover_engine(
     return None
 
 
-def min_cover(
-    sets: Sequence[int], universe: int, k: int, budget_nodes: Optional[int] = None
-) -> Optional[Tuple[int, List[int]]]:
-    """Minimum cover of `universe` using at most k of the given bitmask sets.
-
-    Returns (size, indices) or None when no cover of size <= k exists.  The
-    returned indices are some optimum, not a canonical one.
-    """
-    budget = _Budget(budget_nodes)
-    for s in range(k + 1):
-        got = _cover_engine(sets, universe, s, budget)
-        if got is not None:
-            return (len(got), got)
-    return None
-
-
 def cover_exists(
     ball_masks: Sequence[int],
     universe: int,

@@ -12,7 +12,8 @@ import heapq
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .graphs import Graph, mask_of
+from .domination import ContractViolation
+from .graphs import Graph, mask_of, tree_problem
 
 FOUND = "found"
 EXCEEDS_CAP = "exceeds-cap"
@@ -70,27 +71,6 @@ class SteinerResult:
     @property
     def value(self) -> Optional[int]:
         return None if self.tree is None else self.tree.size
-
-
-def _check_tree(g: Graph, tree: SteinerTree, query: SteinerQuery) -> None:
-    vs = set(tree.vertices)
-    assert len(tree.edges) == len(vs) - 1, "reconstructed subgraph is not a tree"
-    edge_set = set(g.edges())
-    adj: Dict[int, List[int]] = {v: [] for v in vs}
-    for u, v in tree.edges:
-        assert (u, v) in edge_set, f"edge {(u, v)} not in host graph"
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = {tree.vertices[0]}
-    stack = [tree.vertices[0]]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    assert seen == vs, "reconstructed tree is disconnected"
-    for grp in query.groups:
-        assert vs.intersection(grp), f"tree misses group {grp}"
 
 
 def steiner_exact(g: Graph, query: SteinerQuery) -> SteinerResult:
@@ -169,12 +149,17 @@ def steiner_exact(g: Graph, query: SteinerQuery) -> SteinerResult:
 
     collect(full, best_v)
     tree = SteinerTree(tuple(sorted(vertices)), tuple(sorted(edges)))
-    assert tree.size == dp[full][best_v] + 1, "value and reconstruction disagree"
-    _check_tree(g, tree, query)
+    problem = tree_problem(g, tree.vertices, tree.edges)
+    if problem is not None:
+        raise ContractViolation(f"reconstructed tree {problem}")
+    if tree.size != dp[full][best_v] + 1:
+        raise ContractViolation("value and reconstruction disagree")
+    for grp in query.groups:
+        if not vertices.intersection(grp):
+            raise ContractViolation(f"tree misses group {grp}")
     return SteinerResult(FOUND, tree)
 
 
-def steiner_size(g: Graph, groups: Sequence[Iterable[int]]) -> float:
-    """Vertex count of an optimum tree, or inf when no tree exists."""
-    res = steiner_exact(g, SteinerQuery(groups))
-    return _INF if res.tree is None else res.tree.size
+def steiner_size(g: Graph, groups: Sequence[Iterable[int]]) -> Optional[int]:
+    """Vertex count of an optimum tree, or None when no tree exists."""
+    return steiner_exact(g, SteinerQuery(groups)).value

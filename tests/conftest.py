@@ -3,16 +3,18 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import List, Tuple, Union
 
 import pytest
 from hypothesis import settings
 
+from lkcds.closure import ClosureResult, build_closure
 from lkcds.cores import Rejection
 from lkcds.graphs import Graph, r_subdivision
 from lkcds.kernel import KernelInstance, KernelParams, kernelize, params_from
+from lkcds.steiner import SteinerTree
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
@@ -174,6 +176,16 @@ SUITE_GRAPHS: List[Tuple[str, Graph]] = [
     ("k6-subdiv2", r_subdivision(complete_graph(6), 3)[0]),
     ("k7-subdiv2", r_subdivision(complete_graph(7), 3)[0]),
 ]
+
+
+def tampered_path5_closure() -> ClosureResult:
+    """Closure of path-5 around vertex 2 whose kept tree on (0, 1, 2) lists
+    the edge (0, 1) twice: right edge count, host edges only, disconnected."""
+    clo = build_closure(path_graph(5), [2], 1, 2)
+    assert clo.kept[(0, 1, 2)].vertices == (0, 1, 2)
+    kept = dict(clo.kept)
+    kept[(0, 1, 2)] = SteinerTree((0, 1, 2), ((0, 1), (0, 1)))
+    return replace(clo, kept=kept)
 
 
 def suite_settings(r: int) -> List[Fraction]:

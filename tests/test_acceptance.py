@@ -272,9 +272,8 @@ def test_criterion_09_factor_three_connection():
 
 
 def test_criterion_10_kernel_size_trend():
-    out_dir = Path(__file__).resolve().parent.parent / "reports"
-    out_dir.mkdir(exist_ok=True)
-    out_file = out_dir / "kernel_size_trend.csv"
+    reports = Path(__file__).resolve().parent.parent / "reports"
+    trend_file = reports / "kernel_size_trend.csv"
     rows = []
     for name, g in [("grid-3x3", grid_graph(3, 3)), ("grid-3x4", grid_graph(3, 4)),
                     ("grid-4x4", grid_graph(4, 4)), ("grid-4x5", grid_graph(4, 5)),
@@ -287,19 +286,23 @@ def test_criterion_10_kernel_size_trend():
                 rows.append(
                     {
                         "graph": name,
-                        "host_n": g.n,
-                        "k": k,
-                        "r": 1,
-                        "alpha": alpha,
+                        "host_n": str(g.n),
+                        "k": str(k),
+                        "r": "1",
+                        "alpha": str(alpha),
                         "mode": inst.mode,
-                        "kernel_n": inst.graph.n,
-                        "kernel_m": inst.graph.m,
-                        "annotated": len(inst.annotated),
+                        "kernel_n": str(inst.graph.n),
+                        "kernel_m": str(inst.graph.m),
+                        "annotated": str(len(inst.annotated)),
                     }
                 )
-    with out_file.open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
-    verdict(10, f"size trend reported for {len(rows)} settings -> {out_file.name}", True)
-    assert out_file.exists() and len(rows) == 40
+    with trend_file.open(newline="") as fh:
+        tracked = list(csv.DictReader(fh))
+    changed = [(want, got) for want, got in zip(tracked, rows) if want != got]
+    verdict(
+        10,
+        f"size trend of {len(rows)} settings matches {trend_file.name}",
+        len(rows) == len(tracked) == 40 and not changed,
+    )
+    assert len(rows) == len(tracked) == 40
+    assert not changed, changed[:3]

@@ -1,12 +1,16 @@
 """Command line behavior: payloads, exit codes, environment knobs."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import lkcds
+from conftest import tampered_path5_closure
 from lkcds.cli import main
-from lkcds.graphs import parse_graph, serialize_graph
+from lkcds.graphs import parse_graph
 from lkcds.kernel import parse_kernel
 
 
@@ -50,6 +54,20 @@ def test_verify_reports_items(capsys, c6_file):
     )
     assert code == 0
     assert out.splitlines() == ["item1: pass", "item2: pass", "item3: pass"]
+
+
+def test_verify_names_the_failed_item(capsys, tmp_path, monkeypatch):
+    p5 = tmp_path / "p5.txt"
+    p5.write_text("p 5 4\n0 1\n1 2\n2 3\n3 4\n")
+    monkeypatch.setattr(
+        "lkcds.kernel.build_closure", lambda *args: tampered_path5_closure()
+    )
+    code, out, err = run(
+        capsys, ["verify", "--input", str(p5), "--k", "2", "--r", "1", "--alpha", "7"]
+    )
+    assert code == 1
+    assert out.splitlines() == ["item1: pass", "item2: pass", "item3: FAIL"]
+    assert "item3: kept tree (0, 1, 2) is disconnected" in err
 
 
 def test_solve_and_budget(capsys, c6_file, monkeypatch):
@@ -149,6 +167,36 @@ def test_input_error_exit_code(capsys, tmp_path):
     assert code == 2
 
 
+def test_bad_values_exit_2_without_traceback(capsys, tmp_path, c6_file):
+    junk = tmp_path / "junk.txt"
+    junk.write_text("junk\n")
+    code, _, err = run(capsys, ["gen", "--input", str(junk), "--r", "2"])
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    code, _, err = run(
+        capsys,
+        ["core", "--input", c6_file, "--k", "-1", "--r", "1", "--alpha", "7"],
+    )
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kernelize", "--k", "2", "--r", "1", "--alpha", "7", "--jobs", "2"],
+        ["verify", "--k", "2", "--r", "1", "--alpha", "7", "--out", "x"],
+        ["core", "--k", "2", "--r", "1", "--alpha", "7", "--seed", "1"],
+        ["kernelize", "--k", "2", "--r", "1", "--alpha", "7", "--budget-nodes", "5"],
+    ],
+)
+def test_flags_a_command_does_not_read_are_refused(capsys, c6_file, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv[:1] + ["--input", c6_file] + argv[1:])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_alpha_epsilon_are_exclusive(capsys, c6_file):
     code, _, err = run(
         capsys,
@@ -192,10 +240,14 @@ def test_dimacs_format_flag(capsys, tmp_path):
 
 
 def test_console_script_runs():
+    # the child interpreter must find the same lkcds as this one
+    src = str(Path(lkcds.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "lkcds.cli", "--help"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "kernelize" in proc.stdout

@@ -15,6 +15,7 @@ from conftest import (
     random_connected,
     random_tree,
     spider_graph,
+    tampered_path5_closure,
 )
 from lkcds.closure import (
     avoiding_path_tree,
@@ -47,6 +48,14 @@ def test_closure_is_subgraph_of_host():
     assert len(set(hosts)) == len(hosts)
     for a, b in clo.graph.edges():
         assert clo.vertex_map[b] in g.adj[clo.vertex_map[a]]
+
+
+def test_verify_closure_names_the_failed_item():
+    g = path_graph(5)
+    assert verify_closure(g, build_closure(g, [2], 1, 2)).ok
+    rep = verify_closure(g, tampered_path5_closure())
+    assert not rep.ok
+    assert rep.problems == ("item3: kept tree (0, 1, 2) is disconnected",)
 
 
 def test_closure_contains_blockers_and_reps():

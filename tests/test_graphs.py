@@ -18,6 +18,7 @@ from lkcds.graphs import (
     r_subdivision,
     serialize_graph,
     sniff_format,
+    tree_problem,
 )
 
 
@@ -39,12 +40,12 @@ def test_from_edges_rejects_bad_input():
 
 def test_distances_and_balls():
     g = path_graph(5)
-    assert g.dist(0, 4) == 4
+    assert g.dist_row(0)[4] == 4
     assert g.dist_row(0)[3] == 3
     assert g.balls(1)[2] == mask_of([1, 2, 3])
     assert g.balls(2)[0] == mask_of([0, 1, 2])
     disc = Graph.from_edges(4, [(0, 1), (2, 3)])
-    assert disc.dist(0, 3) is None
+    assert disc.dist_row(0)[3] == -1  # unreachable
     assert not disc.is_connected()
     assert len(disc.component_masks()) == 2
 
@@ -54,6 +55,19 @@ def test_mask_connected():
     assert mask_connected(g, mask_of([0, 1, 2]))
     assert not mask_connected(g, mask_of([0, 3]))
     assert not mask_connected(g, 0)  # empty mask counts as disconnected
+
+
+def test_tree_problem_names_each_fault():
+    g = path_graph(5)
+    assert tree_problem(g, (1, 2, 3), ((1, 2), (2, 3))) is None
+    assert tree_problem(g, (4,), ()) is None
+    assert tree_problem(g, (), ()) == "is empty"
+    assert tree_problem(g, (0, 0, 1), ((0, 1),)) == "repeats a vertex"
+    assert tree_problem(g, (5,), ()) == "has a vertex outside the host"
+    assert tree_problem(g, (0, 1, 2), ((0, 1),)) == "is not a tree"
+    assert tree_problem(g, (0, 1, 2), ((0, 1), (0, 2))) == "uses a non-edge (0, 2)"
+    assert tree_problem(g, (0, 1, 3), ((0, 1), (1, 2))) == "has a dangling edge (1, 2)"
+    assert tree_problem(g, (0, 1, 2), ((0, 1), (0, 1))) == "is disconnected"
 
 
 def test_bfs_layers_blocked_vertices_are_reached_not_expanded():
@@ -99,7 +113,7 @@ def test_r_subdivision_counts():
     assert s2.m == 2 * 2
     chain = int2[(0, 1)]
     assert len(chain) == 1
-    assert s2.dist(0, 1) == 2
+    assert s2.dist_row(0)[1] == 2
 
 
 def test_r_subdivision_scales_distances():
@@ -107,7 +121,7 @@ def test_r_subdivision_scales_distances():
     s, _ = r_subdivision(g, 3)
     for u in range(5):
         for v in range(5):
-            assert s.dist(u, v) == 3 * g.dist(u, v)
+            assert s.dist_row(u)[v] == 3 * g.dist_row(u)[v]
 
 
 def test_lex_product_structure():
@@ -117,7 +131,7 @@ def test_lex_product_structure():
     assert p.n == 4
     # fibers are cliques joined completely across a base edge
     assert p.m == 2 * 1 + 4
-    assert p.dist(0, 3) == 1
+    assert p.dist_row(0)[3] == 1
 
 
 @given(st.integers(0, 10_000))

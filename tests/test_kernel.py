@@ -18,13 +18,11 @@ from lkcds.cores import Rejection
 from lkcds.domination import ContractViolation, check_covering_family, dominates
 from lkcds.graphs import Graph, GraphFormatError, induced_subgraph
 from lkcds.kernel import (
-    DSKernel,
     KernelInstance,
     KernelParams,
     capped_host_opt,
     capped_kernel_opt,
     certify_ratio,
-    ds_kernelize,
     kernel_solution_valid,
     kernelize,
     lift,
@@ -33,7 +31,7 @@ from lkcds.kernel import (
     replay_split,
     serialize_kernel,
 )
-from lkcds.oracles import exact_acds, exact_cds, exact_ds
+from lkcds.oracles import exact_acds, exact_cds
 
 
 def kparams(k=2, r=1, alpha=7):
@@ -229,25 +227,3 @@ def test_pipeline_on_random_graphs(seed):
     assert isinstance(inst, KernelInstance)
     cert = certify_ratio(g, inst, solve_kernel(inst))
     assert cert.ok
-
-
-def test_ds_kernel_preserves_optimum():
-    for g, k, r in [
-        (grid_graph(3, 4), 3, 1),
-        (cycle_graph(10), 3, 1),
-        (path_graph(9), 2, 2),
-    ]:
-        out = ds_kernelize(g, k, r, core_mode="exact")
-        if isinstance(out, Rejection):
-            assert not exact_ds(g, r, k).found
-            continue
-        host = exact_ds(g, r, k)
-        small = exact_ds(out.graph, out.r, out.k, targets=out.annotated)
-        assert host.found
-        assert small.found
-        assert small.value <= host.value
-
-
-def test_ds_kernel_rejects_when_exact_mode_fails():
-    out = ds_kernelize(path_graph(9), 1, 1, core_mode="exact")
-    assert isinstance(out, Rejection)

@@ -96,7 +96,7 @@ def test_equal_profiles_cover_equal_targets(seed):
         for v in c.members:
             direct = tuple(
                 x for x in blockers
-                if g.dist(v, x) is not None and g.dist(v, x) <= 2
+                if 0 <= g.dist_row(v)[x] <= 2
             )
             assert covered == direct
 
