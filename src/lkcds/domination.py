@@ -74,11 +74,15 @@ class ConnectResult:
 def connect(g: Graph, seeds: Iterable[int], stretch: int) -> ConnectResult:
     """Stitch the components induced by `seeds` into one, greedily.
 
-    Each round merges a globally closest pair of components along a
-    shortest path of the host graph; ties prefer smaller endpoint ids.  A
-    merge needing more than `stretch` interior vertices, or a total beyond
-    stretch * (components - 1), violates the contract this routine is used
-    under and raises.
+    Components are ordered by their smallest member.  Each round merges
+    along the least key (d, u, v) over seed vertices u and v, where u lies
+    in an earlier component than v and d is their host distance; the path
+    is `bfs_layers(g, [u]).path_to(v)`.  A round costs one labelled
+    multi-source BFS, O(n + m), which finds d, then depth-d bitmask floods
+    through non-seed vertices from each u in ascending order, until one
+    reaches a later component.  A merge needing more than `stretch`
+    interior vertices, or a total beyond stretch * (components - 1),
+    violates the contract this routine is used under and raises.
     """
     seed_tuple = tuple(sorted(set(seeds)))
     if not seed_tuple:
@@ -87,29 +91,13 @@ def connect(g: Graph, seeds: Iterable[int], stretch: int) -> ConnectResult:
         if not 0 <= v < g.n:
             raise ValueError(f"vertex {v} out of range")
     current = mask_of(seed_tuple)
-    p0 = len(induced_components(g, current))
+    comps = list(induced_components(g, current))
+    p0 = len(comps)
+    masks = g.neighbor_masks()
     added: List[int] = []
     paths: List[Tuple[int, ...]] = []
-    while True:
-        comps = induced_components(g, current)
-        if len(comps) <= 1:
-            break
-        comp_of = {}
-        for i, c in enumerate(comps):
-            for v in iter_bits(c):
-                comp_of[v] = i
-        best: Optional[Tuple[int, int, int]] = None
-        for u in iter_bits(current):
-            row = g.dist_row(u)
-            for v in iter_bits(current):
-                if comp_of[u] >= comp_of[v]:
-                    continue
-                d = row[v]
-                if d < 0:
-                    continue
-                key = (d, u, v)
-                if best is None or key < best:
-                    best = key
+    while len(comps) > 1:
+        best = _closest_pair(g, comps)
         if best is None:
             raise ContractViolation("seed components lie in different graph parts")
         d, u, v = best
@@ -118,18 +106,91 @@ def connect(g: Graph, seeds: Iterable[int], stretch: int) -> ConnectResult:
                 f"merge from {u} to {v} needs {d - 1} interior vertices, "
                 f"allowed {stretch}"
             )
-        path = bfs_layers(g, [u]).path_to(v)
+        # capped at depth d, the BFS still reaches v by the same parents
+        path = bfs_layers(g, [u], depth_cap=d).path_to(v)
         interior = path[1:-1]
         for w in interior:
             if not (current >> w) & 1:
                 added.append(w)
         current |= mask_of(interior)
         paths.append(tuple(path))
+        # the path joins every component it touches; the others stay apart
+        joined = reach = mask_of(path)
+        for w in interior:
+            reach |= masks[w]
+        for c in comps:
+            if c & reach:
+                joined |= c
+        comps = sorted(
+            [c for c in comps if not c & reach] + [joined], key=lambda c: c & -c
+        )
     if len(added) > stretch * (p0 - 1):
         raise ContractViolation(
             f"added {len(added)} vertices, allowed {stretch * (p0 - 1)}"
         )
     return ConnectResult(tuple(iter_bits(current)), tuple(added), tuple(paths))
+
+
+def _closest_pair(
+    g: Graph, comps: Sequence[int]
+) -> Optional[Tuple[int, int, int]]:
+    # The least (d, u, v) with u in an earlier component than v, or None
+    # when no two components share a graph part.  A BFS from all of them at
+    # once labels each vertex by a nearest component; a shortest path
+    # between two components changes label along some edge (x, y), so the
+    # least gap is the least dist[x] + 1 + dist[y] over such edges.
+    label = [-1] * g.n
+    dist = [0] * g.n
+    queue: List[int] = []
+    for i, c in enumerate(comps):
+        for v in iter_bits(c):
+            label[v] = i
+            queue.append(v)
+    gap = None
+    for x in queue:  # the loop also visits what it appends
+        dx = dist[x]
+        # an edge not yet seen has both ends at depth >= dx, so it gives
+        # at least 2 * dx + 1
+        if gap is not None and 2 * dx + 1 >= gap:
+            break
+        lx = label[x]
+        for y in g.adj[x]:
+            ly = label[y]
+            if ly < 0:
+                label[y] = lx
+                dist[y] = dx + 1
+                queue.append(y)
+            elif ly != lx and (gap is None or dx + 1 + dist[y] < gap):
+                gap = dx + 1 + dist[y]
+    if gap is None:
+        return None
+    masks = g.neighbor_masks()
+    later = [0] * len(comps)
+    for i in range(len(comps) - 2, -1, -1):
+        later[i] = later[i + 1] | comps[i + 1]
+    seeds = later[0] | comps[0]
+    free = ((1 << g.n) - 1) & ~seeds
+    # No pair is closer than gap, so the first u whose depth-gap layer
+    # meets a later component gives the least key.  A shortest path
+    # between closest components has no seed vertex inside, so the
+    # flood only crosses free vertices.
+    for u in iter_bits(seeds):
+        targets = later[label[u]]
+        layer = masks[u] & free  # gap >= 2: no target is adjacent
+        if not (targets and layer):
+            continue
+        within = free | targets
+        seen = layer | 1 << u
+        for _ in range(gap - 1):
+            grown = 0
+            for w in iter_bits(layer):
+                grown |= masks[w]
+            layer = grown & within & ~seen
+            seen |= layer
+        hit = layer & targets
+        if hit:
+            return gap, u, (hit & -hit).bit_length() - 1
+    raise ContractViolation("no seed pair realises the closest gap")
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,6 @@ FOUND = "found"
 EXCEEDS_CAP = "exceeds-cap"
 INFEASIBLE = "infeasible"
 
-_INF = float("inf")
-
 
 class SteinerQuery:
     """Validated group system plus an optional vertex-count cap."""
@@ -87,7 +85,9 @@ def steiner_exact(g: Graph, query: SteinerQuery) -> SteinerResult:
     gc = len(query.groups)
     full = (1 << gc) - 1
     cap_edges = None if query.size_cap is None else query.size_cap - 1
-    dp: List[List[float]] = [[_INF] * g.n for _ in range(full + 1)]
+    # a tree has at most n - 1 edges, so n marks "no tree yet"
+    unset = g.n
+    dp: List[List[int]] = [[unset] * g.n for _ in range(full + 1)]
     back: Dict[Tuple[int, int], Tuple] = {}
     for i, grp in enumerate(query.groups):
         for x in grp:
@@ -106,7 +106,7 @@ def steiner_exact(g: Graph, query: SteinerQuery) -> SteinerResult:
                         row[v] = cand
                         back[(mask, v)] = ("merge", sub)
                 sub = (sub - 1) & mask
-        heap = [(d, v) for v, d in enumerate(row) if d < _INF]
+        heap = [(d, v) for v, d in enumerate(row) if d < unset]
         heapq.heapify(heap)
         while heap:
             d, v = heapq.heappop(heap)
@@ -122,7 +122,7 @@ def steiner_exact(g: Graph, query: SteinerQuery) -> SteinerResult:
                     heapq.heappush(heap, (nd, w))
     best_v = None
     for v in range(g.n):
-        if dp[full][v] < _INF and (best_v is None or dp[full][v] < dp[full][best_v]):
+        if dp[full][v] < unset and (best_v is None or dp[full][v] < dp[full][best_v]):
             best_v = v
     if best_v is None:
         group_masks = [mask_of(grp) for grp in query.groups]

@@ -1,0 +1,31 @@
+"""The demo scripts run to completion from a plain checkout."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import lkcds
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
+
+
+# order_measurements.py is left out: it takes several seconds on its own
+@pytest.mark.parametrize(
+    "script", ["closure_anatomy.py", "hardness_boundary.py", "kernelize_walkthrough.py"]
+)
+def test_demo_runs(script):
+    # the child interpreter must find the same lkcds as this one
+    src = str(Path(lkcds.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(DEMOS / script)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip()

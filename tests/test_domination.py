@@ -16,7 +16,9 @@ from conftest import (
     spider_graph,
     star_graph,
 )
+from lkcds.cores import find_core
 from lkcds.domination import (
+    ConnectResult,
     ContractViolation,
     check_covering_family,
     connect,
@@ -24,7 +26,7 @@ from lkcds.domination import (
     dominates,
     greedy_rdom,
 )
-from lkcds.graphs import Graph
+from lkcds.graphs import Graph, bfs_layers, induced_components, iter_bits, mask_of
 from lkcds.oracles import exact_ds
 
 
@@ -92,6 +94,96 @@ def test_connect_total_interior_bound(seed):
     # result really is connected
     gsub, _ = __import__("lkcds.graphs", fromlist=["induced_subgraph"]).induced_subgraph(g, sub)
     assert gsub.is_connected()
+
+
+def _all_pairs_connect(g, seeds, stretch):
+    # reference: each round scans every seed pair by dist_row for the least
+    # (d, u, v) with u in an earlier component than v
+    seed_tuple = tuple(sorted(set(seeds)))
+    if not seed_tuple:
+        raise ValueError("cannot connect an empty set")
+    for v in seed_tuple:
+        if not 0 <= v < g.n:
+            raise ValueError(f"vertex {v} out of range")
+    current = mask_of(seed_tuple)
+    p0 = len(induced_components(g, current))
+    added, paths = [], []
+    while True:
+        comps = induced_components(g, current)
+        if len(comps) <= 1:
+            break
+        comp_of = {v: i for i, c in enumerate(comps) for v in iter_bits(c)}
+        best = None
+        for u in iter_bits(current):
+            row = g.dist_row(u)
+            for v in iter_bits(current):
+                if comp_of[u] < comp_of[v] and row[v] >= 0:
+                    key = (row[v], u, v)
+                    if best is None or key < best:
+                        best = key
+        if best is None:
+            raise ContractViolation("seed components lie in different graph parts")
+        d, u, v = best
+        if d - 1 > stretch:
+            raise ContractViolation(
+                f"merge from {u} to {v} needs {d - 1} interior vertices, "
+                f"allowed {stretch}"
+            )
+        path = bfs_layers(g, [u]).path_to(v)
+        added.extend(w for w in path[1:-1] if not (current >> w) & 1)
+        current |= mask_of(path[1:-1])
+        paths.append(tuple(path))
+    if len(added) > stretch * (p0 - 1):
+        raise ContractViolation(
+            f"added {len(added)} vertices, allowed {stretch * (p0 - 1)}"
+        )
+    return ConnectResult(tuple(iter_bits(current)), tuple(added), tuple(paths))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ValueError, ContractViolation) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@given(
+    st.integers(2, 24),
+    st.integers(0, 10),
+    st.integers(0, 10_000),
+    st.integers(0, 6),
+    st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_connect_matches_all_pairs_scan(n, extra, seed, drop, data):
+    host = random_connected(n, extra, seed)
+    edges = list(host.edges())
+    # dropping edges leaves some hosts disconnected
+    for _ in range(min(drop, len(edges))):
+        edges.pop(data.draw(st.integers(0, len(edges) - 1)))
+    g = Graph.from_edges(n, edges)
+    seeds = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
+    stretch = data.draw(st.sampled_from((1, 2, 4, n)))
+    assert _outcome(connect, g, seeds, stretch) == _outcome(
+        _all_pairs_connect, g, seeds, stretch
+    )
+
+
+def test_connect_finds_an_odd_gap_seen_after_an_even_one():
+    # the path 0-3-5-4-1-7-6-2 with seeds 0, 1, 2: a search from all seeds
+    # meets the gap 4 between 0 and 1 before the gap 3 between 1 and 2
+    g = Graph.from_edges(8, [(0, 3), (3, 5), (5, 4), (4, 1), (1, 7), (7, 6), (6, 2)])
+    res = connect(g, [0, 1, 2], 3)
+    assert res.merge_paths == ((1, 7, 6, 2), (0, 3, 5, 4, 1))
+    assert res == _all_pairs_connect(g, [0, 1, 2], 3)
+
+
+def test_connect_matches_all_pairs_scan_on_a_heuristic_core():
+    g = random_connected(200, 20, 200)
+    core = find_core(g, 1, 1, mode="heuristic").vertices
+    got = connect(g, core, 2)
+    assert got == _all_pairs_connect(g, core, 2)
+    assert len(got.merge_paths) > 10
 
 
 def test_covering_family_singletons_when_t_small():
