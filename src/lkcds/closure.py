@@ -15,7 +15,14 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .domination import Rational, piece_cap
-from .graphs import Graph, bfs_layers, graph_on_vertices, iter_bits, tree_problem
+from .graphs import (
+    Graph,
+    bfs_layers,
+    graph_on_vertices,
+    iter_bits,
+    mask_of,
+    tree_problem,
+)
 from .projections import ProfileClassification, classify, profile
 from .steiner import FOUND, SteinerQuery, SteinerTree, steiner_exact, steiner_size
 
@@ -59,21 +66,6 @@ class ClosureResult:
     stats: Dict[str, int] = field(default_factory=dict)
 
 
-def _group_distances(g: Graph, groups: Sequence[Tuple[int, ...]]) -> List[List[Optional[int]]]:
-    gn = len(groups)
-    out: List[List[Optional[int]]] = [[None] * gn for _ in range(gn)]
-    for i, grp in enumerate(groups):
-        res = bfs_layers(g, grp)
-        for j in range(gn):
-            best: Optional[int] = None
-            for v in groups[j]:
-                d = res.dist.get(v)
-                if d is not None and (best is None or d < best):
-                    best = d
-            out[i][j] = best
-    return out
-
-
 def _bounded_cliques(compat: List[int], cap: int) -> List[Tuple[int, ...]]:
     # all index sets of size <= cap whose pairs are compatible, ascending
     out: List[Tuple[int, ...]] = []
@@ -93,6 +85,16 @@ def _bounded_cliques(compat: List[int], cap: int) -> List[Tuple[int, ...]]:
 def build_closure(
     g: Graph, blockers: Iterable[int], r: int, t: Rational
 ) -> ClosureResult:
+    """Closure of g around the blockers, keeping bundles of at most cap groups.
+
+    The groups are the profile classes of the free vertices, then one group
+    per blocker.  Two groups are compatible when the OR of the radius
+    cap - 1 balls of one group's members meets the other group's mask,
+    that is, when some members lie within cap - 1 of each other; a tree of
+    at most cap vertices can only meet pairwise compatible groups.  Every
+    bundle of at most cap pairwise compatible groups gets a capped
+    `steiner_exact` search, and the trees found are kept.
+    """
     tf, cap = piece_cap(t)
     if cap < 1:
         raise ValueError("t is too small for any tree to fit")
@@ -106,13 +108,13 @@ def build_closure(
     class_count = len(groups)
     groups.extend((x,) for x in xs)
 
-    gdist = _group_distances(g, groups)
+    near = [g.ball_of(grp, cap - 1) for grp in groups]
+    group_masks = [mask_of(grp) for grp in groups]
     compat = [0] * len(groups)
     pruned_pairs = 0
     for i in range(len(groups)):
         for j in range(i + 1, len(groups)):
-            d = gdist[i][j]
-            if d is not None and d <= cap - 1:
+            if near[i] & group_masks[j]:
                 compat[i] |= 1 << j
                 compat[j] |= 1 << i
             else:

@@ -96,20 +96,29 @@ class Graph:
             raise ValueError("radius must be nonnegative")
         out = self._balls.get(r)
         if out is None:
-            if r == 0:
-                out = tuple(1 << v for v in range(self.n))
-            else:
-                prev = self.balls(r - 1)
-                masks = self.neighbor_masks()
+            masks = self.neighbor_masks()
+            inner: Tuple[int, ...] = (0,) * self.n
+            out = tuple(1 << v for v in range(self.n))
+            for _ in range(r):
+                # only the outermost shell can reach past the ball
                 grown = []
-                for v in range(self.n):
-                    b = prev[v]
-                    for u in iter_bits(prev[v]):
+                for b, old in zip(out, inner):
+                    for u in iter_bits(b & ~old):
                         b |= masks[u]
                     grown.append(b)
-                out = tuple(grown)
+                if tuple(grown) == out:
+                    break  # every ball holds its whole component
+                inner, out = out, tuple(grown)
             self._balls[r] = out
         return out
+
+    def ball_of(self, vertices: Iterable[int], r: int) -> int:
+        """Vertices within r of some vertex in `vertices`, as a bitmask."""
+        balls = self.balls(r)
+        m = 0
+        for v in vertices:
+            m |= balls[v]
+        return m
 
     def dist_row(self, v: int) -> Tuple[int, ...]:
         """BFS distances from v; unreachable vertices get -1."""

@@ -3,7 +3,9 @@
 Costs count tree vertices, not edges: a tree on one shared vertex scores 1.
 The classic subset DP runs over masks of groups with unit edge weights, so
 the vertex count is the edge optimum plus one.  Group count is capped
-because the table grows as 2^groups.
+because the work grows as 2^groups times the vertices searched: under a
+size cap that is the region within reach of every group, not the whole
+graph.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .domination import ContractViolation
-from .graphs import Graph, mask_of, tree_problem
+from .graphs import Graph, iter_bits, mask_of, tree_problem
 
 FOUND = "found"
 EXCEEDS_CAP = "exceeds-cap"
@@ -77,6 +79,14 @@ def steiner_exact(g: Graph, query: SteinerQuery) -> SteinerResult:
     Runs the subset DP: dp[mask][v] is the fewest edges of a tree that
     contains v and meets all groups in mask, built by pairwise merges at v
     and unit-weight Dijkstra growth.  All tie-breaking is deterministic.
+
+    Under a size cap below n the DP only visits the region within cap - 1
+    of every group (an AND over groups of ORs of balls).  A tree of at
+    most cap vertices lies in that region, since each of its vertices is
+    at most cap - 1 tree edges from each group it meets; so do the
+    subtrees it is merged from, which keeps every value and tie-break on
+    the way to the answer, and the rebuilt tree, as over the whole graph.
+    Uncapped calls, and caps of n or more, scan every vertex.
     """
     for grp in query.groups:
         for v in grp:
@@ -85,14 +95,30 @@ def steiner_exact(g: Graph, query: SteinerQuery) -> SteinerResult:
     gc = len(query.groups)
     full = (1 << gc) - 1
     cap_edges = None if query.size_cap is None else query.size_cap - 1
+    order: Sequence[int] = range(g.n)
+    adj: Sequence[Sequence[int]] = g.adj
+    inside: Optional[bytearray] = None  # region membership; None: everywhere
+    if cap_edges is not None and cap_edges < g.n - 1:
+        region = -1
+        for grp in query.groups:
+            region &= g.ball_of(grp, cap_edges)
+        order = list(iter_bits(region))
+        inside = bytearray(g.n)
+        for v in order:
+            inside[v] = 1
+        near_adj: List[Sequence[int]] = [()] * g.n
+        for v in order:
+            near_adj[v] = [w for w in g.adj[v] if inside[w]]
+        adj = near_adj
     # a tree has at most n - 1 edges, so n marks "no tree yet"
     unset = g.n
     dp: List[List[int]] = [[unset] * g.n for _ in range(full + 1)]
     back: Dict[Tuple[int, int], Tuple] = {}
     for i, grp in enumerate(query.groups):
         for x in grp:
-            dp[1 << i][x] = 0
-            back[(1 << i, x)] = ("seed",)
+            if inside is None or inside[x]:
+                dp[1 << i][x] = 0
+                back[(1 << i, x)] = ("seed",)
     for mask in range(1, full + 1):
         row = dp[mask]
         if mask & (mask - 1):
@@ -100,13 +126,13 @@ def steiner_exact(g: Graph, query: SteinerQuery) -> SteinerResult:
             while sub:
                 other = mask ^ sub
                 a, b = dp[sub], dp[other]
-                for v in range(g.n):
+                for v in order:
                     cand = a[v] + b[v]
                     if cand < row[v] and (cap_edges is None or cand <= cap_edges):
                         row[v] = cand
                         back[(mask, v)] = ("merge", sub)
                 sub = (sub - 1) & mask
-        heap = [(d, v) for v, d in enumerate(row) if d < unset]
+        heap = [(row[v], v) for v in order if row[v] < unset]
         heapq.heapify(heap)
         while heap:
             d, v = heapq.heappop(heap)
@@ -115,13 +141,13 @@ def steiner_exact(g: Graph, query: SteinerQuery) -> SteinerResult:
             nd = d + 1
             if cap_edges is not None and nd > cap_edges:
                 continue
-            for w in g.adj[v]:
+            for w in adj[v]:
                 if nd < row[w]:
                     row[w] = nd
                     back[(mask, w)] = ("grow", v)
                     heapq.heappush(heap, (nd, w))
     best_v = None
-    for v in range(g.n):
+    for v in order:
         if dp[full][v] < unset and (best_v is None or dp[full][v] < dp[full][best_v]):
             best_v = v
     if best_v is None:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    SUITE_GRAPHS,
     cycle_graph,
     grid_graph,
     path_graph,
@@ -24,6 +25,7 @@ from lkcds.closure import (
     check_translation,
     verify_closure,
 )
+from lkcds.domination import greedy_rdom
 from lkcds.graphs import Graph, induced_subgraph
 from lkcds.projections import classify, profile
 from lkcds.steiner import steiner_size
@@ -105,6 +107,42 @@ def test_closure_stats_accounting():
     assert st_["closure_vertices"] == clo.graph.n
     assert st_["blockers"] == 3
     assert st_["kept_trees"] + st_["dropped_subsets"] == st_["candidate_subsets"]
+
+
+def _compatible_counts(g, groups, cap):
+    # pruned pairs and bundles under "some members lie within cap - 1",
+    # from distance rows rather than balls
+    def gap(i, j):
+        ds = [g.dist_row(x)[y] for x in groups[i] for y in groups[j]]
+        return min((d for d in ds if d >= 0), default=None)
+
+    gn = len(groups)
+    ok = [[False] * gn for _ in range(gn)]
+    pruned = 0
+    for i, j in combinations(range(gn), 2):
+        d = gap(i, j)
+        ok[i][j] = ok[j][i] = d is not None and d <= cap - 1
+        pruned += not ok[i][j]
+
+    def bundles(chosen):
+        count = 1
+        if len(chosen) < cap:
+            for j in range(chosen[-1] + 1, gn):
+                if all(ok[i][j] for i in chosen):
+                    count += bundles(chosen + [j])
+        return count
+
+    return pruned, sum(bundles([i]) for i in range(gn))
+
+
+@pytest.mark.parametrize("t", [1, 2])
+def test_compatibility_matches_group_distances(t):
+    for name, g in SUITE_GRAPHS:
+        clo = build_closure(g, greedy_rdom(g, 1), 1, t)
+        assert clo.cap == 2 * t
+        pruned, bundles = _compatible_counts(g, clo.groups, clo.cap)
+        assert clo.stats["pruned_pairs"] == pruned, name
+        assert clo.stats["candidate_subsets"] == bundles, name
 
 
 def test_closure_rejects_bad_blockers():

@@ -1,5 +1,7 @@
 """Graph container, traversal, products, subdivision, and file formats."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -48,6 +50,21 @@ def test_distances_and_balls():
     assert disc.dist_row(0)[3] == -1  # unreachable
     assert not disc.is_connected()
     assert len(disc.component_masks()) == 2
+
+
+@given(st.integers(1, 12), st.integers(0, 2_000))
+def test_balls_match_distance_rows(n, seed):
+    # sparse and often disconnected; radii past the diameter keep the component
+    rng = random.Random(seed)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = [e for e in pairs if rng.random() < 0.2]
+    for r in list(range(n + 2)) + [10**6]:
+        g = Graph.from_edges(n, edges)
+        want = tuple(
+            mask_of(u for u, d in enumerate(g.dist_row(v)) if 0 <= d <= r)
+            for v in range(n)
+        )
+        assert g.balls(r) == want
 
 
 def test_mask_connected():

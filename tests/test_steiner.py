@@ -1,5 +1,6 @@
 """Group Steiner trees measured in vertices, against brute force."""
 
+import heapq
 import math
 
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import cycle_graph, grid_graph, path_graph, random_connected
-from lkcds.graphs import Graph
+from lkcds import oracles
+from lkcds.graphs import Graph, mask_of
 from lkcds.oracles import brute_steiner
 from lkcds.steiner import (
     EXCEEDS_CAP,
@@ -107,3 +109,105 @@ def test_deterministic_reconstruction():
     first = steiner_exact(g, q)
     second = steiner_exact(g, q)
     assert first.tree == second.tree
+
+
+def whole_graph_dp(g, groups, size_cap):
+    """The subset DP over every vertex of g, as it ran before the region
+    confinement: (status, vertices, edges), with the same tie-breaks."""
+    gc = len(groups)
+    full = (1 << gc) - 1
+    cap_edges = None if size_cap is None else size_cap - 1
+    unset = g.n
+    dp = [[unset] * g.n for _ in range(full + 1)]
+    back = {}
+    for i, grp in enumerate(groups):
+        for x in grp:
+            dp[1 << i][x] = 0
+            back[(1 << i, x)] = ("seed",)
+    for mask in range(1, full + 1):
+        row = dp[mask]
+        if mask & (mask - 1):
+            sub = (mask - 1) & mask
+            while sub:
+                a, b = dp[sub], dp[mask ^ sub]
+                for v in range(g.n):
+                    cand = a[v] + b[v]
+                    if cand < row[v] and (cap_edges is None or cand <= cap_edges):
+                        row[v] = cand
+                        back[(mask, v)] = ("merge", sub)
+                sub = (sub - 1) & mask
+        heap = [(d, v) for v, d in enumerate(row) if d < unset]
+        heapq.heapify(heap)
+        while heap:
+            d, v = heapq.heappop(heap)
+            if d > row[v] or (cap_edges is not None and d + 1 > cap_edges):
+                continue
+            for w in g.adj[v]:
+                if d + 1 < row[w]:
+                    row[w] = d + 1
+                    back[(mask, w)] = ("grow", v)
+                    heapq.heappush(heap, (d + 1, w))
+    best = None
+    for v in range(g.n):
+        if dp[full][v] < unset and (best is None or dp[full][v] < dp[full][best]):
+            best = v
+    if best is None:
+        gms = [mask_of(grp) for grp in groups]
+        feasible = any(all(c & gm for gm in gms) for c in g.component_masks())
+        return (EXCEEDS_CAP if feasible else INFEASIBLE), None, None
+    vertices, edges = set(), set()
+    todo = [(full, best)]
+    while todo:
+        mask, v = todo.pop()
+        vertices.add(v)
+        op = back[(mask, v)]
+        if op[0] == "grow":
+            edges.add((min(op[1], v), max(op[1], v)))
+            todo.append((mask, op[1]))
+        elif op[0] == "merge":
+            todo += [(op[1], v), (mask ^ op[1], v)]
+    return FOUND, tuple(sorted(vertices)), tuple(sorted(edges))
+
+
+@st.composite
+def group_systems(draw):
+    """A random graph, possibly disconnected, 1-5 disjoint groups and a cap."""
+    n = draw(st.integers(1, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = [e for e in pairs if draw(st.integers(0, 9)) < 3]
+    g = Graph.from_edges(n, edges)
+    order = draw(st.permutations(range(n)))
+    gc = draw(st.integers(1, min(5, n)))
+    groups = [[v] for v in order[:gc]]
+    for v in order[gc:]:
+        slot = draw(st.integers(-1, gc - 1))  # -1: in no group
+        if slot >= 0:
+            groups[slot].append(v)
+    cap = draw(st.sampled_from([None, 1, 2, 3, 4, n, n + 3]))
+    return g, groups, cap
+
+
+@given(group_systems())
+@settings(max_examples=400)
+def test_matches_whole_graph_dp(case):
+    g, groups, cap = case
+    res = steiner_exact(g, SteinerQuery(groups, size_cap=cap))
+    status, vertices, edges = whole_graph_dp(g, SteinerQuery(groups).groups, cap)
+    assert res.status == status
+    if status == FOUND:
+        assert (res.tree.vertices, res.tree.edges) == (vertices, edges)
+
+
+@given(group_systems())
+@settings(max_examples=200)
+def test_capped_status_matches_brute_force(case):
+    g, groups, cap = case
+    res = steiner_exact(g, SteinerQuery(groups, size_cap=cap))
+    br = brute_steiner(g, groups, cap)
+    statuses = {
+        oracles.FOUND: FOUND,
+        oracles.NONE_WITHIN_BUDGET: EXCEEDS_CAP,
+        oracles.INFEASIBLE: INFEASIBLE,
+    }
+    assert res.status == statuses[br.status]
+    assert res.value == br.value
