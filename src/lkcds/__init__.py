@@ -31,7 +31,6 @@ from .graphs import (
     bfs_layers,
     graph_on_vertices,
     induced_subgraph,
-    lex_product,
     parse_graph,
     r_subdivision,
     serialize_graph,
@@ -67,11 +66,10 @@ from .orders import (
     check_separation,
     exact_wcol,
     heuristic_order,
-    product_order,
     wreach_report,
 )
 from .projections import ProjectionProfile, classify, profile, profile_coverage
-from .steiner import SteinerQuery, SteinerResult, steiner_exact, steiner_size
+from .steiner import SteinerResult, steiner_exact, steiner_size
 
 __version__ = "0.1.0"
 
@@ -94,7 +92,6 @@ __all__ = [
     "ReplaySplit",
     "SetCoverInstance",
     "SolveResult",
-    "SteinerQuery",
     "SteinerResult",
     "TranslationCheck",
     "TranslationGraph",
@@ -125,13 +122,11 @@ __all__ = [
     "induced_subgraph",
     "kernel_solution_valid",
     "kernelize",
-    "lex_product",
     "lift",
     "params_from",
     "parse_graph",
     "parse_kernel",
     "parse_setcover",
-    "product_order",
     "profile",
     "profile_coverage",
     "r_subdivision",

@@ -39,7 +39,7 @@ EXIT_INPUT = 2
 EXIT_BUDGET = 3
 EXIT_REJECTED = 10
 
-CORE_MODES = ("exact", "heuristic", "trivial")
+CORE_MODES = ("exact", "heuristic")
 
 T = TypeVar("T")
 
@@ -240,15 +240,19 @@ def _add_graph_arg(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_param_args(p: argparse.ArgumentParser) -> None:
+def _add_core_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int, required=True, help="solution budget")
     p.add_argument("--r", type=int, required=True, help="domination radius")
-    p.add_argument("--alpha", help="approximation factor (fraction, e.g. 7 or 7/2)")
-    p.add_argument("--epsilon", help="approximation slack; alpha = 1 + epsilon")
     p.add_argument(
         "--core-mode", choices=CORE_MODES, default="heuristic",
         help="how the domination core is computed",
     )
+
+
+def _add_param_args(p: argparse.ArgumentParser) -> None:
+    _add_core_args(p)
+    p.add_argument("--alpha", help="approximation factor (fraction, e.g. 7 or 7/2)")
+    p.add_argument("--epsilon", help="approximation slack; alpha = 1 + epsilon")
 
 
 def _add_out_arg(p: argparse.ArgumentParser) -> None:
@@ -302,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("core", help="compute a stitched domination core")
     _add_graph_arg(p)
-    _add_param_args(p)
+    _add_core_args(p)
     p.set_defaults(func=cmd_core)
 
     p = sub.add_parser("profile-stats", help="projection class statistics")
@@ -310,8 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--z", default=None, help="blocker vertices; omit to use a core")
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--alpha", default=None)
-    p.add_argument("--epsilon", default=None)
     p.add_argument("--core-mode", choices=CORE_MODES, default="heuristic")
     p.set_defaults(func=cmd_profile_stats)
 

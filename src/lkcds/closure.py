@@ -23,8 +23,9 @@ from .graphs import (
     mask_of,
     tree_problem,
 )
+from .oracles import FOUND
 from .projections import ProfileClassification, classify, profile
-from .steiner import FOUND, SteinerQuery, SteinerTree, steiner_exact, steiner_size
+from .steiner import SteinerTree, steiner_exact, steiner_size
 
 
 def avoiding_path_tree(
@@ -124,9 +125,7 @@ def build_closure(
     dropped = 0
     cliques = _bounded_cliques(compat, cap)
     for key in cliques:
-        res = steiner_exact(
-            g, SteinerQuery([groups[i] for i in key], size_cap=cap)
-        )
+        res = steiner_exact(g, [groups[i] for i in key], size_cap=cap)
         if res.status == FOUND:
             assert res.tree is not None
             kept[key] = res.tree

@@ -2,15 +2,15 @@
 
 A core Z for budget k and radius r has the property that any set of at
 most k vertices r-dominating Z automatically r-dominates the graph.  The
-trivial core is the vertex set itself; the heuristic mode shrinks it by a
-containment rule that is sound for every budget; the exhaustive mode also
-runs a per-vertex cover search and certifies the result.
+heuristic mode shrinks the vertex set by a containment rule that is sound
+for every budget; the exhaustive mode also runs a per-vertex cover search
+and certifies the result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Set, Tuple, Union
+from typing import Dict, Iterable, List, Set, Tuple, Union
 
 from .domination import ContractViolation, connect
 from .graphs import Graph, bfs_layers, mask_of
@@ -29,37 +29,36 @@ class DominationCore:
     vertices: Tuple[int, ...]
     k: int
     r: int
-    certified: str  # exhaustive | heuristic-sound | trivial
+    certified: str  # exhaustive | heuristic-sound
     connected: bool = False
 
 
 CoreOutcome = Union[DominationCore, Rejection]
 
 
-def _containment_prune(g: Graph, r: int, zset: Set[int]) -> Set[int]:
-    # drop z when some remaining z' has ball(z') inside ball(z): covering z'
-    # then forces covering z, for any budget
+def _containment_prune(g: Graph, r: int) -> Set[int]:
+    # keep v unless some w has ball(w) strictly inside ball(v), or the same
+    # ball and w < v: covering w then forces covering v, for any budget.
+    # Dropping such vertices one at a time, from the top id down, until
+    # none is left to drop ends at this same set.
     balls = g.balls(r)
-    z = set(zset)
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(z, reverse=True):
-            bv = balls[v]
-            if any(balls[w] & ~bv == 0 for w in z if w != v):
-                z.remove(v)
-                changed = True
-    return z
+    first: Dict[int, int] = {}
+    for v in range(g.n):
+        first.setdefault(balls[v], v)
+    # a ball strictly inside another has fewer vertices, and it is enough
+    # to compare against minimal balls, since containment is transitive
+    minimal: List[int] = []
+    for b in sorted(first, key=int.bit_count):
+        if all(m & ~b for m in minimal):
+            minimal.append(b)
+    return {first[b] for b in minimal}
 
 
 def find_core(g: Graph, k: int, r: int, mode: str = "exact") -> CoreOutcome:
     if k < 0 or r < 1:
         raise ValueError("need k >= 0 and r >= 1")
-    everything = set(range(g.n))
-    if mode == "trivial":
-        return DominationCore(tuple(range(g.n)), k, r, "trivial")
     if mode == "heuristic":
-        z = _containment_prune(g, r, everything)
+        z = _containment_prune(g, r)
         return DominationCore(tuple(sorted(z)), k, r, "heuristic-sound")
     if mode != "exact":
         raise ValueError(f"unknown core mode {mode!r}")
@@ -68,7 +67,7 @@ def find_core(g: Graph, k: int, r: int, mode: str = "exact") -> CoreOutcome:
     if base.status != FOUND:
         return Rejection(f"graph cannot be {r}-dominated by at most {k} vertices")
     balls = g.balls(r)
-    z = _containment_prune(g, r, everything)
+    z = _containment_prune(g, r)
     changed = True
     while changed:
         changed = False

@@ -349,21 +349,6 @@ def r_subdivision(
     return Graph.from_edges(nxt, new_edges), internals
 
 
-def lex_product(g: Graph, h: Graph) -> Graph:
-    """Lexicographic product; vertex (x, y) becomes x * h.n + y."""
-    if h.n == 0:
-        raise ValueError("second factor must be nonempty")
-    edges: List[Tuple[int, int]] = []
-    for x, xp in g.edges():
-        for y in range(h.n):
-            for yp in range(h.n):
-                edges.append((x * h.n + y, xp * h.n + yp))
-    for x in range(g.n):
-        for y, yp in h.edges():
-            edges.append((x * h.n + y, x * h.n + yp))
-    return Graph.from_edges(g.n * h.n, edges)
-
-
 def _parse_int(token: str, what: str, lineno: int) -> int:
     try:
         return int(token)

@@ -95,36 +95,56 @@ def cover_exists(
 
 
 def _lex_min_cover(
-    cand_ids: Sequence[int],
-    masks: Sequence[int],
-    universe: int,
-    size: int,
-    budget: _Budget,
-) -> Tuple[int, ...]:
-    # smallest sorted id tuple of exactly `size` candidates covering universe;
+    masks: Sequence[int], universe: int, size: int, budget: _Budget
+) -> List[int]:
+    # smallest sorted index list of exactly `size` masks covering universe;
     # a cover of that size must exist
-    by_id = dict(zip(cand_ids, masks))
     chosen: List[int] = []
     rest = universe
     start = 0
     while len(chosen) < size:
-        for idx in range(start, len(cand_ids)):
-            v = cand_ids[idx]
-            left = rest & ~by_id[v]
+        for idx in range(start, len(masks)):
+            left = rest & ~masks[idx]
             need = size - len(chosen) - 1
             if need == 0:
                 ok = left == 0
             else:
-                tail = [by_id[u] for u in cand_ids[idx + 1 :]]
-                ok = _cover_engine(tail, left, need, budget) is not None
+                ok = _cover_engine(masks[idx + 1 :], left, need, budget) is not None
             if ok:
-                chosen.append(v)
+                chosen.append(idx)
                 rest = left
                 start = idx + 1
                 break
         else:
             raise AssertionError("lex refinement lost a known-feasible cover")
-    return tuple(chosen)
+    return chosen
+
+
+def _min_cover(
+    ids: Sequence[int],
+    masks: Sequence[int],
+    universe: int,
+    k: int,
+    budget_nodes: Optional[int],
+) -> SolveResult:
+    # lexicographically smallest minimum cover of universe by at most k of
+    # the masks, named by the sorted ids that go with them
+    reach = 0
+    for m in masks:
+        reach |= m
+    if universe & ~reach:
+        return SolveResult(INFEASIBLE)
+    if universe == 0:
+        return SolveResult(FOUND, (), 0)
+    budget = _Budget(budget_nodes)
+    try:
+        for s in range(1, k + 1):
+            if _cover_engine(masks, universe, s, budget) is not None:
+                sol = _lex_min_cover(masks, universe, s, budget)
+                return SolveResult(FOUND, tuple(ids[i] for i in sol), s)
+    except BudgetExceededError:
+        return SolveResult(BUDGET_EXHAUSTED)
+    return SolveResult(NONE_WITHIN_BUDGET)
 
 
 # ---------------------------------------------------------------------------
@@ -158,24 +178,8 @@ def exact_ds(
     for v in ids:
         if not 0 <= v < g.n:
             raise ValueError(f"candidate {v} out of range")
-    if universe == 0:
-        return SolveResult(FOUND, (), 0)
     balls = g.balls(r)
-    reach = 0
-    for v in ids:
-        reach |= balls[v]
-    if universe & ~reach:
-        return SolveResult(INFEASIBLE)
-    masks = [balls[v] for v in ids]
-    budget = _Budget(budget_nodes)
-    try:
-        for s in range(1, k + 1):
-            if _cover_engine(masks, universe, s, budget) is not None:
-                sol = _lex_min_cover(ids, masks, universe, s, budget)
-                return SolveResult(FOUND, sol, s)
-    except BudgetExceededError:
-        return SolveResult(BUDGET_EXHAUSTED)
-    return SolveResult(NONE_WITHIN_BUDGET)
+    return _min_cover(ids, [balls[v] for v in ids], universe, k, budget_nodes)
 
 
 def connected_vertex_sets(
@@ -209,47 +213,44 @@ def connected_vertex_sets(
         yield from grow(1 << v, 1, masks[v] & above, 0)
 
 
-def _first_lex_valid(
-    g: Graph, size: int, valid, within: Optional[int] = None
-) -> Optional[Tuple[int, ...]]:
-    # lex-min sorted vertex tuple among connected sets of exactly `size`
-    best: Optional[Tuple[int, ...]] = None
-    for m in connected_vertex_sets(g, size, within):
-        if m.bit_count() != size or not valid(m):
-            continue
-        tup = tuple(iter_bits(m))
-        if best is None or tup < best:
-            best = tup
-    return best
+def _connected_cover(
+    g: Graph, targets: int, r: int, k: int, budget_nodes: Optional[int]
+) -> SolveResult:
+    # lexicographically smallest minimum connected set r-dominating the
+    # targets mask, capped at k; it lies in the one component holding them
+    if targets == 0:
+        return SolveResult(FOUND, (), 0)
+    home = [c for c in g.component_masks() if c & targets]
+    if len(home) != 1:
+        return SolveResult(INFEASIBLE)
+    balls = g.balls(r)
+    budget = _Budget(budget_nodes)
+    try:
+        for s in range(1, k + 1):
+            budget.spend(g.n)
+            best: Optional[Tuple[int, ...]] = None
+            for m in connected_vertex_sets(g, s, home[0]):
+                if m.bit_count() != s:
+                    continue
+                got = 0
+                for v in iter_bits(m):
+                    got |= balls[v]
+                if targets & ~got == 0:
+                    tup = tuple(iter_bits(m))
+                    if best is None or tup < best:
+                        best = tup
+            if best is not None:
+                return SolveResult(FOUND, best, s)
+    except BudgetExceededError:
+        return SolveResult(BUDGET_EXHAUSTED)
+    return SolveResult(NONE_WITHIN_BUDGET)
 
 
 def exact_cds(
     g: Graph, r: int, k: int, budget_nodes: Optional[int] = None
 ) -> SolveResult:
     """Minimum connected r-dominating set of the whole graph, capped at k."""
-    if g.n == 0:
-        return SolveResult(FOUND, (), 0)
-    if not g.is_connected():
-        return SolveResult(INFEASIBLE)
-    balls = g.balls(r)
-    full = (1 << g.n) - 1
-    budget = _Budget(budget_nodes)
-
-    def dominates_all(m: int) -> bool:
-        got = 0
-        for v in iter_bits(m):
-            got |= balls[v]
-        return got == full
-
-    try:
-        for s in range(1, k + 1):
-            budget.spend(g.n)
-            sol = _first_lex_valid(g, s, dominates_all)
-            if sol is not None:
-                return SolveResult(FOUND, sol, s)
-    except BudgetExceededError:
-        return SolveResult(BUDGET_EXHAUSTED)
-    return SolveResult(NONE_WITHIN_BUDGET)
+    return _connected_cover(g, (1 << g.n) - 1, r, k, budget_nodes)
 
 
 def exact_acds(
@@ -260,31 +261,7 @@ def exact_acds(
     budget_nodes: Optional[int] = None,
 ) -> SolveResult:
     """Minimum connected set r-dominating an annotated subset, capped at k."""
-    targets = _resolve_targets(g, annotated)
-    if targets == 0:
-        return SolveResult(FOUND, (), 0)
-    comps = g.component_masks()
-    home = [c for c in comps if c & targets]
-    if len(home) != 1:
-        return SolveResult(INFEASIBLE)
-    balls = g.balls(r)
-    budget = _Budget(budget_nodes)
-
-    def covers(m: int) -> bool:
-        got = 0
-        for v in iter_bits(m):
-            got |= balls[v]
-        return targets & ~got == 0
-
-    try:
-        for s in range(1, k + 1):
-            budget.spend(g.n)
-            sol = _first_lex_valid(g, s, covers, within=home[0])
-            if sol is not None:
-                return SolveResult(FOUND, sol, s)
-    except BudgetExceededError:
-        return SolveResult(BUDGET_EXHAUSTED)
-    return SolveResult(NONE_WITHIN_BUDGET)
+    return _connected_cover(g, _resolve_targets(g, annotated), r, k, budget_nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -482,22 +459,6 @@ def exact_setcover(
     inst: SetCoverInstance, budget_nodes: Optional[int] = None
 ) -> SolveResult:
     """Lexicographically smallest minimum cover by set indices, capped at k."""
-    universe = (1 << inst.universe_size) - 1
     masks = inst.set_masks()
-    reach = 0
-    for m in masks:
-        reach |= m
-    if universe & ~reach:
-        return SolveResult(INFEASIBLE)
-    if universe == 0:
-        return SolveResult(FOUND, (), 0)
-    ids = list(range(len(masks)))
-    budget = _Budget(budget_nodes)
-    try:
-        for s in range(1, inst.k + 1):
-            if _cover_engine(masks, universe, s, budget) is not None:
-                sol = _lex_min_cover(ids, masks, universe, s, budget)
-                return SolveResult(FOUND, sol, s)
-    except BudgetExceededError:
-        return SolveResult(BUDGET_EXHAUSTED)
-    return SolveResult(NONE_WITHIN_BUDGET)
+    universe = (1 << inst.universe_size) - 1
+    return _min_cover(range(len(masks)), masks, universe, inst.k, budget_nodes)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .domination import ContractViolation
-from .graphs import Graph, lex_product
+from .graphs import Graph
 
 
 class OrderedGraph:
@@ -188,17 +188,3 @@ def check_separation(
     if z not in sets[y]:
         raise ContractViolation(f"separator {z} not weakly reachable from {y}")
     return z
-
-
-def product_order(og: OrderedGraph, h: Graph) -> OrderedGraph:
-    """Order the lexicographic product by base position, then fiber id.
-
-    Under this order the product's weak s-coloring number is at most
-    |V(h)| times the base value, whatever the base order was.
-    """
-    prod = lex_product(og.graph, h)
-    seq: List[int] = []
-    for x in og.seq:
-        for y in range(h.n):
-            seq.append(x * h.n + y)
-    return OrderedGraph(prod, seq)

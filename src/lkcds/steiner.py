@@ -16,41 +16,9 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .domination import ContractViolation
 from .graphs import Graph, iter_bits, mask_of, tree_problem
+from .oracles import FOUND, INFEASIBLE, NONE_WITHIN_BUDGET
 
-FOUND = "found"
-EXCEEDS_CAP = "exceeds-cap"
-INFEASIBLE = "infeasible"
-
-
-class SteinerQuery:
-    """Validated group system plus an optional vertex-count cap."""
-
-    __slots__ = ("groups", "size_cap", "group_limit")
-
-    def __init__(
-        self,
-        groups: Sequence[Iterable[int]],
-        size_cap: Optional[int] = None,
-        group_limit: int = 8,
-    ):
-        norm = tuple(tuple(sorted(set(grp))) for grp in groups)
-        if not norm:
-            raise ValueError("at least one group is required")
-        if len(norm) > group_limit:
-            raise ValueError(f"{len(norm)} groups exceed the limit {group_limit}")
-        seen: set = set()
-        for grp in norm:
-            if not grp:
-                raise ValueError("groups must be nonempty")
-            for v in grp:
-                if v in seen:
-                    raise ValueError(f"vertex {v} appears in two groups")
-                seen.add(v)
-        if size_cap is not None and size_cap < 1:
-            raise ValueError("size cap must be at least 1")
-        self.groups = norm
-        self.size_cap = size_cap
-        self.group_limit = group_limit
+GROUP_LIMIT = 8
 
 
 @dataclass(frozen=True)
@@ -73,8 +41,15 @@ class SteinerResult:
         return None if self.tree is None else self.tree.size
 
 
-def steiner_exact(g: Graph, query: SteinerQuery) -> SteinerResult:
+def steiner_exact(
+    g: Graph, groups: Sequence[Iterable[int]], size_cap: Optional[int] = None
+) -> SteinerResult:
     """Minimum-vertex tree meeting every group, with full reconstruction.
+
+    Groups are read as vertex sets: nonempty, pairwise disjoint, at most
+    GROUP_LIMIT of them.  A tree of more than `size_cap` vertices does not
+    count; when only such trees exist the status is NONE_WITHIN_BUDGET,
+    and INFEASIBLE when no tree exists at all.
 
     Runs the subset DP: dp[mask][v] is the fewest edges of a tree that
     contains v and meets all groups in mask, built by pairwise merges at v
@@ -88,19 +63,34 @@ def steiner_exact(g: Graph, query: SteinerQuery) -> SteinerResult:
     the way to the answer, and the rebuilt tree, as over the whole graph.
     Uncapped calls, and caps of n or more, scan every vertex.
     """
-    for grp in query.groups:
+    groups = tuple(tuple(sorted(set(grp))) for grp in groups)
+    if not groups:
+        raise ValueError("at least one group is required")
+    if len(groups) > GROUP_LIMIT:
+        raise ValueError(f"{len(groups)} groups exceed the limit {GROUP_LIMIT}")
+    seen: set = set()
+    for grp in groups:
+        if not grp:
+            raise ValueError("groups must be nonempty")
+        for v in grp:
+            if v in seen:
+                raise ValueError(f"vertex {v} appears in two groups")
+            seen.add(v)
+    if size_cap is not None and size_cap < 1:
+        raise ValueError("size cap must be at least 1")
+    for grp in groups:
         for v in grp:
             if not 0 <= v < g.n:
                 raise ValueError(f"group vertex {v} out of range")
-    gc = len(query.groups)
+    gc = len(groups)
     full = (1 << gc) - 1
-    cap_edges = None if query.size_cap is None else query.size_cap - 1
+    cap_edges = None if size_cap is None else size_cap - 1
     order: Sequence[int] = range(g.n)
     adj: Sequence[Sequence[int]] = g.adj
     inside: Optional[bytearray] = None  # region membership; None: everywhere
     if cap_edges is not None and cap_edges < g.n - 1:
         region = -1
-        for grp in query.groups:
+        for grp in groups:
             region &= g.ball_of(grp, cap_edges)
         order = list(iter_bits(region))
         inside = bytearray(g.n)
@@ -114,7 +104,7 @@ def steiner_exact(g: Graph, query: SteinerQuery) -> SteinerResult:
     unset = g.n
     dp: List[List[int]] = [[unset] * g.n for _ in range(full + 1)]
     back: Dict[Tuple[int, int], Tuple] = {}
-    for i, grp in enumerate(query.groups):
+    for i, grp in enumerate(groups):
         for x in grp:
             if inside is None or inside[x]:
                 dp[1 << i][x] = 0
@@ -151,11 +141,11 @@ def steiner_exact(g: Graph, query: SteinerQuery) -> SteinerResult:
         if dp[full][v] < unset and (best_v is None or dp[full][v] < dp[full][best_v]):
             best_v = v
     if best_v is None:
-        group_masks = [mask_of(grp) for grp in query.groups]
+        group_masks = [mask_of(grp) for grp in groups]
         feasible = any(
             all(c & gm for gm in group_masks) for c in g.component_masks()
         )
-        return SteinerResult(EXCEEDS_CAP if feasible else INFEASIBLE)
+        return SteinerResult(NONE_WITHIN_BUDGET if feasible else INFEASIBLE)
 
     vertices: set = set()
     edges: set = set()
@@ -180,7 +170,7 @@ def steiner_exact(g: Graph, query: SteinerQuery) -> SteinerResult:
         raise ContractViolation(f"reconstructed tree {problem}")
     if tree.size != dp[full][best_v] + 1:
         raise ContractViolation("value and reconstruction disagree")
-    for grp in query.groups:
+    for grp in groups:
         if not vertices.intersection(grp):
             raise ContractViolation(f"tree misses group {grp}")
     return SteinerResult(FOUND, tree)
@@ -188,4 +178,4 @@ def steiner_exact(g: Graph, query: SteinerQuery) -> SteinerResult:
 
 def steiner_size(g: Graph, groups: Sequence[Iterable[int]]) -> Optional[int]:
     """Vertex count of an optimum tree, or None when no tree exists."""
-    return steiner_exact(g, SteinerQuery(groups)).value
+    return steiner_exact(g, groups).value

@@ -44,7 +44,7 @@ from lkcds.oracles import (
 )
 from lkcds.orders import check_separation, heuristic_order
 from lkcds.projections import classify, profile
-from lkcds.steiner import SteinerQuery, steiner_exact
+from lkcds.steiner import steiner_exact
 
 
 def verdict(num: int, label: str, ok: bool) -> None:
@@ -206,7 +206,7 @@ def test_criterion_08_oracle_cross_validation():
         vs = list(range(g.n))
         rng.shuffle(vs)
         groups = [[vs[0], vs[1]], [vs[2]], [vs[3], vs[4]]]
-        res = steiner_exact(g, SteinerQuery(groups))
+        res = steiner_exact(g, groups)
         br = brute_steiner(g, [set(grp) for grp in groups], g.n)
         assert res.value == br.value, (g, groups)
         steiner_checks += 1

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    cycle_graph,
     grid_graph,
     path_graph,
     random_connected,
@@ -15,6 +14,7 @@ from conftest import (
 from lkcds.cores import (
     DominationCore,
     Rejection,
+    _containment_prune,
     connected_core,
     core_verify,
     find_core,
@@ -22,13 +22,6 @@ from lkcds.cores import (
 from lkcds.domination import dominates
 from lkcds.graphs import Graph, induced_subgraph
 from lkcds.oracles import exact_ds
-
-
-def test_trivial_mode_returns_everything():
-    g = cycle_graph(5)
-    core = find_core(g, 2, 1, mode="trivial")
-    assert core.vertices == tuple(range(5))
-    assert core.certified == "trivial"
 
 
 def test_heuristic_prunes_star_hub():
@@ -70,6 +63,36 @@ def test_heuristic_core_property_holds(seed):
     for r in (1, 2):
         core = find_core(g, 3, r, mode="heuristic")
         assert core_verify(g, core.vertices, 3, r)
+
+
+def rescan_containment_prune(g, r):
+    """The containment prune as a rescan loop: drop v, scanning from the top
+    id, while some other remaining w has ball(w) inside ball(v)."""
+    balls = g.balls(r)
+    z = set(range(g.n))
+    changed = True
+    while changed:
+        changed = False
+        for v in sorted(z, reverse=True):
+            if any(balls[w] & ~balls[v] == 0 for w in z if w != v):
+                z.remove(v)
+                changed = True
+    return z
+
+
+@st.composite
+def small_graphs(draw):
+    """A graph on at most 12 vertices, possibly disconnected."""
+    n = draw(st.integers(0, 12))
+    density = draw(st.integers(1, 6))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return Graph.from_edges(n, [e for e in pairs if draw(st.integers(0, 9)) < density])
+
+
+@given(small_graphs(), st.sampled_from([1, 2, 3]))
+@settings(max_examples=200)
+def test_containment_prune_matches_rescan_loop(g, r):
+    assert _containment_prune(g, r) == rescan_containment_prune(g, r)
 
 
 @given(st.integers(0, 3_000))

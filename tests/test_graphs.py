@@ -1,4 +1,4 @@
-"""Graph container, traversal, products, subdivision, and file formats."""
+"""Graph container, traversal, subdivision, and file formats."""
 
 import random
 
@@ -13,7 +13,6 @@ from lkcds.graphs import (
     bfs_layers,
     graph_on_vertices,
     induced_subgraph,
-    lex_product,
     mask_connected,
     mask_of,
     parse_graph,
@@ -139,16 +138,6 @@ def test_r_subdivision_scales_distances():
     for u in range(5):
         for v in range(5):
             assert s.dist_row(u)[v] == 3 * g.dist_row(u)[v]
-
-
-def test_lex_product_structure():
-    g = path_graph(2)
-    h = path_graph(2)
-    p = lex_product(g, h)
-    assert p.n == 4
-    # fibers are cliques joined completely across a base edge
-    assert p.m == 2 * 1 + 4
-    assert p.dist_row(0)[3] == 1
 
 
 @given(st.integers(0, 10_000))

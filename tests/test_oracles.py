@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import cycle_graph, grid_graph, path_graph, random_connected, star_graph
 from lkcds.graphs import Graph, GraphFormatError, mask_of
+from lkcds.hardness import random_setcover
 from lkcds.oracles import (
     BUDGET_EXHAUSTED,
     FOUND,
@@ -162,6 +163,27 @@ def test_setcover_roundtrip_and_solution():
     assert res.found and res.solution == (0, 1)
     hard = SetCoverInstance(3, ((0,), (1,)), 2)
     assert exact_setcover(hard).status == INFEASIBLE
+
+
+def brute_setcover(inst):
+    """(status, solution) by a plain scan: the lexicographically first
+    combination of set indices, smallest size first, covering the universe."""
+    universe = set(range(inst.universe_size))
+    for size in range(inst.k + 1):
+        for combo in itertools.combinations(range(len(inst.sets)), size):
+            if universe <= set().union(*(inst.sets[i] for i in combo)):
+                return FOUND, combo
+    if universe <= set().union(*inst.sets):
+        return NONE_WITHIN_BUDGET, None
+    return INFEASIBLE, None
+
+
+@given(st.integers(0, 100_000))
+@settings(max_examples=300)
+def test_setcover_matches_brute_scan(seed):
+    sc = random_setcover(seed)
+    res = exact_setcover(sc)
+    assert (res.status, res.solution) == brute_setcover(sc)
 
 
 def test_setcover_parse_errors():

@@ -6,13 +6,11 @@ from hypothesis import strategies as st
 
 from conftest import cycle_graph, grid_graph, path_graph, random_connected, star_graph
 from lkcds.domination import ContractViolation
-from lkcds.graphs import Graph
 from lkcds.orders import (
     OrderedGraph,
     check_separation,
     exact_wcol,
     heuristic_order,
-    product_order,
     wreach_report,
 )
 
@@ -118,12 +116,3 @@ def test_separator_exists_on_every_short_path(seed):
         path = res.path_to(v)
         z = check_separation(og, [0], v, path, r)
         assert z in path
-
-
-def test_product_order_bound():
-    base = heuristic_order(cycle_graph(6))
-    h = Graph.from_edges(3, [(0, 1), (1, 2)])
-    prod = product_order(base, h)
-    for s in (1, 2):
-        assert prod.wcol(s) <= h.n * base.wcol(s)
-    assert prod.graph.n == 18

@@ -8,35 +8,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import cycle_graph, grid_graph, path_graph, random_connected
-from lkcds import oracles
 from lkcds.graphs import Graph, mask_of
-from lkcds.oracles import brute_steiner
-from lkcds.steiner import (
-    EXCEEDS_CAP,
-    FOUND,
-    INFEASIBLE,
-    SteinerQuery,
-    steiner_exact,
-    steiner_size,
-)
+from lkcds.oracles import FOUND, INFEASIBLE, NONE_WITHIN_BUDGET, brute_steiner
+from lkcds.steiner import steiner_exact, steiner_size
 
 
 def test_query_validation():
-    with pytest.raises(ValueError):
-        SteinerQuery([])
-    with pytest.raises(ValueError):
-        SteinerQuery([[0], []])
-    with pytest.raises(ValueError):
-        SteinerQuery([[0], [0, 1]])
-    with pytest.raises(ValueError):
-        SteinerQuery([[i] for i in range(9)])
-    q = SteinerQuery([[2, 1], [3]], size_cap=4)
-    assert q.groups == ((1, 2), (3,))
+    g = grid_graph(3, 3)
+    for groups, cap, message in [
+        ([], None, "at least one group"),
+        ([[0], []], None, "nonempty"),
+        ([[0], [0, 1]], None, "vertex 0 appears in two groups"),
+        ([[i] for i in range(9)], None, "9 groups exceed the limit 8"),
+        ([[0], [1]], 0, "size cap must be at least 1"),
+        ([[0], [9]], None, "group vertex 9 out of range"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            steiner_exact(g, groups, size_cap=cap)
+    # groups are vertex sets: member order and repeats do not matter
+    plain = steiner_exact(g, [[1, 2], [6]], size_cap=4)
+    assert plain.status == FOUND
+    assert steiner_exact(g, [(2, 1, 2), [6, 6]], size_cap=4) == plain
 
 
 def test_frozen_cycle_values():
     c6 = cycle_graph(6)
-    res = steiner_exact(c6, SteinerQuery([[0], [2], [4]]))
+    res = steiner_exact(c6, [[0], [2], [4]])
     assert res.status == FOUND and res.value == 5
     assert steiner_size(c6, [[0], [1]]) == 2
     assert steiner_size(c6, [[0, 3], [1, 4]]) == 2
@@ -45,14 +42,14 @@ def test_frozen_cycle_values():
 
 def test_single_group_is_one_vertex():
     g = grid_graph(3, 3)
-    res = steiner_exact(g, SteinerQuery([[4, 8]]))
+    res = steiner_exact(g, [[4, 8]])
     assert res.value == 1
     assert res.tree.vertices == (4,)
 
 
 def test_tree_is_consistent():
     g = grid_graph(3, 4)
-    res = steiner_exact(g, SteinerQuery([[0], [3], [8]]))
+    res = steiner_exact(g, [[0], [3], [8]])
     assert res.status == FOUND
     tree = res.tree
     assert len(tree.edges) == len(tree.vertices) - 1
@@ -64,12 +61,12 @@ def test_tree_is_consistent():
 
 def test_cap_and_infeasible_statuses():
     p5 = path_graph(5)
-    assert steiner_exact(p5, SteinerQuery([[0], [4]], size_cap=4)).status == EXCEEDS_CAP
-    assert steiner_exact(p5, SteinerQuery([[0], [4]], size_cap=5)).status == FOUND
+    assert steiner_exact(p5, [[0], [4]], size_cap=4).status == NONE_WITHIN_BUDGET
+    assert steiner_exact(p5, [[0], [4]], size_cap=5).status == FOUND
     disc = Graph.from_edges(4, [(0, 1), (2, 3)])
-    assert steiner_exact(disc, SteinerQuery([[0], [3]])).status == INFEASIBLE
+    assert steiner_exact(disc, [[0], [3]]).status == INFEASIBLE
     # a cap never masks infeasibility
-    assert steiner_exact(disc, SteinerQuery([[0], [3]], size_cap=1)).status == INFEASIBLE
+    assert steiner_exact(disc, [[0], [3]], size_cap=1).status == INFEASIBLE
 
 
 def test_group_choice_allows_cheaper_tree():
@@ -84,7 +81,7 @@ def test_group_choice_allows_cheaper_tree():
 def test_matches_brute_force_value(seed):
     g = random_connected(9, 3, seed)
     groups = [[0, 1], [4], [7, 8]]
-    res = steiner_exact(g, SteinerQuery(groups))
+    res = steiner_exact(g, groups)
     br = brute_steiner(g, [set(grp) for grp in groups], g.n)
     assert res.status == FOUND and br.found
     assert res.value == br.value
@@ -95,25 +92,26 @@ def test_matches_brute_force_value(seed):
 def test_cap_matches_uncapped_value(seed):
     g = random_connected(8, 2, seed)
     groups = [[0], [5], [7]]
-    free = steiner_exact(g, SteinerQuery(groups))
+    free = steiner_exact(g, groups)
     assert free.status == FOUND
-    at = steiner_exact(g, SteinerQuery(groups, size_cap=free.value))
-    below = steiner_exact(g, SteinerQuery(groups, size_cap=free.value - 1))
+    at = steiner_exact(g, groups, size_cap=free.value)
+    below = steiner_exact(g, groups, size_cap=free.value - 1)
     assert at.status == FOUND and at.value == free.value
-    assert below.status == EXCEEDS_CAP
+    assert below.status == NONE_WITHIN_BUDGET
 
 
 def test_deterministic_reconstruction():
     g = grid_graph(3, 3)
-    q = SteinerQuery([[0], [2], [6]])
-    first = steiner_exact(g, q)
-    second = steiner_exact(g, q)
+    groups = [[0], [2], [6]]
+    first = steiner_exact(g, groups)
+    second = steiner_exact(g, groups)
     assert first.tree == second.tree
 
 
 def whole_graph_dp(g, groups, size_cap):
     """The subset DP over every vertex of g, as it ran before the region
     confinement: (status, vertices, edges), with the same tie-breaks."""
+    groups = [sorted(set(grp)) for grp in groups]
     gc = len(groups)
     full = (1 << gc) - 1
     cap_edges = None if size_cap is None else size_cap - 1
@@ -154,7 +152,7 @@ def whole_graph_dp(g, groups, size_cap):
     if best is None:
         gms = [mask_of(grp) for grp in groups]
         feasible = any(all(c & gm for gm in gms) for c in g.component_masks())
-        return (EXCEEDS_CAP if feasible else INFEASIBLE), None, None
+        return (NONE_WITHIN_BUDGET if feasible else INFEASIBLE), None, None
     vertices, edges = set(), set()
     todo = [(full, best)]
     while todo:
@@ -191,8 +189,8 @@ def group_systems(draw):
 @settings(max_examples=400)
 def test_matches_whole_graph_dp(case):
     g, groups, cap = case
-    res = steiner_exact(g, SteinerQuery(groups, size_cap=cap))
-    status, vertices, edges = whole_graph_dp(g, SteinerQuery(groups).groups, cap)
+    res = steiner_exact(g, groups, size_cap=cap)
+    status, vertices, edges = whole_graph_dp(g, groups, cap)
     assert res.status == status
     if status == FOUND:
         assert (res.tree.vertices, res.tree.edges) == (vertices, edges)
@@ -202,12 +200,7 @@ def test_matches_whole_graph_dp(case):
 @settings(max_examples=200)
 def test_capped_status_matches_brute_force(case):
     g, groups, cap = case
-    res = steiner_exact(g, SteinerQuery(groups, size_cap=cap))
+    res = steiner_exact(g, groups, size_cap=cap)
     br = brute_steiner(g, groups, cap)
-    statuses = {
-        oracles.FOUND: FOUND,
-        oracles.NONE_WITHIN_BUDGET: EXCEEDS_CAP,
-        oracles.INFEASIBLE: INFEASIBLE,
-    }
-    assert res.status == statuses[br.status]
+    assert res.status == br.status
     assert res.value == br.value

@@ -6,9 +6,12 @@ Imports `<checkout>/src` and `<checkout>/bench/workloads.py` (neither is
 edited) and kernelizes every instance of every workload at each seed
 (default 1 2 3).  For each workload it prints one line: the instance count
 and a sha256 over, per instance, `serialize_kernel` or the rejection reason,
-the closure stats, the kept trees and the `verify_closure` result.  Two
-checkouts that print the same lines produce byte-identical kernels,
-closures and verifier verdicts on those instances.  Standard library only.
+the closure stats, the kept trees and the `verify_closure` result.  On the
+workloads whose verdict certifies, it also hashes the results of the exact
+oracles the verdict reads: `exact_cds` on every host of at most 64 vertices
+and `exact_acds` on every accepted kernel.  Two checkouts that print the
+same lines produce byte-identical kernels, closures, verifier verdicts and
+oracle answers on those instances.  Standard library only.
 """
 
 from __future__ import annotations
@@ -35,16 +38,25 @@ def load_workloads(checkout: Path):
     return module
 
 
-def instance_lines(item) -> List[str]:
+HOST_ORACLE_N = 64  # the host size up to which bench/run.py re-solves rejections
+
+
+def instance_lines(item, certify: bool) -> List[str]:
     from lkcds.closure import verify_closure
     from lkcds.cores import Rejection
     from lkcds.kernel import kernelize, serialize_kernel
+    from lkcds.oracles import exact_acds, exact_cds
 
     out = kernelize(item.graph, item.params, core_mode=item.core_mode)
-    head = f"{item.name} {item.params}"
+    r, k = item.params.r, item.params.k
+    lines = [f"{item.name} {item.params}"]
+    if certify and item.graph.n <= HOST_ORACLE_N:
+        lines.append(repr(exact_cds(item.graph, r, k)))
     if isinstance(out, Rejection):
-        return [head, f"rejected: {out.reason}"]
-    lines = [head, serialize_kernel(out)]
+        return lines + [f"rejected: {out.reason}"]
+    lines.append(serialize_kernel(out))
+    if certify:
+        lines.append(repr(exact_acds(out.graph, out.annotated, r, k)))
     if out.closure is not None:
         lines.append(repr(sorted(out.closure.stats.items())))
         lines.append(repr(sorted(out.closure.kept.items())))
@@ -65,7 +77,7 @@ def main(argv: List[str]) -> int:
         count = 0
         for seed in seeds:
             for item in workload.build(seed):
-                for line in instance_lines(item):
+                for line in instance_lines(item, workload.verdict == "certify"):
                     digest.update(line.encode())
                     digest.update(b"\n")
                 count += 1
