@@ -14,7 +14,7 @@ from typing import Dict, Iterable, List, Set, Tuple, Union
 
 from .domination import ContractViolation, connect
 from .graphs import Graph, bfs_layers, mask_of
-from .oracles import FOUND, cover_exists, exact_ds
+from .oracles import cover_exists
 
 
 @dataclass(frozen=True)
@@ -63,21 +63,18 @@ def find_core(g: Graph, k: int, r: int, mode: str = "exact") -> CoreOutcome:
     if mode != "exact":
         raise ValueError(f"unknown core mode {mode!r}")
 
-    base = exact_ds(g, r, k)
-    if base.status != FOUND:
-        return Rejection(f"graph cannot be {r}-dominated by at most {k} vertices")
     balls = g.balls(r)
+    if not cover_exists(balls, (1 << g.n) - 1, k):
+        return Rejection(f"graph cannot be {r}-dominated by at most {k} vertices")
     z = _containment_prune(g, r)
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(z, reverse=True):
-            rest = mask_of(z - {v})
-            outside = [u for u in range(g.n) if not (balls[v] >> u) & 1]
-            if not cover_exists(balls, rest, k, outside):
-                # every budget-k cover of the rest must enter v's ball
-                z.remove(v)
-                changed = True
+    # one pass suffices: a budget-k set that covers the rest of Z while
+    # avoiding v's ball still does so once Z shrinks, so a kept v stays kept
+    for v in sorted(z, reverse=True):
+        rest = mask_of(z - {v})
+        outside = [u for u in range(g.n) if not (balls[v] >> u) & 1]
+        if not cover_exists(balls, rest, k, outside):
+            # every budget-k cover of the rest must enter v's ball
+            z.remove(v)
     core = DominationCore(tuple(sorted(z)), k, r, "exhaustive")
     if not core_verify(g, core.vertices, k, r):
         raise ContractViolation("core extraction produced a non-core")

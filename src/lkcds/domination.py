@@ -220,16 +220,17 @@ class CoveringFamily:
 class _Residue:
     __slots__ = ("root", "vertices", "edges")
 
-    def __init__(self, root: int):
+    def __init__(self, root: int, items: Sequence["_Residue"] = ()):
         self.root = root
         self.vertices: List[int] = [root]
         self.edges: List[Tuple[int, int]] = []
-
-    def absorb(self, parent: int, items: Sequence["_Residue"]) -> None:
         for it in items:
             self.vertices.extend(it.vertices)
             self.edges.extend(it.edges)
-            self.edges.append((min(parent, it.root), max(parent, it.root)))
+            self.edges.append((min(root, it.root), max(root, it.root)))
+
+    def piece(self) -> SubtreePiece:
+        return SubtreePiece(tuple(sorted(self.vertices)), tuple(sorted(self.edges)))
 
 
 def piece_cap(t: Rational) -> Tuple[Fraction, int]:
@@ -241,16 +242,6 @@ def piece_cap(t: Rational) -> Tuple[Fraction, int]:
         raise TypeError("t must be an int or Fraction, not float")
     tf = Fraction(t)
     return tf, math.floor(2 * tf)
-
-
-def _piece_from(parent: int, items: Sequence[_Residue]) -> SubtreePiece:
-    vs: List[int] = [parent]
-    es: List[Tuple[int, int]] = []
-    for it in items:
-        vs.extend(it.vertices)
-        es.extend(it.edges)
-        es.append((min(parent, it.root), max(parent, it.root)))
-    return SubtreePiece(tuple(sorted(vs)), tuple(sorted(es)))
 
 
 def covering_family(g: Graph, t: Rational) -> CoveringFamily:
@@ -292,34 +283,27 @@ def covering_family(g: Graph, t: Rational) -> CoveringFamily:
             (residue.pop(c) for c in children[v]),
             key=lambda it: (-len(it.vertices), it.root),
         )
-        mine = _Residue(v)
         load = 1 + sum(len(it.vertices) for it in items)
         if load <= k_res:
-            mine.absorb(v, items)
-            residue[v] = mine
+            residue[v] = _Residue(v, items)
             continue
         bundle: List[_Residue] = []
         bl = 0
         for it in items:
             size = len(it.vertices)
             if bundle and 1 + bl + size > cap:
-                pieces.append(_piece_from(v, bundle))
+                pieces.append(_Residue(v, bundle).piece())
                 bundle, bl = [], 0
             bundle.append(it)
             bl += size
             if bl >= need:
-                pieces.append(_piece_from(v, bundle))
+                pieces.append(_Residue(v, bundle).piece())
                 bundle, bl = [], 0
-        if bundle:
-            if 1 + bl <= k_res:
-                mine.absorb(v, bundle)
-            else:
-                pieces.append(_piece_from(v, bundle))
-        residue[v] = mine
-    final = residue.pop(0)
-    pieces.append(
-        SubtreePiece(tuple(sorted(final.vertices)), tuple(sorted(final.edges)))
-    )
+        if bundle and 1 + bl > k_res:
+            pieces.append(_Residue(v, bundle).piece())
+            bundle = []
+        residue[v] = _Residue(v, bundle)
+    pieces.append(residue.pop(0).piece())
     return _checked_family(g, tf, pieces)
 
 

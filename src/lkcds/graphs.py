@@ -33,7 +33,7 @@ def iter_bits(mask: int) -> Iterator[int]:
 class Graph:
     """Immutable undirected simple graph."""
 
-    __slots__ = ("adj", "n", "m", "_masks", "_balls", "_dist")
+    __slots__ = ("adj", "n", "m", "_masks", "_balls", "_dist", "_comps")
 
     def __init__(self, adj: Sequence[Iterable[int]]):
         rows = []
@@ -55,6 +55,7 @@ class Graph:
         self._masks: Optional[Tuple[int, ...]] = None
         self._balls: Dict[int, Tuple[int, ...]] = {}
         self._dist: Dict[int, Tuple[int, ...]] = {}
+        self._comps: Optional[Tuple[int, ...]] = None
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[Tuple[int, int]]) -> "Graph":
@@ -146,7 +147,9 @@ class Graph:
 
     def component_masks(self) -> Tuple[int, ...]:
         """Connected components as bitmasks, ordered by smallest member."""
-        return induced_components(self, (1 << self.n) - 1)
+        if self._comps is None:
+            self._comps = induced_components(self, (1 << self.n) - 1)
+        return self._comps
 
     def is_connected(self) -> bool:
         return self.n <= 1 or len(self.component_masks()) == 1

@@ -151,35 +151,12 @@ def _min_cover(
 # domination
 
 
-def _resolve_targets(g: Graph, targets: Optional[Iterable[int]]) -> int:
-    if targets is None:
-        return (1 << g.n) - 1
-    m = mask_of(targets)
-    if m >> g.n:
-        raise ValueError("target vertex out of range")
-    return m
-
-
 def exact_ds(
-    g: Graph,
-    r: int,
-    k: int,
-    targets: Optional[Iterable[int]] = None,
-    allowed: Optional[Iterable[int]] = None,
-    budget_nodes: Optional[int] = None,
+    g: Graph, r: int, k: int, budget_nodes: Optional[int] = None
 ) -> SolveResult:
-    """Lexicographically smallest minimum set r-dominating the targets.
-
-    `allowed` restricts which vertices may be used.  The whole vertex set is
-    both the default target and the default candidate pool.
-    """
-    universe = _resolve_targets(g, targets)
-    ids = sorted(set(allowed)) if allowed is not None else list(range(g.n))
-    for v in ids:
-        if not 0 <= v < g.n:
-            raise ValueError(f"candidate {v} out of range")
+    """Lexicographically smallest minimum r-dominating set, capped at k."""
     balls = g.balls(r)
-    return _min_cover(ids, [balls[v] for v in ids], universe, k, budget_nodes)
+    return _min_cover(range(g.n), balls, (1 << g.n) - 1, k, budget_nodes)
 
 
 def connected_vertex_sets(
@@ -261,7 +238,10 @@ def exact_acds(
     budget_nodes: Optional[int] = None,
 ) -> SolveResult:
     """Minimum connected set r-dominating an annotated subset, capped at k."""
-    return _connected_cover(g, _resolve_targets(g, annotated), r, k, budget_nodes)
+    targets = mask_of(annotated)
+    if targets >> g.n:
+        raise ValueError("target vertex out of range")
+    return _connected_cover(g, targets, r, k, budget_nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -275,10 +255,8 @@ def _combo_covers(balls: Sequence[int], combo: Tuple[int, ...], universe: int) -
     return universe & ~got == 0
 
 
-def brute_ds(
-    g: Graph, r: int, k: int, targets: Optional[Iterable[int]] = None
-) -> SolveResult:
-    universe = _resolve_targets(g, targets)
+def brute_ds(g: Graph, r: int, k: int) -> SolveResult:
+    universe = (1 << g.n) - 1
     if universe == 0:
         return SolveResult(FOUND, (), 0)
     balls = g.balls(r)

@@ -48,10 +48,6 @@ def profile(g: Graph, u: int, blockers: Iterable[int], r: int) -> ProjectionProf
     return ProjectionProfile(r, tuple(entries))
 
 
-def projection(g: Graph, u: int, blockers: Iterable[int], r: int) -> Tuple[int, ...]:
-    return profile(g, u, blockers, r).projection
-
-
 @dataclass(frozen=True)
 class ProfileClass:
     profile: ProjectionProfile
@@ -88,12 +84,7 @@ class ProfileClassification:
         return len(self.classes)
 
 
-def classify(
-    g: Graph,
-    blockers: Iterable[int],
-    r: int,
-    free: Optional[Iterable[int]] = None,
-) -> ProfileClassification:
+def classify(g: Graph, blockers: Iterable[int], r: int) -> ProfileClassification:
     """Group free vertices by profile, flooding once from each blocker.
 
     The flood direction is opposite to the one `profile` uses; paths with
@@ -101,15 +92,7 @@ def classify(
     """
     xs = tuple(sorted(set(blockers)))
     xset = set(xs)
-    if free is None:
-        free_ids = [v for v in range(g.n) if v not in xset]
-    else:
-        free_ids = sorted(set(free))
-        for v in free_ids:
-            if v in xset:
-                raise ValueError(f"free vertex {v} lies in the blocker set")
-            if not 0 <= v < g.n:
-                raise ValueError(f"free vertex {v} out of range")
+    free_ids = [v for v in range(g.n) if v not in xset]
     pairs: Dict[int, List[Tuple[int, int]]] = {u: [] for u in free_ids}
     for x in xs:
         res = bfs_layers(g, [x], depth_cap=r, forbidden=xset)
@@ -149,7 +132,3 @@ def profile_coverage(
         if best is not None and best <= prof.r:
             covered.append(z)
     return tuple(covered)
-
-
-def distinct_profile_count(g: Graph, blockers: Iterable[int], r: int) -> int:
-    return len(classify(g, blockers, r))

@@ -1,6 +1,7 @@
 """Profile-preserving closure and the subdivided translation gadget."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -58,6 +59,16 @@ def test_verify_closure_names_the_failed_item():
     rep = verify_closure(g, tampered_path5_closure())
     assert not rep.ok
     assert rep.problems == ("item3: kept tree (0, 1, 2) is disconnected",)
+
+
+def test_verify_closure_reports_a_changed_profile():
+    # an extra closure edge from 0 to the blocker 2 moves only 0's profile
+    g = path_graph(5)
+    clo = build_closure(g, [2], 1, 2)
+    assert clo.vertex_map == (0, 1, 2) and clo.terminals == (0, 1)
+    bent = replace(clo, graph=Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)]))
+    rep = verify_closure(g, bent)
+    assert rep.problems == ("item2: profile of vertex 0 changed: () -> ((2, 1),)",)
 
 
 def test_closure_contains_blockers_and_reps():

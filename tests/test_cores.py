@@ -20,8 +20,8 @@ from lkcds.cores import (
     find_core,
 )
 from lkcds.domination import dominates
-from lkcds.graphs import Graph, induced_subgraph
-from lkcds.oracles import exact_ds
+from lkcds.graphs import Graph, induced_subgraph, mask_of
+from lkcds.oracles import FOUND, cover_exists, exact_ds
 
 
 def test_heuristic_prunes_star_hub():
@@ -81,9 +81,9 @@ def rescan_containment_prune(g, r):
 
 
 @st.composite
-def small_graphs(draw):
-    """A graph on at most 12 vertices, possibly disconnected."""
-    n = draw(st.integers(0, 12))
+def small_graphs(draw, max_n=12):
+    """A graph on at most max_n vertices, possibly disconnected."""
+    n = draw(st.integers(0, max_n))
     density = draw(st.integers(1, 6))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     return Graph.from_edges(n, [e for e in pairs if draw(st.integers(0, 9)) < density])
@@ -93,6 +93,31 @@ def small_graphs(draw):
 @settings(max_examples=200)
 def test_containment_prune_matches_rescan_loop(g, r):
     assert _containment_prune(g, r) == rescan_containment_prune(g, r)
+
+
+def rescan_exact_core(g, k, r):
+    """The exact core as a rescan loop: reject unless `exact_ds` finds a
+    dominating set, then repeat the removal pass until it removes nothing."""
+    if exact_ds(g, r, k).status != FOUND:
+        return Rejection(f"graph cannot be {r}-dominated by at most {k} vertices")
+    balls = g.balls(r)
+    z = _containment_prune(g, r)
+    changed = True
+    while changed:
+        changed = False
+        for v in sorted(z, reverse=True):
+            rest = mask_of(z - {v})
+            outside = [u for u in range(g.n) if not (balls[v] >> u) & 1]
+            if not cover_exists(balls, rest, k, outside):
+                z.remove(v)
+                changed = True
+    return DominationCore(tuple(sorted(z)), k, r, "exhaustive")
+
+
+@given(small_graphs(11), st.sampled_from([1, 2, 3]), st.integers(0, 4))
+@settings(max_examples=150)
+def test_exact_core_matches_rescan_loop(g, r, k):
+    assert find_core(g, k, r, mode="exact") == rescan_exact_core(g, k, r)
 
 
 @given(st.integers(0, 3_000))

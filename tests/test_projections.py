@@ -9,10 +9,8 @@ from lkcds.oracles import split_avoiding_distances
 from lkcds.projections import (
     ProjectionProfile,
     classify,
-    distinct_profile_count,
     profile,
     profile_coverage,
-    projection,
 )
 
 
@@ -56,15 +54,6 @@ def test_classify_matches_per_vertex_profiles():
         for v in c.members:
             assert profile(g, v, blockers, 2) == c.profile
     assert sum(len(c.members) for c in cls.classes) == g.n - len(blockers)
-    assert distinct_profile_count(g, blockers, 2) == len(cls)
-
-
-def test_classify_respects_free_subset():
-    p5 = path_graph(5)
-    cls = classify(p5, [2], 1, free=[1, 3])
-    assert sum(len(c.members) for c in cls.classes) == 2
-    with pytest.raises(ValueError):
-        classify(p5, [2], 1, free=[2])
 
 
 @given(st.integers(0, 3_000))
@@ -105,8 +94,3 @@ def test_relabel_remaps_entries():
     prof = ProjectionProfile(2, ((3, 1), (7, 2)))
     out = prof.relabel({3: 10, 7: 1})
     assert out.entries == ((1, 2), (10, 1))
-
-
-def test_projection_shorthand():
-    p4 = path_graph(4)
-    assert projection(p4, 1, [0, 3], 2) == (0, 3)

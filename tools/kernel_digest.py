@@ -5,13 +5,15 @@
 Imports `<checkout>/src` and `<checkout>/bench/workloads.py` (neither is
 edited) and kernelizes every instance of every workload at each seed
 (default 1 2 3).  For each workload it prints one line: the instance count
-and a sha256 over, per instance, `serialize_kernel` or the rejection reason,
-the closure stats, the kept trees and the `verify_closure` result.  On the
-workloads whose verdict certifies, it also hashes the results of the exact
-oracles the verdict reads: `exact_cds` on every host of at most 64 vertices
-and `exact_acds` on every accepted kernel.  Two checkouts that print the
-same lines produce byte-identical kernels, closures, verifier verdicts and
-oracle answers on those instances.  Standard library only.
+and a sha256 over, per instance, the `find_core` result in the workload's
+core mode (the core vertices or the rejection reason), `serialize_kernel`
+or the rejection reason, the closure stats, the kept trees and the
+`verify_closure` result.  On the workloads whose verdict certifies, it also
+hashes the results of the exact oracles the verdict reads: `exact_cds` on
+every host of at most 64 vertices and `exact_acds` on every accepted
+kernel.  Two checkouts that print the same lines produce identical cores
+and byte-identical kernels, closures, verifier verdicts and oracle answers
+on those instances.  Standard library only.
 """
 
 from __future__ import annotations
@@ -43,13 +45,18 @@ HOST_ORACLE_N = 64  # the host size up to which bench/run.py re-solves rejection
 
 def instance_lines(item, certify: bool) -> List[str]:
     from lkcds.closure import verify_closure
-    from lkcds.cores import Rejection
+    from lkcds.cores import Rejection, find_core
     from lkcds.kernel import kernelize, serialize_kernel
     from lkcds.oracles import exact_acds, exact_cds
 
     out = kernelize(item.graph, item.params, core_mode=item.core_mode)
     r, k = item.params.r, item.params.k
     lines = [f"{item.name} {item.params}"]
+    core = find_core(item.graph, k, r, item.core_mode)
+    if isinstance(core, Rejection):
+        lines.append(f"core rejected: {core.reason}")
+    else:
+        lines.append(f"core: {core.vertices}")
     if certify and item.graph.n <= HOST_ORACLE_N:
         lines.append(repr(exact_cds(item.graph, r, k)))
     if isinstance(out, Rejection):
