@@ -46,7 +46,7 @@ def run(g, k, r, alpha):
         return
     print(f"mode={inst.mode}  kernel: {inst.graph.n} vertices, "
           f"{inst.graph.m} edges, {len(inst.annotated)} annotated")
-    print("provenance:", dict(inst.provenance))
+    print("core:", inst.core)
 
     # the kernel is solved exactly; uncapped so we always get an optimum
     small = exact_acds(inst.graph, inst.annotated, r, inst.graph.n)

@@ -9,7 +9,6 @@ output files stay byte-clean.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import Callable, List, Optional, Sequence, TypeVar
 
@@ -92,16 +91,6 @@ def _note(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _budget_default() -> Optional[int]:
-    raw = os.environ.get("LKCDS_BUDGET_NODES")
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise _CliError(f"LKCDS_BUDGET_NODES must be an integer, got {raw!r}")
-
-
 def _run_kernelize(args: argparse.Namespace):
     g = _load_graph(args.input, args.format)
     params = params_from(args.k, args.r, alpha=args.alpha, epsilon=args.epsilon)
@@ -138,7 +127,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     g = _load_graph(args.input, args.format)
-    budget = args.budget_nodes if args.budget_nodes is not None else _budget_default()
+    budget = args.budget_nodes
     if args.z is not None:
         res = exact_acds(g, _parse_ids(args.z), args.r, args.k, budget_nodes=budget)
     else:
@@ -282,10 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--z", default=None, help="annotated target vertices")
-    p.add_argument(
-        "--budget-nodes", type=int, default=None,
-        help="search node budget; env LKCDS_BUDGET_NODES sets the default",
-    )
+    p.add_argument("--budget-nodes", type=int, default=None, help="search node budget")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("lift", help="translate a kernel solution back to the host")

@@ -13,8 +13,10 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Set, Tuple, Union
 
 from .domination import ContractViolation, connect
-from .graphs import Graph, bfs_layers, mask_of
+from .graphs import Graph, mask_of
 from .oracles import cover_exists
+
+DISCONNECTED = "graph is disconnected; no connected dominating set exists"
 
 
 @dataclass(frozen=True)
@@ -30,7 +32,6 @@ class DominationCore:
     k: int
     r: int
     certified: str  # exhaustive | heuristic-sound
-    connected: bool = False
 
 
 CoreOutcome = Union[DominationCore, Rejection]
@@ -64,15 +65,14 @@ def find_core(g: Graph, k: int, r: int, mode: str = "exact") -> CoreOutcome:
         raise ValueError(f"unknown core mode {mode!r}")
 
     balls = g.balls(r)
-    if not cover_exists(balls, (1 << g.n) - 1, k):
+    full = (1 << g.n) - 1
+    if not cover_exists(balls, full, k, full):
         return Rejection(f"graph cannot be {r}-dominated by at most {k} vertices")
     z = _containment_prune(g, r)
     # one pass suffices: a budget-k set that covers the rest of Z while
     # avoiding v's ball still does so once Z shrinks, so a kept v stays kept
     for v in sorted(z, reverse=True):
-        rest = mask_of(z - {v})
-        outside = [u for u in range(g.n) if not (balls[v] >> u) & 1]
-        if not cover_exists(balls, rest, k, outside):
+        if not cover_exists(balls, mask_of(z - {v}), k, full & ~balls[v]):
             # every budget-k cover of the rest must enter v's ball
             z.remove(v)
     core = DominationCore(tuple(sorted(z)), k, r, "exhaustive")
@@ -91,32 +91,21 @@ def core_verify(g: Graph, z: Iterable[int], k: int, r: int) -> bool:
     if zmask >> g.n:
         raise ValueError("core vertex out of range")
     balls = g.balls(r)
-    for u in range(g.n):
-        outside = [v for v in range(g.n) if not (balls[u] >> v) & 1]
-        if cover_exists(balls, zmask, k, outside):
-            return False
-    return True
+    full = (1 << g.n) - 1
+    return not any(cover_exists(balls, zmask, k, full & ~b) for b in balls)
 
 
 def connected_core(g: Graph, core: DominationCore) -> CoreOutcome:
-    """Stitch a core into one piece, or certify a rejection.
+    """Stitch a core into one piece, or reject a disconnected host.
 
-    A vertex farther than 2r from the core contradicts the core property
-    for any budget-k dominating set, so the instance is rejected outright.
-    Otherwise shortest-path merges need at most 2r interior vertices each.
+    On a connected host every vertex lies within 2r of a `find_core`
+    core.  The heuristic core keeps, for each vertex v, some w whose ball
+    lies inside v's, so within r of v.  If v were farther than 2r from the
+    exact core, a budget-k dominating set without its dominators within r
+    of v would still cover the core and miss v.  So each merge needs at
+    most 2r interior vertices, and `connect` raises if one needs more.
     """
-    if not core.vertices:
-        return Rejection(
-            f"graph cannot be {core.r}-dominated by at most {core.k} vertices"
-        )
-    res = bfs_layers(g, core.vertices)
-    for v in range(g.n):
-        if v not in res.dist or res.dist[v] > 2 * core.r:
-            return Rejection(
-                f"graph cannot be {core.r}-dominated by at most {core.k} "
-                f"vertices: vertex {v} is farther than {2 * core.r} from the core"
-            )
+    if not g.is_connected():
+        return Rejection(DISCONNECTED)
     stitched = connect(g, core.vertices, 2 * core.r)
-    return DominationCore(
-        stitched.connected, core.k, core.r, core.certified, connected=True
-    )
+    return DominationCore(stitched.connected, core.k, core.r, core.certified)

@@ -12,12 +12,12 @@ comparable instead of becoming infinities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from .closure import ClosureResult, build_closure
-from .cores import Rejection, connected_core, find_core
+from .cores import DISCONNECTED, Rejection, connected_core, find_core
 from .domination import (
     ContractViolation,
     CoveringFamily,
@@ -36,6 +36,7 @@ from .graphs import (
     serialize_graph,
 )
 from .oracles import FOUND, NONE_WITHIN_BUDGET, SolveResult, exact_acds, exact_cds
+from .steiner import GROUP_LIMIT
 
 FORMAT_TAG = "lkcds/1"
 
@@ -62,7 +63,9 @@ class KernelParams:
 
     @property
     def t_eff(self) -> Fraction:
-        return max(Fraction(1), self.t)
+        # capped so a bundle of floor(2 t_eff) groups fits the Steiner DP;
+        # a kernel lossy by a smaller factor than alpha is alpha-lossy too
+        return min(max(Fraction(1), self.t), Fraction(GROUP_LIMIT, 2))
 
 
 def params_from(
@@ -85,7 +88,7 @@ class KernelInstance:
     params: KernelParams
     vertex_map: Tuple[int, ...]  # kernel id -> host id
     mode: str  # closure | trivial
-    provenance: Dict[str, str] = field(default_factory=dict)
+    core: str  # shortcut, or the certification of the core
     closure: Optional[ClosureResult] = None
 
 
@@ -104,7 +107,7 @@ def kernelize(
     if g.n == 0:
         raise ValueError("cannot kernelize the empty graph")
     if not g.is_connected():
-        return Rejection("graph is disconnected; no connected dominating set exists")
+        return Rejection(DISCONNECTED)
     shortcut_cap = min(params.k, math.ceil(params.t_eff) - 1)
     if shortcut_cap >= 1:
         hit = exact_cds(g, params.r, shortcut_cap)
@@ -117,10 +120,7 @@ def kernelize(
                 params=params,
                 vertex_map=vmap,
                 mode="trivial",
-                provenance={
-                    "core": "shortcut",
-                    "solution": " ".join(str(v) for v in hit.solution),
-                },
+                core="shortcut",
             )
     core = find_core(g, params.k, params.r, core_mode)
     if isinstance(core, Rejection):
@@ -135,7 +135,7 @@ def kernelize(
         params=params,
         vertex_map=closure.vertex_map,
         mode="closure",
-        provenance={"core": core.certified},
+        core=core.certified,
         closure=closure,
     )
 
@@ -173,8 +173,8 @@ def lift(g: Graph, inst: KernelInstance, solution: Iterable[int]) -> LiftResult:
         raise ValueError("kernel solution is not connected or misses the annotated set")
     k, r = inst.params.k, inst.params.r
     if inst.mode == "trivial":
-        stored = tuple(int(x) for x in inst.provenance["solution"].split())
-        lifted = tuple(sorted(stored))
+        # the kernel is the induced graph of a host solution; replay it
+        lifted = tuple(sorted(inst.vertex_map))
     else:
         lifted = tuple(sorted(inst.vertex_map[v] for v in sol))
         if len(lifted) <= k:
@@ -316,9 +316,9 @@ def serialize_kernel(inst: KernelInstance) -> str:
     lines.append(f"alpha {inst.params.alpha}")
     lines.append(f"mode {inst.mode}")
     lines.append("[provenance]")
-    lines.append(f"core {inst.provenance.get('core', 'unknown')}")
+    lines.append(f"core {inst.core}")
     if inst.mode == "trivial":
-        lines.append(f"solution {inst.provenance.get('solution', '')}".rstrip())
+        lines.append(" ".join(["solution", *map(str, inst.vertex_map)]))
     return "\n".join(lines) + "\n"
 
 
@@ -367,14 +367,15 @@ def parse_kernel(text: str) -> KernelInstance:
     mode = fields.get("mode", "closure")
     if mode not in ("closure", "trivial"):
         raise GraphFormatError(f"unknown kernel mode {mode!r}")
-    provenance = {"core": fields.get("core", "unknown")}
-    if mode == "trivial":
-        provenance["solution"] = fields.get("solution", "")
+    vertex_map = tuple(vm[i] for i in range(graph.n))
+    solution = fields.get("solution", "").split()
+    if mode == "trivial" and solution != [str(v) for v in vertex_map]:
+        raise GraphFormatError("solution line disagrees with the vertex map")
     return KernelInstance(
         graph=graph,
         annotated=annotated,
         params=params,
-        vertex_map=tuple(vm[i] for i in range(graph.n)),
+        vertex_map=vertex_map,
         mode=mode,
-        provenance=provenance,
+        core=fields.get("core", "unknown"),
     )

@@ -32,9 +32,9 @@ class _Budget:
     def __init__(self, nodes: Optional[int]):
         self.remaining = nodes
 
-    def spend(self, amount: int = 1) -> None:
+    def spend(self) -> None:
         if self.remaining is not None:
-            self.remaining -= amount
+            self.remaining -= 1
             if self.remaining < 0:
                 raise BudgetExceededError("search node budget exhausted")
 
@@ -80,18 +80,10 @@ def _cover_engine(
     return None
 
 
-def cover_exists(
-    ball_masks: Sequence[int],
-    universe: int,
-    k: int,
-    allowed: Optional[Iterable[int]] = None,
-    budget_nodes: Optional[int] = None,
-) -> bool:
-    """Whether <= k of the allowed balls cover the universe mask."""
-    ids = sorted(set(allowed)) if allowed is not None else list(range(len(ball_masks)))
-    sets = [ball_masks[i] for i in ids]
-    budget = _Budget(budget_nodes)
-    return _cover_engine(sets, universe, k, budget) is not None
+def cover_exists(ball_masks: Sequence[int], universe: int, k: int, allowed: int) -> bool:
+    """Whether <= k balls with ids in the allowed mask cover the universe mask."""
+    sets = [ball_masks[i] for i in iter_bits(allowed)]
+    return _cover_engine(sets, universe, k, _Budget(None)) is not None
 
 
 def _lex_min_cover(
@@ -204,9 +196,9 @@ def _connected_cover(
     budget = _Budget(budget_nodes)
     try:
         for s in range(1, k + 1):
-            budget.spend(g.n)
             best: Optional[Tuple[int, ...]] = None
             for m in connected_vertex_sets(g, s, home[0]):
+                budget.spend()
                 if m.bit_count() != s:
                     continue
                 got = 0

@@ -1,4 +1,4 @@
-"""Command line behavior: payloads, exit codes, environment knobs."""
+"""Command line behavior: payloads and exit codes."""
 
 import os
 import subprocess
@@ -10,6 +10,7 @@ import pytest
 import lkcds
 from conftest import tampered_path5_closure
 from lkcds.cli import main
+from lkcds.cores import DISCONNECTED
 from lkcds.graphs import parse_graph
 from lkcds.kernel import parse_kernel
 
@@ -70,7 +71,7 @@ def test_verify_names_the_failed_item(capsys, tmp_path, monkeypatch):
     assert "item3: kept tree (0, 1, 2) is disconnected" in err
 
 
-def test_solve_and_budget(capsys, c6_file, monkeypatch):
+def test_solve_and_budget(capsys, c6_file):
     code, out, _ = run(capsys, ["solve", "--input", c6_file, "--k", "4", "--r", "1"])
     assert code == 0
     assert out.startswith("found ")
@@ -79,17 +80,6 @@ def test_solve_and_budget(capsys, c6_file, monkeypatch):
         ["solve", "--input", c6_file, "--k", "4", "--r", "1", "--budget-nodes", "1"],
     )
     assert code == 3
-    monkeypatch.setenv("LKCDS_BUDGET_NODES", "1")
-    code, _, _ = run(capsys, ["solve", "--input", c6_file, "--k", "4", "--r", "1"])
-    assert code == 3
-    # explicit flag beats the environment
-    monkeypatch.setenv("LKCDS_BUDGET_NODES", "1")
-    code, out, _ = run(
-        capsys,
-        ["solve", "--input", c6_file, "--k", "4", "--r", "1",
-         "--budget-nodes", "100000"],
-    )
-    assert code == 0
 
 
 def test_solve_with_annotated_set(capsys, c6_file):
@@ -227,6 +217,48 @@ def test_rejection_exit_code(capsys, tmp_path):
     )
     assert code == 10
     assert "rejected" in err
+
+
+@pytest.mark.parametrize("mode", ["exact", "heuristic"])
+@pytest.mark.parametrize("command", ["core", "profile-stats"])
+def test_core_commands_reject_a_disconnected_host(capsys, tmp_path, command, mode):
+    disc = tmp_path / "disc.txt"
+    disc.write_text("p 7 4\n0 1\n1 2\n4 5\n5 6\n")
+    code, out, err = run(
+        capsys,
+        [command, "--input", str(disc), "--k", "3", "--r", "1", "--core-mode", mode],
+    )
+    assert (code, out) == (10, "")
+    assert err == f"error: rejected: {DISCONNECTED}\n"
+
+
+def test_trivial_kernel_commands(capsys, tmp_path):
+    # alpha=14 lets the shortcut catch the star's one-vertex optimum
+    star = tmp_path / "star.txt"
+    star.write_text("p 6 5\n0 1\n0 2\n0 3\n0 4\n0 5\n")
+    args = ["--input", str(star), "--k", "2", "--r", "1", "--alpha", "14"]
+    code, out, _ = run(capsys, ["verify", *args])
+    assert (code, out) == (0, "trivial kernel; structural checks vacuous: pass\n")
+    code, out, _ = run(capsys, ["closure-stats", *args])
+    assert (code, out) == (0, "trivial kernel; no closure built\n")
+    kern = tmp_path / "kern.txt"
+    assert run(capsys, ["kernelize", *args, "--out", str(kern)])[0] == 0
+    lift = ["lift", "--input", str(star), "--kernel", str(kern), "--solution", "0"]
+    assert run(capsys, lift)[:2] == (0, "lifted 0\n")
+    kern.write_text(kern.read_text().replace("solution 0", "solution 1"))
+    code, _, err = run(capsys, lift)
+    assert code == 2
+    assert "solution line disagrees with the vertex map" in err
+
+
+def test_large_alpha_keeps_bundles_within_the_steiner_limit(capsys, tmp_path):
+    p12 = tmp_path / "p12.txt"
+    p12.write_text("p 12 11\n" + "".join(f"{v} {v + 1}\n" for v in range(11)))
+    code, out, _ = run(
+        capsys, ["verify", "--input", str(p12), "--k", "3", "--r", "1", "--alpha", "28"]
+    )
+    assert code == 0
+    assert out.splitlines() == ["item1: pass", "item2: pass", "item3: pass"]
 
 
 def test_dimacs_format_flag(capsys, tmp_path):

@@ -29,7 +29,7 @@ from lkcds.closure import (
 from lkcds.domination import greedy_rdom
 from lkcds.graphs import Graph, induced_subgraph
 from lkcds.projections import classify, profile
-from lkcds.steiner import steiner_size
+from lkcds.steiner import SteinerTree, steiner_size
 
 
 def test_avoiding_path_tree_on_cycle():
@@ -69,6 +69,36 @@ def test_verify_closure_reports_a_changed_profile():
     bent = replace(clo, graph=Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)]))
     rep = verify_closure(g, bent)
     assert rep.problems == ("item2: profile of vertex 0 changed: () -> ((2, 1),)",)
+
+
+@pytest.mark.parametrize(
+    "tamper, problems",
+    [
+        (
+            lambda clo: replace(clo, blockers_old=(4,)),
+            (
+                "item1: blocker 4 missing from the closure",
+                "item1: blocker relabeling is inconsistent",
+            ),
+        ),
+        (
+            lambda clo: replace(clo, terminals=(0,)),
+            ("item2: class representatives [1] were not protected",),
+        ),
+        (
+            # a real host tree for bundle (0, 1), one vertex larger than needed
+            lambda clo: replace(
+                clo, kept={**clo.kept, (0, 1): SteinerTree((0, 1, 2), ((0, 1), (1, 2)))}
+            ),
+            ("item3: bundle (0, 1): host tree has 3 vertices but the closure needs 2",),
+        ),
+    ],
+)
+def test_verify_closure_reports_each_tampered_item(tamper, problems):
+    # path-5 around blocker 2: classes {0, 4} and {1, 3}, kept on 0, 1, 2
+    g = path_graph(5)
+    rep = verify_closure(g, tamper(build_closure(g, [2], 1, 2)))
+    assert rep.problems == problems
 
 
 def test_closure_contains_blockers_and_reps():

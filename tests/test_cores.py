@@ -8,10 +8,10 @@ from conftest import (
     grid_graph,
     path_graph,
     random_connected,
-    spider_graph,
     star_graph,
 )
 from lkcds.cores import (
+    DISCONNECTED,
     DominationCore,
     Rejection,
     _containment_prune,
@@ -20,7 +20,7 @@ from lkcds.cores import (
     find_core,
 )
 from lkcds.domination import dominates
-from lkcds.graphs import Graph, induced_subgraph, mask_of
+from lkcds.graphs import Graph, bfs_layers, induced_subgraph, mask_connected, mask_of
 from lkcds.oracles import FOUND, cover_exists, exact_ds
 
 
@@ -101,14 +101,13 @@ def rescan_exact_core(g, k, r):
     if exact_ds(g, r, k).status != FOUND:
         return Rejection(f"graph cannot be {r}-dominated by at most {k} vertices")
     balls = g.balls(r)
+    full = (1 << g.n) - 1
     z = _containment_prune(g, r)
     changed = True
     while changed:
         changed = False
         for v in sorted(z, reverse=True):
-            rest = mask_of(z - {v})
-            outside = [u for u in range(g.n) if not (balls[v] >> u) & 1]
-            if not cover_exists(balls, rest, k, outside):
+            if not cover_exists(balls, mask_of(z - {v}), k, full & ~balls[v]):
                 z.remove(v)
                 changed = True
     return DominationCore(tuple(sorted(z)), k, r, "exhaustive")
@@ -135,33 +134,47 @@ def test_connected_core_stitches_grid():
     core = find_core(g, 4, 1, mode="heuristic")
     out = connected_core(g, core)
     assert isinstance(out, DominationCore)
-    assert out.connected
     assert set(core.vertices) <= set(out.vertices)
     sub, _ = induced_subgraph(g, out.vertices)
     assert sub.is_connected()
 
 
-def test_connected_core_rejects_far_vertices():
-    # a long path's endpoints sit farther than 2r from a mid-path core
-    p9 = path_graph(9)
-    fake = DominationCore((4,), 1, 1, "heuristic-sound")
-    out = connected_core(p9, fake)
-    assert isinstance(out, Rejection)
-    assert "farther than" in out.reason
+@st.composite
+def connected_graphs(draw):
+    """A connected graph on 1..12 vertices: a random tree plus extra edges."""
+    n = draw(st.integers(1, 12))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    for _ in range(draw(st.integers(0, n))):
+        a, b = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if a != b:
+            edges.add((min(a, b), max(a, b)))
+    return Graph.from_edges(n, sorted(edges))
 
 
-def test_connected_core_rejects_empty():
-    out = connected_core(path_graph(3), DominationCore((), 1, 1, "exhaustive"))
-    assert isinstance(out, Rejection)
+@given(
+    connected_graphs(),
+    st.sampled_from([1, 2]),
+    st.integers(0, 3),
+    st.sampled_from(["exact", "heuristic"]),
+)
+@settings(max_examples=150)
+def test_connected_core_stitches_every_core(g, r, k, mode):
+    # every vertex lies within 2r of a core (within r of a heuristic one),
+    # so stitching never needs to reject a connected host
+    core = find_core(g, k, r, mode=mode)
+    if isinstance(core, Rejection):
+        return
+    dist = bfs_layers(g, core.vertices).dist
+    near = r if mode == "heuristic" else 2 * r
+    assert all(v in dist and dist[v] <= near for v in range(g.n))
+    out = connected_core(g, core)
+    assert isinstance(out, DominationCore)
+    assert set(core.vertices) <= set(out.vertices)
+    assert mask_connected(g, mask_of(out.vertices))
 
 
-def test_rejection_is_sound_for_verified_cores():
-    # whenever stitching rejects on a true core, no budget solution exists
-    g = spider_graph(4, 3)
-    core = find_core(g, 2, 1, mode="exact")
-    if isinstance(core, DominationCore):
-        out = connected_core(g, core)
-        if isinstance(out, Rejection):
-            from lkcds.oracles import exact_cds
-
-            assert not exact_cds(g, 1, 2).found
+def test_connected_core_rejects_disconnected_host():
+    g = Graph.from_edges(7, [(0, 1), (1, 2), (4, 5), (5, 6)])
+    for mode in ("exact", "heuristic"):
+        out = connected_core(g, find_core(g, 3, 1, mode=mode))
+        assert out == Rejection(DISCONNECTED)

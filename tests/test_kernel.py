@@ -57,6 +57,9 @@ def test_params_t_values():
     assert p.t == Fraction(21, 10)
     small = kparams(2, 1, Fraction(3, 2))
     assert small.t == Fraction(1, 12) and small.t_eff == 1
+    # bundles of floor(2 t_eff) groups must fit the Steiner DP's limit of 8
+    big = kparams(3, 1, 28)
+    assert big.t == Fraction(9, 2) and big.t_eff == 4
 
 
 def test_params_validation():
@@ -85,7 +88,7 @@ def test_kernelize_trivial_shortcut():
     g = star_graph(7)
     inst = kernelize(g, kparams(2, 1, 14), core_mode="heuristic")
     assert inst.mode == "trivial"
-    assert inst.provenance["core"] == "shortcut"
+    assert inst.core == "shortcut"
     assert inst.graph.n == 1
     lifted = lift(g, inst, solve_kernel(inst))
     assert lifted.solution == (0,)
@@ -129,6 +132,19 @@ def test_lift_oversized_keeps_capped_value():
     inst = kernelize(g, kparams(2, 1, 7), core_mode="heuristic")
     sol = solve_kernel(inst)  # true optimum exceeds k=2
     assert len(sol) > 2
+    res = lift(g, inst, sol)
+    assert res.value == 3  # k + 1
+    assert res.dominates_host and res.connected
+
+
+def test_lift_repairs_an_oversized_solution_that_misses_the_host():
+    # an exact-core kernel solution above budget k=2 whose image leaves
+    # host vertices uncovered is topped up into a valid host solution
+    g = random_connected(10, 2, 231)
+    inst = kernelize(g, kparams(2, 1, 7), core_mode="exact")
+    sol = (0, 1, 2, 3, 6, 7)
+    assert kernel_solution_valid(inst, sol)
+    assert not dominates(g, [inst.vertex_map[v] for v in sol], 1)
     res = lift(g, inst, sol)
     assert res.value == 3  # k + 1
     assert res.dominates_host and res.connected
@@ -204,6 +220,7 @@ def test_serialize_parse_roundtrip_byte_identical():
         assert back.params == inst.params
         assert back.vertex_map == inst.vertex_map
         assert back.mode == inst.mode
+        assert back.core == inst.core
         assert serialize_kernel(back) == text
 
 
@@ -217,6 +234,12 @@ def test_parse_kernel_errors():
         parse_kernel(text.replace("[map]", "[maps]"))
     with pytest.raises(GraphFormatError):
         parse_kernel(text + "[graph]\n")
+    # a shortcut kernel's solution line must replay its vertex map
+    trivial = serialize_kernel(kernelize(star_graph(7), kparams(2, 1, 14)))
+    assert "solution 0\n" in trivial
+    for bad in ("solution 1\n", "solution 0 1\n", ""):
+        with pytest.raises(GraphFormatError):
+            parse_kernel(trivial.replace("solution 0\n", bad))
 
 
 @given(st.integers(0, 2_000))

@@ -201,3 +201,9 @@ def test_budget_is_deterministic():
     res2 = exact_cds(g, 1, 4, budget_nodes=50)
     assert res1.status == res2.status
     assert res1.solution == res2.solution
+
+
+def test_budget_binds_per_connected_set():
+    # a budget of 1000 stops the search long before the connected sets of
+    # up to 8 vertices of grid-6x6 are all listed
+    assert exact_cds(grid_graph(6, 6), 1, 8, budget_nodes=1000).status == BUDGET_EXHAUSTED
