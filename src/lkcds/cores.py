@@ -58,6 +58,8 @@ def _containment_prune(g: Graph, r: int) -> Set[int]:
 def find_core(g: Graph, k: int, r: int, mode: str = "exact") -> CoreOutcome:
     if k < 0 or r < 1:
         raise ValueError("need k >= 0 and r >= 1")
+    if g.n == 0:
+        raise ValueError("cannot find a core of the empty graph")
     if mode == "heuristic":
         z = _containment_prune(g, r)
         return DominationCore(tuple(sorted(z)), k, r, "heuristic-sound")

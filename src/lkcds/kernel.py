@@ -352,6 +352,8 @@ def parse_kernel(text: str) -> KernelInstance:
         vm[int(a)] = int(b)
     if sorted(vm) != list(range(graph.n)):
         raise GraphFormatError("vertex map does not label every kernel vertex")
+    if len(set(vm.values())) != len(vm):
+        raise GraphFormatError("vertex map sends two kernel vertices to one host vertex")
     fields: Dict[str, str] = {}
     for ln in sections["params"] + sections["provenance"]:
         if not ln.strip():

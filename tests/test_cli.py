@@ -232,6 +232,17 @@ def test_core_commands_reject_a_disconnected_host(capsys, tmp_path, command, mod
     assert err == f"error: rejected: {DISCONNECTED}\n"
 
 
+@pytest.mark.parametrize("command", ["core", "profile-stats"])
+def test_core_commands_refuse_the_empty_graph(capsys, tmp_path, command):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("p 0 0\n")
+    code, out, err = run(
+        capsys, [command, "--input", str(empty), "--k", "1", "--r", "1"]
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: cannot find a core of the empty graph\n"
+
+
 def test_trivial_kernel_commands(capsys, tmp_path):
     # alpha=14 lets the shortcut catch the star's one-vertex optimum
     star = tmp_path / "star.txt"

@@ -28,6 +28,7 @@ from lkcds.closure import (
 )
 from lkcds.domination import greedy_rdom
 from lkcds.graphs import Graph, induced_subgraph
+from lkcds.oracles import brute_steiner
 from lkcds.projections import classify, profile
 from lkcds.steiner import SteinerTree, steiner_size
 
@@ -184,6 +185,34 @@ def test_compatibility_matches_group_distances(t):
         pruned, bundles = _compatible_counts(g, clo.groups, clo.cap)
         assert clo.stats["pruned_pairs"] == pruned, name
         assert clo.stats["candidate_subsets"] == bundles, name
+
+
+@st.composite
+def closure_cases(draw):
+    """A random graph of at most 9 vertices, blockers, a radius and a t."""
+    n = draw(st.integers(1, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    g = Graph.from_edges(n, [e for e in pairs if draw(st.integers(0, 9)) < 4])
+    blockers = draw(st.lists(st.integers(0, n - 1), max_size=3, unique=True))
+    r = draw(st.integers(1, 2))
+    t = draw(st.sampled_from([1, Fraction(3, 2), 2]))
+    return g, blockers, r, t
+
+
+@given(closure_cases())
+@settings(max_examples=150)
+def test_kept_bundles_match_brute_force(case):
+    # every bundle of at most cap groups with a tree of at most cap
+    # vertices is kept, with a tree of the optimum size
+    g, blockers, r, t = case
+    clo = build_closure(g, blockers, r, t)
+    want = {}
+    for size in range(1, clo.cap + 1):
+        for key in combinations(range(len(clo.groups)), size):
+            res = brute_steiner(g, [clo.groups[i] for i in key], clo.cap)
+            if res.found:
+                want[key] = res.value
+    assert {key: tree.size for key, tree in clo.kept.items()} == want
 
 
 def test_closure_rejects_bad_blockers():

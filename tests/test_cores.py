@@ -116,6 +116,10 @@ def rescan_exact_core(g, k, r):
 @given(small_graphs(11), st.sampled_from([1, 2, 3]), st.integers(0, 4))
 @settings(max_examples=150)
 def test_exact_core_matches_rescan_loop(g, r, k):
+    if g.n == 0:
+        with pytest.raises(ValueError, match="empty graph"):
+            find_core(g, k, r, mode="exact")
+        return
     assert find_core(g, k, r, mode="exact") == rescan_exact_core(g, k, r)
 
 

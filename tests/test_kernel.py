@@ -234,6 +234,10 @@ def test_parse_kernel_errors():
         parse_kernel(text.replace("[map]", "[maps]"))
     with pytest.raises(GraphFormatError):
         parse_kernel(text + "[graph]\n")
+    # two kernel vertices may not stand for one host vertex
+    assert "\n5 5\n" in text
+    with pytest.raises(GraphFormatError, match="two kernel vertices"):
+        parse_kernel(text.replace("\n5 5\n", "\n5 4\n"))
     # a shortcut kernel's solution line must replay its vertex map
     trivial = serialize_kernel(kernelize(star_graph(7), kparams(2, 1, 14)))
     assert "solution 0\n" in trivial
