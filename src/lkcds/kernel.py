@@ -343,13 +343,23 @@ def parse_kernel(text: str) -> KernelInstance:
             raise GraphFormatError(f"missing section [{required}]")
     graph = parse_graph("\n".join(sections["graph"]))
     zline = sections["Z"][0] if sections["Z"] else ""
-    annotated = tuple(int(v) for v in zline.split())
+    try:
+        annotated = tuple(int(v) for v in zline.split())
+    except ValueError:
+        raise GraphFormatError(
+            f"[Z] line {zline!r} holds a non-integer vertex"
+        ) from None
     vm: Dict[int, int] = {}
     for ln in sections["map"]:
         if not ln.strip():
             continue
-        a, b = ln.split()
-        vm[int(a)] = int(b)
+        try:
+            a, b = (int(v) for v in ln.split())
+        except ValueError:
+            raise GraphFormatError(
+                f"[map] line {ln!r} is not '<kernel vertex> <host vertex>'"
+            ) from None
+        vm[a] = b
     if sorted(vm) != list(range(graph.n)):
         raise GraphFormatError("vertex map does not label every kernel vertex")
     if len(set(vm.values())) != len(vm):

@@ -1,10 +1,12 @@
 """Exact reference solvers for desk-scale instances.
 
-Everything here favors transparent exhaustive search over speed.  These
-routines back the test suite: constructive algorithms elsewhere in the
-package are checked against them on small graphs, so they must stay simple
-enough to be obviously correct.  Two deliberately independent routes exist
-for several quantities (smart enumerator vs. raw subset scan, BFS flood vs.
+Every search here is exhaustive.  These routines back the test suite and
+the ratio certificate: constructive algorithms elsewhere in the package are
+checked against them on small graphs, so they must stay simple enough to be
+obviously correct.  The connected cover search prunes only what cannot hold
+its lex-min answer, and the tests check it against a plain scan over
+`connected_vertex_sets`.  Two deliberately independent routes exist for
+several quantities (smart enumerator vs. raw subset scan, BFS flood vs.
 split-vertex rebuild); keep both.
 """
 
@@ -156,13 +158,14 @@ def connected_vertex_sets(
 ) -> Iterator[int]:
     """All nonempty connected vertex sets of size <= max_size, as bitmasks.
 
-    Enumeration is exhaustive and duplicate free; order is deterministic but
+    Enumeration is exhaustive and duplicate free: each set is grown from its
+    least vertex through vertices above it only.  Order is deterministic but
     not size sorted.  `within` restricts the universe to a mask.
     """
     masks = g.neighbor_masks()
     pool = (1 << g.n) - 1 if within is None else within
 
-    def grow(cur: int, size: int, cand: int, banned: int) -> Iterator[int]:
+    def grow(cur: int, size: int, cand: int, banned: int, above: int) -> Iterator[int]:
         yield cur
         if size == max_size:
             return
@@ -170,46 +173,79 @@ def connected_vertex_sets(
         for u in list(iter_bits(cand)):
             u_bit = 1 << u
             child_cand = (cand & ~u_bit & ~tried) | (
-                masks[u] & pool & ~cur & ~u_bit & ~banned & ~tried
+                masks[u] & above & ~cur & ~u_bit & ~banned & ~tried
             )
-            yield from grow(cur | u_bit, size + 1, child_cand, banned | tried)
+            yield from grow(cur | u_bit, size + 1, child_cand, banned | tried, above)
             tried |= u_bit
 
     if max_size < 1:
         return
     for v in iter_bits(pool):
         above = pool & ~((2 << v) - 1)
-        yield from grow(1 << v, 1, masks[v] & above, 0)
+        yield from grow(1 << v, 1, masks[v] & above, 0, above)
 
 
 def _connected_cover(
     g: Graph, targets: int, r: int, k: int, budget_nodes: Optional[int]
 ) -> SolveResult:
     # lexicographically smallest minimum connected set r-dominating the
-    # targets mask, capped at k; it lies in the one component holding them
+    # targets mask, capped at k; it lies in the one component holding them.
+    # For each size s, one search per root grows connected sets through
+    # vertices above the root only, as connected_vertex_sets does, and
+    # carries the union of their balls down.  The last vertex is drawn only
+    # from candidates whose ball holds every target still missing (balls are
+    # symmetric), and the least of those gives the branch's least hit.  A
+    # hit's least vertex is its root, so the first root with a hit holds the
+    # answer.  The budget charges one node per set the search visits.
     if targets == 0:
         return SolveResult(FOUND, (), 0)
     home = [c for c in g.component_masks() if c & targets]
     if len(home) != 1:
         return SolveResult(INFEASIBLE)
+    masks = g.neighbor_masks()
     balls = g.balls(r)
     budget = _Budget(budget_nodes)
+
+    def grow(cur: int, left: int, cand: int, banned: int, got: int, above: int) -> int:
+        # lex-least hit that adds `left` more vertices to cur, or 0
+        budget.spend()
+        missing = targets & ~got
+        if left == 0:
+            return cur if missing == 0 else 0
+        if left == 1:
+            for t in iter_bits(missing):
+                cand &= balls[t]
+                if cand == 0:
+                    break
+            if cand == 0:
+                return 0
+            budget.spend()  # the drawn set
+            return cur | (cand & -cand)
+        best = 0
+        tried = 0
+        for u in iter_bits(cand):
+            u_bit = 1 << u
+            child_cand = (cand & ~u_bit & ~tried) | (
+                masks[u] & above & ~cur & ~u_bit & ~banned & ~tried
+            )
+            hit = grow(
+                cur | u_bit, left - 1, child_cand, banned | tried, got | balls[u], above
+            )
+            # of two equal-size sets the lex-smaller holds their least
+            # differing vertex; any hit beats best == 0
+            d = hit ^ best
+            if hit & d & -d:
+                best = hit
+            tried |= u_bit
+        return best
+
     try:
         for s in range(1, k + 1):
-            best: Optional[Tuple[int, ...]] = None
-            for m in connected_vertex_sets(g, s, home[0]):
-                budget.spend()
-                if m.bit_count() != s:
-                    continue
-                got = 0
-                for v in iter_bits(m):
-                    got |= balls[v]
-                if targets & ~got == 0:
-                    tup = tuple(iter_bits(m))
-                    if best is None or tup < best:
-                        best = tup
-            if best is not None:
-                return SolveResult(FOUND, best, s)
+            for v in iter_bits(home[0]):
+                above = home[0] & ~((2 << v) - 1)
+                hit = grow(1 << v, s - 1, masks[v] & above, 0, balls[v], above)
+                if hit:
+                    return SolveResult(FOUND, tuple(iter_bits(hit)), s)
     except BudgetExceededError:
         return SolveResult(BUDGET_EXHAUSTED)
     return SolveResult(NONE_WITHIN_BUDGET)

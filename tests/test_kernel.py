@@ -18,7 +18,6 @@ from lkcds.cores import Rejection
 from lkcds.domination import ContractViolation, check_covering_family, dominates
 from lkcds.graphs import Graph, GraphFormatError, induced_subgraph
 from lkcds.kernel import (
-    KernelInstance,
     KernelParams,
     capped_host_opt,
     capped_kernel_opt,
@@ -238,6 +237,13 @@ def test_parse_kernel_errors():
     assert "\n5 5\n" in text
     with pytest.raises(GraphFormatError, match="two kernel vertices"):
         parse_kernel(text.replace("\n5 5\n", "\n5 4\n"))
+    # a malformed line is named with its section
+    for bad in ("5 5 5", "5", "5 x"):
+        with pytest.raises(GraphFormatError, match=rf"\[map\] line '{bad}'"):
+            parse_kernel(text.replace("\n5 5\n", f"\n{bad}\n"))
+    zline = text.split("[Z]\n")[1].split("\n")[0]
+    with pytest.raises(GraphFormatError, match=r"\[Z\] line '.* x'"):
+        parse_kernel(text.replace(f"[Z]\n{zline}\n", f"[Z]\n{zline} x\n"))
     # a shortcut kernel's solution line must replay its vertex map
     trivial = serialize_kernel(kernelize(star_graph(7), kparams(2, 1, 14)))
     assert "solution 0\n" in trivial
@@ -246,11 +252,23 @@ def test_parse_kernel_errors():
             parse_kernel(trivial.replace("solution 0\n", bad))
 
 
-@given(st.integers(0, 2_000))
-@settings(max_examples=25)
-def test_pipeline_on_random_graphs(seed):
-    g = random_connected(9, 2, seed)
-    inst = kernelize(g, kparams(3, 1, 7), core_mode="heuristic")
-    assert isinstance(inst, KernelInstance)
+@given(
+    st.sampled_from(range(1, 15)),
+    st.integers(0, 4),
+    st.integers(1, 2),
+    st.integers(0, 4),
+    st.sampled_from([Fraction(3, 2), 3, 7, 14]),
+    st.sampled_from(["heuristic", "exact"]),
+    st.integers(0, 2_000),
+)
+@settings(max_examples=60)
+def test_pipeline_on_random_graphs(n, extra, r, k, alpha, core_mode, seed):
+    # kernelize -> lift -> certify_ratio; a rejection must be refuted by the
+    # host having no connected r-dominating set of at most k vertices
+    g = random_connected(n, extra, seed)
+    inst = kernelize(g, kparams(k, r, alpha), core_mode=core_mode)
+    if isinstance(inst, Rejection):
+        assert not exact_cds(g, r, k).found, inst.reason
+        return
     cert = certify_ratio(g, inst, solve_kernel(inst))
-    assert cert.ok
+    assert cert.ok, (cert.lhs, cert.rhs)

@@ -3,11 +3,11 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import cycle_graph, grid_graph, path_graph, random_connected, star_graph
-from lkcds.graphs import Graph, GraphFormatError, mask_of
+from lkcds.graphs import Graph, GraphFormatError, iter_bits, mask_of
 from lkcds.hardness import random_setcover
 from lkcds.oracles import (
     BUDGET_EXHAUSTED,
@@ -84,11 +84,11 @@ def test_solutions_are_lex_minimal():
 
 def test_connected_vertex_sets_on_path():
     p4 = path_graph(4)
-    got = set(connected_vertex_sets(p4, 4))
-    # contiguous intervals only
-    want = {
+    got = sorted(connected_vertex_sets(p4, 4))
+    # contiguous intervals only, each once
+    want = sorted(
         mask_of(range(i, j + 1)) for i in range(4) for j in range(i, 4)
-    }
+    )
     assert got == want
 
 
@@ -97,6 +97,107 @@ def test_connected_vertex_sets_respects_within():
     allowed = mask_of([0, 1, 3])
     for m in connected_vertex_sets(c5, 3, within=allowed):
         assert m & ~allowed == 0
+
+
+def test_connected_vertex_sets_lists_each_set_once():
+    # grown from root 1, the set {0, 1, 2} must not reach back below it
+    g = Graph.from_edges(3, [(0, 2), (1, 2)])
+    got = sorted(connected_vertex_sets(g, 3))
+    assert got == [0b001, 0b010, 0b100, 0b101, 0b110, 0b111]
+
+
+@st.composite
+def forest_graphs(draw, max_n):
+    # a random forest plus a few chords; about one vertex in eight starts a
+    # new tree, so many of these graphs are disconnected
+    n = draw(st.integers(0, max_n))
+    edges = set()
+    for v in range(1, n):
+        if draw(st.integers(0, 7)):
+            edges.add((draw(st.integers(0, v - 1)), v))
+    if n >= 2:
+        ends = st.integers(0, n - 1)
+        for a, b in draw(st.lists(st.tuples(ends, ends), max_size=n)):
+            if a != b:
+                edges.add((min(a, b), max(a, b)))
+    return Graph.from_edges(n, edges)
+
+
+def flood_connected(g, m):
+    # plain BFS inside the mask, independent of the enumerator
+    if m == 0:
+        return False
+    seen = {min(iter_bits(m))}
+    todo = list(seen)
+    while todo:
+        u = todo.pop()
+        for w in g.adj[u]:
+            if (m >> w) & 1 and w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return len(seen) == m.bit_count()
+
+
+@given(forest_graphs(9), st.integers(0, 9), st.integers(0, 511), st.booleans())
+@settings(max_examples=100)
+def test_connected_vertex_sets_match_brute_subsets(g, max_size, within, restrict):
+    full = (1 << g.n) - 1
+    pool = within & full if restrict else full
+    got = list(connected_vertex_sets(g, max_size, pool if restrict else None))
+    assert len(got) == len(set(got))
+    want = {
+        m
+        for m in range(1, 1 << g.n)
+        if m & ~pool == 0 and m.bit_count() <= max_size and flood_connected(g, m)
+    }
+    assert set(got) == want
+
+
+def scan_connected_cover(g, targets, r, k):
+    """(status, solution, value) by the plain scan: the least (size, sorted
+    vertices) among the listed connected sets of at most k vertices whose
+    r-balls cover the targets mask."""
+    if targets == 0:
+        return FOUND, (), 0
+    if sum(1 for c in g.component_masks() if c & targets) != 1:
+        return INFEASIBLE, None, None
+    balls = g.balls(r)
+    best = None
+    for m in connected_vertex_sets(g, k):
+        got = 0
+        for v in iter_bits(m):
+            got |= balls[v]
+        if targets & ~got == 0:
+            key = (m.bit_count(), tuple(iter_bits(m)))
+            if best is None or key < best:
+                best = key
+    if best is None:
+        return NONE_WITHIN_BUDGET, None, None
+    return FOUND, best[1], best[0]
+
+
+@given(
+    forest_graphs(12),
+    st.integers(1, 3),
+    st.integers(0, 12),
+    st.integers(0, 4095),
+    st.booleans(),
+)
+# the search from root 0 meets the hit {0, 3, 4} before the lex-smaller {0, 2, 4}
+@example(
+    Graph.from_edges(7, [(0, 1), (0, 3), (0, 4), (1, 2), (2, 4), (2, 6), (3, 6), (4, 5)]),
+    1, 7, 0, True,
+)
+@settings(max_examples=120)
+def test_connected_cover_matches_plain_scan(g, r, k, annotated, whole):
+    k = min(k, g.n)
+    if whole:
+        got = exact_cds(g, r, k)
+        targets = (1 << g.n) - 1
+    else:
+        targets = annotated & ((1 << g.n) - 1)
+        got = exact_acds(g, iter_bits(targets), r, k)
+    assert (got.status, got.solution, got.value) == scan_connected_cover(g, targets, r, k)
 
 
 @given(st.integers(0, 2_000))
@@ -204,6 +305,6 @@ def test_budget_is_deterministic():
 
 
 def test_budget_binds_per_connected_set():
-    # a budget of 1000 stops the search long before the connected sets of
-    # up to 8 vertices of grid-6x6 are all listed
+    # ruling out 8 vertices on grid-6x6 visits more than 10,000 connected
+    # sets, so a budget of 1000 stops the search
     assert exact_cds(grid_graph(6, 6), 1, 8, budget_nodes=1000).status == BUDGET_EXHAUSTED
