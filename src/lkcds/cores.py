@@ -10,10 +10,10 @@ and certifies the result.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Set, Tuple, Union
+from typing import Iterable, Set, Tuple, Union
 
 from .domination import ContractViolation, connect
-from .graphs import Graph, mask_of
+from .graphs import Graph, iter_bits, mask_of
 from .oracles import cover_exists
 
 DISCONNECTED = "graph is disconnected; no connected dominating set exists"
@@ -41,18 +41,16 @@ def _containment_prune(g: Graph, r: int) -> Set[int]:
     # keep v unless some w has ball(w) strictly inside ball(v), or the same
     # ball and w < v: covering w then forces covering v, for any budget.
     # Dropping such vertices one at a time, from the top id down, until
-    # none is left to drop ends at this same set.
+    # none is left to drop ends at this same set.  Such a w lies in its own
+    # ball, so in v's: only the members of v's ball need a look.
     balls = g.balls(r)
-    first: Dict[int, int] = {}
-    for v in range(g.n):
-        first.setdefault(balls[v], v)
-    # a ball strictly inside another has fewer vertices, and it is enough
-    # to compare against minimal balls, since containment is transitive
-    minimal: List[int] = []
-    for b in sorted(first, key=int.bit_count):
-        if all(m & ~b for m in minimal):
-            minimal.append(b)
-    return {first[b] for b in minimal}
+    return {
+        v
+        for v, b in enumerate(balls)
+        if not any(
+            balls[w] & ~b == 0 and (balls[w] != b or w < v) for w in iter_bits(b)
+        )
+    }
 
 
 def find_core(g: Graph, k: int, r: int, mode: str = "exact") -> CoreOutcome:
@@ -70,14 +68,14 @@ def find_core(g: Graph, k: int, r: int, mode: str = "exact") -> CoreOutcome:
     full = (1 << g.n) - 1
     if not cover_exists(balls, full, k, full):
         return Rejection(f"graph cannot be {r}-dominated by at most {k} vertices")
-    z = _containment_prune(g, r)
+    zmask = mask_of(_containment_prune(g, r))
     # one pass suffices: a budget-k set that covers the rest of Z while
     # avoiding v's ball still does so once Z shrinks, so a kept v stays kept
-    for v in sorted(z, reverse=True):
-        if not cover_exists(balls, mask_of(z - {v}), k, full & ~balls[v]):
+    for v in reversed(list(iter_bits(zmask))):
+        if not cover_exists(balls, zmask & ~(1 << v), k, full & ~balls[v]):
             # every budget-k cover of the rest must enter v's ball
-            z.remove(v)
-    core = DominationCore(tuple(sorted(z)), k, r, "exhaustive")
+            zmask &= ~(1 << v)
+    core = DominationCore(tuple(iter_bits(zmask)), k, r, "exhaustive")
     if not core_verify(g, core.vertices, k, r):
         raise ContractViolation("core extraction produced a non-core")
     return core

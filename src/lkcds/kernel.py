@@ -349,6 +349,9 @@ def parse_kernel(text: str) -> KernelInstance:
         raise GraphFormatError(
             f"[Z] line {zline!r} holds a non-integer vertex"
         ) from None
+    for v in annotated:
+        if not 0 <= v < graph.n:
+            raise GraphFormatError(f"[Z] vertex {v} is not in the kernel graph")
     vm: Dict[int, int] = {}
     for ln in sections["map"]:
         if not ln.strip():

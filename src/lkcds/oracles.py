@@ -32,6 +32,8 @@ class _Budget:
     __slots__ = ("remaining",)
 
     def __init__(self, nodes: Optional[int]):
+        if nodes is not None and nodes < 0:
+            raise ValueError("node budget must be nonnegative")
         self.remaining = nodes
 
     def spend(self) -> None:
@@ -56,86 +58,81 @@ class SolveResult:
 # set cover core
 
 
-def _cover_engine(
-    sets: Sequence[int], universe: int, k: int, budget: _Budget
-) -> Optional[List[int]]:
+def _covers(
+    sets: Sequence[int],
+    holders: Sequence[int],
+    universe: int,
+    k: int,
+    allowed: int,
+    budget: _Budget,
+) -> bool:
+    # whether <= k of the allowed sets cover universe; holders[e] is the mask
+    # of the sets that hold element e
     budget.spend()
-    if universe == 0:
-        return []
-    if k <= 0:
-        return None
+    if universe == 0 or k <= 0:
+        return universe == 0
     # branch on the uncovered element with the fewest candidate sets
-    pick: Optional[Tuple[int, List[int]]] = None
+    pick, fewest = 0, 0
     for e in iter_bits(universe):
-        cands = [i for i, s in enumerate(sets) if (s >> e) & 1]
-        if not cands:
-            return None
-        if pick is None or len(cands) < len(pick[1]):
-            pick = (e, cands)
-            if len(cands) == 1:
+        cands = holders[e] & allowed
+        count = cands.bit_count()
+        if count == 0:
+            return False
+        if not pick or count < fewest:
+            pick, fewest = cands, count
+            if count == 1:
                 break
-    assert pick is not None
-    for i in pick[1]:
-        sub = _cover_engine(sets, universe & ~sets[i], k - 1, budget)
-        if sub is not None:
-            return [i, *sub]
-    return None
+    return any(
+        _covers(sets, holders, universe & ~sets[i], k - 1, allowed, budget)
+        for i in iter_bits(pick)
+    )
 
 
 def cover_exists(ball_masks: Sequence[int], universe: int, k: int, allowed: int) -> bool:
     """Whether <= k balls with ids in the allowed mask cover the universe mask."""
-    sets = [ball_masks[i] for i in iter_bits(allowed)]
-    return _cover_engine(sets, universe, k, _Budget(None)) is not None
+    # balls are symmetric, so the balls are their own holder table
+    return _covers(ball_masks, ball_masks, universe, k, allowed, _Budget(None))
 
 
 def _lex_min_cover(
-    masks: Sequence[int], universe: int, size: int, budget: _Budget
-) -> List[int]:
-    # smallest sorted index list of exactly `size` masks covering universe;
-    # a cover of that size must exist
+    masks: Sequence[int], holders: Sequence[int], rest: int, size: int, budget: _Budget
+) -> Tuple[int, ...]:
+    # smallest sorted index tuple of exactly `size` masks covering rest; a
+    # cover of that size must exist, and none smaller does
     chosen: List[int] = []
-    rest = universe
-    start = 0
-    while len(chosen) < size:
-        for idx in range(start, len(masks)):
-            left = rest & ~masks[idx]
-            need = size - len(chosen) - 1
-            if need == 0:
-                ok = left == 0
-            else:
-                ok = _cover_engine(masks[idx + 1 :], left, need, budget) is not None
-            if ok:
-                chosen.append(idx)
-                rest = left
-                start = idx + 1
-                break
-        else:
-            raise AssertionError("lex refinement lost a known-feasible cover")
-    return chosen
+    for idx, m in enumerate(masks):
+        left = rest & ~m
+        need = size - len(chosen) - 1
+        # the last pick must finish the cover, a check that costs no node
+        if need == 0 and left == 0:
+            return (*chosen, idx)
+        if need and _covers(masks, holders, left, need, -1 << (idx + 1), budget):
+            chosen.append(idx)
+            rest = left
+    raise AssertionError("lex refinement lost a known-feasible cover")
 
 
 def _min_cover(
-    ids: Sequence[int],
-    masks: Sequence[int],
-    universe: int,
-    k: int,
-    budget_nodes: Optional[int],
+    masks: Sequence[int], universe: int, k: int, budget_nodes: Optional[int]
 ) -> SolveResult:
     # lexicographically smallest minimum cover of universe by at most k of
-    # the masks, named by the sorted ids that go with them
-    reach = 0
-    for m in masks:
-        reach |= m
-    if universe & ~reach:
+    # the masks, named by their sorted indices
+    if k < 0:
+        raise ValueError("budget k must be nonnegative")
+    budget = _Budget(budget_nodes)
+    holders = [0] * universe.bit_length()
+    for i, m in enumerate(masks):
+        for e in iter_bits(m & universe):
+            holders[e] |= 1 << i
+    if not all(holders[e] for e in iter_bits(universe)):
         return SolveResult(INFEASIBLE)
     if universe == 0:
         return SolveResult(FOUND, (), 0)
-    budget = _Budget(budget_nodes)
     try:
         for s in range(1, k + 1):
-            if _cover_engine(masks, universe, s, budget) is not None:
-                sol = _lex_min_cover(masks, universe, s, budget)
-                return SolveResult(FOUND, tuple(ids[i] for i in sol), s)
+            if _covers(masks, holders, universe, s, -1, budget):
+                sol = _lex_min_cover(masks, holders, universe, s, budget)
+                return SolveResult(FOUND, sol, s)
     except BudgetExceededError:
         return SolveResult(BUDGET_EXHAUSTED)
     return SolveResult(NONE_WITHIN_BUDGET)
@@ -149,8 +146,7 @@ def exact_ds(
     g: Graph, r: int, k: int, budget_nodes: Optional[int] = None
 ) -> SolveResult:
     """Lexicographically smallest minimum r-dominating set, capped at k."""
-    balls = g.balls(r)
-    return _min_cover(range(g.n), balls, (1 << g.n) - 1, k, budget_nodes)
+    return _min_cover(g.balls(r), (1 << g.n) - 1, k, budget_nodes)
 
 
 def connected_vertex_sets(
@@ -197,6 +193,9 @@ def _connected_cover(
     # symmetric), and the least of those gives the branch's least hit.  A
     # hit's least vertex is its root, so the first root with a hit holds the
     # answer.  The budget charges one node per set the search visits.
+    if k < 0:
+        raise ValueError("budget k must be nonnegative")
+    budget = _Budget(budget_nodes)
     if targets == 0:
         return SolveResult(FOUND, (), 0)
     home = [c for c in g.component_masks() if c & targets]
@@ -204,7 +203,6 @@ def _connected_cover(
         return SolveResult(INFEASIBLE)
     masks = g.neighbor_masks()
     balls = g.balls(r)
-    budget = _Budget(budget_nodes)
 
     def grow(cur: int, left: int, cand: int, banned: int, got: int, above: int) -> int:
         # lex-least hit that adds `left` more vertices to cur, or 0
@@ -266,10 +264,10 @@ def exact_acds(
     budget_nodes: Optional[int] = None,
 ) -> SolveResult:
     """Minimum connected set r-dominating an annotated subset, capped at k."""
-    targets = mask_of(annotated)
-    if targets >> g.n:
+    vertices = tuple(annotated)
+    if not all(0 <= v < g.n for v in vertices):
         raise ValueError("target vertex out of range")
-    return _connected_cover(g, targets, r, k, budget_nodes)
+    return _connected_cover(g, mask_of(vertices), r, k, budget_nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -465,6 +463,5 @@ def exact_setcover(
     inst: SetCoverInstance, budget_nodes: Optional[int] = None
 ) -> SolveResult:
     """Lexicographically smallest minimum cover by set indices, capped at k."""
-    masks = inst.set_masks()
     universe = (1 << inst.universe_size) - 1
-    return _min_cover(range(len(masks)), masks, universe, inst.k, budget_nodes)
+    return _min_cover(inst.set_masks(), universe, inst.k, budget_nodes)

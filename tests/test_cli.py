@@ -162,12 +162,17 @@ def test_bad_values_exit_2_without_traceback(capsys, tmp_path, c6_file):
     code, _, err = run(capsys, ["gen", "--input", str(junk), "--r", "2"])
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err
-    code, _, err = run(
-        capsys,
+    for argv in (
         ["core", "--input", c6_file, "--k", "-1", "--r", "1"],
-    )
-    assert code == 2
-    assert err.startswith("error: ") and "Traceback" not in err
+        ["solve", "--input", c6_file, "--k", "-1", "--r", "1"],
+        ["solve", "--input", c6_file, "--k", "3", "--r", "1", "--budget-nodes", "-3"],
+        ["solve", "--input", c6_file, "--k", "3", "--r", "1", "--z", "-1"],
+    ):
+        code, _, err = run(capsys, argv)
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+    # a negative target gets the message of a too-large one
+    assert "target vertex out of range" in err
 
 
 @pytest.mark.parametrize(

@@ -244,6 +244,10 @@ def test_parse_kernel_errors():
     zline = text.split("[Z]\n")[1].split("\n")[0]
     with pytest.raises(GraphFormatError, match=r"\[Z\] line '.* x'"):
         parse_kernel(text.replace(f"[Z]\n{zline}\n", f"[Z]\n{zline} x\n"))
+    # [Z] names only kernel vertices
+    for bad, vertex in (("0 1 99", 99), ("-1 0", -1)):
+        with pytest.raises(GraphFormatError, match=rf"\[Z\] vertex {vertex} is not"):
+            parse_kernel(text.replace(f"[Z]\n{zline}\n", f"[Z]\n{bad}\n"))
     # a shortcut kernel's solution line must replay its vertex map
     trivial = serialize_kernel(kernelize(star_graph(7), kparams(2, 1, 14)))
     assert "solution 0\n" in trivial

@@ -19,6 +19,7 @@ from lkcds.oracles import (
     brute_ds,
     brute_steiner,
     connected_vertex_sets,
+    cover_exists,
     exact_acds,
     exact_cds,
     exact_ds,
@@ -308,3 +309,54 @@ def test_budget_binds_per_connected_set():
     # ruling out 8 vertices on grid-6x6 visits more than 10,000 connected
     # sets, so a budget of 1000 stops the search
     assert exact_cds(grid_graph(6, 6), 1, 8, budget_nodes=1000).status == BUDGET_EXHAUSTED
+
+
+def test_set_cover_budget_threshold():
+    # the lex refinement's last pick is checked without a search node, so
+    # this query needs exactly 254 nodes
+    g = grid_graph(4, 4)
+    assert exact_ds(g, 1, 4, budget_nodes=254).solution == (1, 7, 8, 14)
+    assert exact_ds(g, 1, 4, budget_nodes=253).status == BUDGET_EXHAUSTED
+
+
+@st.composite
+def cover_queries(draw):
+    # a graph of at most 10 vertices, radius 1-2, random universe and
+    # allowed masks over its vertices, and a cover budget of 0-4
+    n = draw(st.integers(1, 10))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    g = Graph.from_edges(n, [e for e in pairs if draw(st.integers(0, 3)) == 0])
+    full = (1 << n) - 1
+    r = draw(st.integers(1, 2))
+    universe = draw(st.integers(0, full))
+    allowed = draw(st.integers(0, full))
+    return g.balls(r), universe, draw(st.integers(0, 4)), allowed
+
+
+@given(cover_queries())
+@settings(max_examples=200)
+def test_cover_exists_matches_combination_scan(query):
+    balls, universe, k, allowed = query
+    expected = False
+    for s in range(k + 1):
+        for combo in itertools.combinations(iter_bits(allowed), s):
+            got = 0
+            for v in combo:
+                got |= balls[v]
+            expected = expected or universe & ~got == 0
+    assert cover_exists(balls, universe, k, allowed) == expected
+
+
+def test_negative_budgets_are_refused():
+    p5 = path_graph(5)
+    for call in (
+        lambda: exact_cds(p5, 1, -1),
+        lambda: exact_acds(p5, [0], 1, -1),
+        lambda: exact_ds(p5, 1, -1),
+        lambda: exact_cds(p5, 1, 3, budget_nodes=-3),
+        lambda: exact_ds(p5, 1, 3, budget_nodes=-3),
+    ):
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            call()
+    with pytest.raises(ValueError, match="out of range"):
+        exact_acds(p5, [-1], 1, 3)

@@ -15,17 +15,24 @@ instance count and a sha256:
 - `closure`: per accepted closure kernel, the closure stats, the kept
   trees and the `verify_closure` result.
 
+A last `cover` line hashes the set-cover oracles alone: `exact_ds`,
+`exact_setcover` and `cover_exists` on seeded random graphs and set
+systems, with no budget and with node budgets small enough to run out.
+
 Two checkouts that print the same `kernel` lines produce identical cores,
 byte-identical kernels and identical oracle answers on those instances;
 the `closure` lines add the closures and the verifier verdicts, which a
 change to the bundle search or to the stats may move while every kernel
-stays the same.  Standard library only.
+stays the same.  The `cover` line moves when a change to the set-cover
+search changes an answer or where a budget runs out.  Standard library
+only.
 """
 
 from __future__ import annotations
 
 import hashlib
 import importlib.util
+import random
 import sys
 from pathlib import Path
 from typing import List, Tuple
@@ -83,6 +90,45 @@ def instance_lines(item, certify: bool) -> Tuple[List[str], List[str]]:
     return kernel, closure
 
 
+def feed(digest, lines: List[str]) -> None:
+    for line in lines:
+        digest.update(line.encode())
+        digest.update(b"\n")
+
+
+COVER_QUERIES = 300  # random graphs and set systems per seed
+COVER_BUDGETS = (None, 5, 30, 200)
+
+
+def cover_lines(seed: int) -> List[str]:
+    """Set-cover oracle answers on seeded random inputs, with and without budgets."""
+    from lkcds.graphs import Graph
+    from lkcds.oracles import SetCoverInstance, cover_exists, exact_ds, exact_setcover
+
+    rng = random.Random(seed)
+    lines = []
+    for _ in range(COVER_QUERIES):
+        n = rng.randint(1, 12)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        density = rng.choice((0.15, 0.3, 0.5))
+        g = Graph.from_edges(n, [e for e in pairs if rng.random() < density])
+        r, k = rng.randint(1, 3), rng.randint(0, n)
+        size = rng.randint(0, 10)
+        sets = tuple(
+            tuple(sorted(rng.sample(range(size), rng.randint(0, size))))
+            for _ in range(rng.randint(0, 10))
+        )
+        inst = SetCoverInstance(size, sets, rng.randint(0, 5))
+        for budget in COVER_BUDGETS:
+            lines.append(repr(exact_ds(g, r, k, budget)))
+            lines.append(repr(exact_setcover(inst, budget)))
+        full = (1 << n) - 1
+        universe, allowed = rng.randint(0, full), rng.randint(0, full)
+        k = rng.randint(0, 4)
+        lines.append(repr(cover_exists(g.balls(r), universe, k, allowed)))
+    return lines
+
+
 def main(argv: List[str]) -> int:
     if not argv:
         print("usage: python3 tools/kernel_digest.py <checkout> [seeds...]", file=sys.stderr)
@@ -98,12 +144,15 @@ def main(argv: List[str]) -> int:
             for item in workload.build(seed):
                 parts = instance_lines(item, workload.verdict == "certify")
                 for digest, lines in zip(digests.values(), parts):
-                    for line in lines:
-                        digest.update(line.encode())
-                        digest.update(b"\n")
+                    feed(digest, lines)
                 count += 1
         for part, digest in digests.items():
             print(f"{name} {part} seeds={tag} instances={count} sha256={digest.hexdigest()}")
+    digest = hashlib.sha256()
+    for seed in seeds:
+        feed(digest, cover_lines(seed))
+    queries = len(seeds) * COVER_QUERIES
+    print(f"cover seeds={tag} queries={queries} sha256={digest.hexdigest()}")
     return 0
 
 
