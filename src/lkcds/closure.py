@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .domination import Rational, piece_cap
 from .graphs import (
@@ -23,9 +23,8 @@ from .graphs import (
     mask_of,
     tree_problem,
 )
-from .oracles import FOUND
 from .projections import ProfileClassification, classify, profile
-from .steiner import SteinerTree, steiner_exact, steiner_size
+from .steiner import SteinerLattice, SteinerTree, steiner_size
 
 
 def avoiding_path_tree(
@@ -67,20 +66,23 @@ class ClosureResult:
     stats: Dict[str, int] = field(default_factory=dict)
 
 
-def _bounded_cliques(compat: List[int], cap: int) -> List[Tuple[int, ...]]:
-    # all index sets of size <= cap whose pairs are compatible, ascending
-    out: List[Tuple[int, ...]] = []
+def _bounded_cliques(
+    compat: List[int], cap: int
+) -> Iterator[Tuple[Tuple[int, ...], int]]:
+    # every index set of at most cap pairwise compatible groups, with its
+    # mask: by size, so every proper subset comes first, and ascending
+    # within a size; one depth-first pass per size holds no list of them
+    def grow(key, bundle, cand, size):
+        if len(key) == size:
+            yield key, bundle
+        elif cand.bit_count() >= size - len(key):
+            for j in iter_bits(cand):
+                rest = cand & compat[j] & ~((2 << j) - 1)
+                yield from grow(key + (j,), bundle | 1 << j, rest, size)
 
-    def extend(chosen: List[int], cand: int) -> None:
-        out.append(tuple(chosen))
-        if len(chosen) == cap:
-            return
-        for j in iter_bits(cand):
-            extend(chosen + [j], cand & compat[j] & ~((2 << j) - 1))
-
-    for i in range(len(compat)):
-        extend([i], compat[i] & ~((2 << i) - 1))
-    return out
+    for size in range(1, cap + 1):
+        for i, c in enumerate(compat):
+            yield from grow((i,), 1 << i, c & ~((2 << i) - 1), size)
 
 
 def build_closure(
@@ -89,12 +91,17 @@ def build_closure(
     """Closure of g around the blockers, keeping bundles of at most cap groups.
 
     The groups are the profile classes of the free vertices, then one group
-    per blocker.  Two groups are compatible when the OR of the radius
-    cap - 1 balls of one group's members meets the other group's mask,
-    that is, when some members lie within cap - 1 of each other; a tree of
-    at most cap vertices can only meet pairwise compatible groups.  Every
-    bundle of at most cap pairwise compatible groups gets a capped
-    `steiner_exact` search, and the trees found are kept.
+    per blocker; every vertex lies in exactly one.  Two groups are
+    compatible when the OR of the radius cap - 1 balls of one group's
+    members meets the other group, that is, when some members lie within
+    cap - 1 of each other; a tree of at most cap vertices can only meet
+    pairwise compatible groups.  The bundles of at most cap pairwise
+    compatible groups are visited by size in one `SteinerLattice`, so each
+    bundle's row is computed once and read by every larger bundle, and the
+    optimum tree of every bundle that has one within the cap is kept.  A
+    bundle with a sub-bundle that has no such tree has none either, and its
+    row is not built.  Rows of cap groups are read by no larger bundle and
+    are not stored.
     """
     tf, cap = piece_cap(t)
     if cap < 1:
@@ -109,28 +116,29 @@ def build_closure(
     class_count = len(groups)
     groups.extend((x,) for x in xs)
 
-    near = [g.ball_of(grp, cap - 1) for grp in groups]
-    group_masks = [mask_of(grp) for grp in groups]
-    compat = [0] * len(groups)
-    pruned_pairs = 0
-    for i in range(len(groups)):
-        for j in range(i + 1, len(groups)):
-            if near[i] & group_masks[j]:
-                compat[i] |= 1 << j
-                compat[j] |= 1 << i
-            else:
-                pruned_pairs += 1
+    group_of = [0] * g.n
+    for i, grp in enumerate(groups):
+        for v in grp:
+            group_of[v] = i
+    compat = []
+    for i, grp in enumerate(groups):
+        near = 0
+        for v in iter_bits(g.ball_of(grp, cap - 1)):
+            near |= 1 << group_of[v]
+        compat.append(near & ~(1 << i))
+    pairs = len(groups) * (len(groups) - 1) // 2
+    pruned_pairs = pairs - sum(c.bit_count() for c in compat) // 2
 
+    lattice = SteinerLattice(g, [mask_of(grp) for grp in groups], cap)
     kept: Dict[Tuple[int, ...], SteinerTree] = {}
-    dropped = 0
-    cliques = _bounded_cliques(compat, cap)
-    for key in cliques:
-        res = steiner_exact(g, [groups[i] for i in key], size_cap=cap)
-        if res.status == FOUND:
-            assert res.tree is not None
-            kept[key] = res.tree
-        else:
-            dropped += 1
+    candidates = 0
+    for key, bundle in _bounded_cliques(compat, cap):
+        candidates += 1
+        row = lattice.row(bundle, keep=len(key) < cap)
+        if row:
+            kept[key] = lattice.tree(bundle, row)
+    kept = dict(sorted(kept.items()))  # by key, not by the visiting order
+    dropped = candidates - len(kept)
 
     terminals = tuple(
         sorted(
@@ -160,7 +168,7 @@ def build_closure(
         "classes": class_count,
         "groups": len(groups),
         "pruned_pairs": pruned_pairs,
-        "candidate_subsets": len(cliques),
+        "candidate_subsets": candidates,
         "kept_trees": len(kept),
         "dropped_subsets": dropped,
         "terminals": len(terminals),

@@ -9,6 +9,7 @@ guarantee.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -49,18 +50,28 @@ def dominates(
 def greedy_rdom(
     g: Graph, r: int, targets: Optional[Iterable[int]] = None
 ) -> Tuple[int, ...]:
-    """Max-coverage greedy r-dominating set; ties go to the smallest id."""
+    """Max-coverage greedy r-dominating set; ties go to the smallest id.
+
+    Gains only shrink as targets get covered, so a heap of possibly stale
+    gains suffices: the top entry is recomputed, and it is the pick when
+    its gain was still current.
+    """
     want = (1 << g.n) - 1 if targets is None else mask_of(targets)
+    if want >> g.n:
+        raise ValueError("target vertex out of range")
     balls = g.balls(r)
+    heap = [(-(ball & want).bit_count(), v) for v, ball in enumerate(balls)]
+    heapq.heapify(heap)
     chosen: List[int] = []
     while want:
-        best_v, best_gain = -1, 0
-        for v in range(g.n):
-            gain = (balls[v] & want).bit_count()
-            if gain > best_gain:
-                best_v, best_gain = v, gain
-        chosen.append(best_v)
-        want &= ~balls[best_v]
+        stale, v = heap[0]
+        gain = (balls[v] & want).bit_count()
+        if gain == -stale:
+            heapq.heappop(heap)
+            chosen.append(v)
+            want &= ~balls[v]
+        else:
+            heapq.heapreplace(heap, (-gain, v))
     return tuple(chosen)
 
 

@@ -163,12 +163,18 @@ class LiftResult:
 def lift(g: Graph, inst: KernelInstance, solution: Iterable[int]) -> LiftResult:
     """Translate a kernel solution back to the host graph.
 
-    Invalid kernel solutions are refused.  Valid ones map through the
-    vertex relabeling; within budget the result provably dominates the
-    host, and beyond budget it is repaired to stay a valid solution,
-    which cannot change its capped value.
+    Invalid kernel solutions are refused, a vertex outside the kernel by
+    name.  Valid ones map through the vertex relabeling; within budget the
+    result provably dominates the host, and beyond budget it is repaired to
+    stay a valid solution, which cannot change its capped value.
     """
     sol = tuple(sorted(set(solution)))
+    for v in sol:
+        if not 0 <= v < inst.graph.n:
+            raise ValueError(
+                f"kernel solution vertex {v} is not a kernel vertex "
+                f"(the kernel has vertices 0..{inst.graph.n - 1})"
+            )
     if not kernel_solution_valid(inst, sol):
         raise ValueError("kernel solution is not connected or misses the annotated set")
     k, r = inst.params.k, inst.params.r

@@ -1,16 +1,31 @@
-"""Exact group Steiner trees by dynamic programming over group subsets.
+"""Exact group Steiner trees from a lattice of level bitmasks.
 
 Costs count tree vertices, not edges: a tree on one shared vertex scores 1.
-The classic subset DP runs over masks of groups with unit edge weights, so
-the vertex count is the edge optimum plus one.  Group count is capped
-because the work grows as 2^groups times the vertices searched: under a
-size cap that is the region within reach of every group, not the whole
-graph.
+The subset DP (Dreyfus and Wagner) runs over bundles, that is masks of
+groups, with unit edge weights, so the vertex count is the edge optimum
+plus one.  A bundle's row holds one vertex mask per level: level d is the
+set of vertices v that lie on a tree of at most d edges meeting every group
+of the bundle.  Level d is level d - 1, its neighbour shell, and the OR
+over the splits of the bundle into two sub-bundles A and B of the masks
+A[i] & B[d - i].  A row ends at cap - 1 edges, or, without a cap, once it
+stops growing and holds every vertex a split can add.  A `SteinerLattice`
+keeps the rows it is asked to keep, so one lattice per closure computes
+each bundle's row once and shares it with every larger bundle.
+
+Trees are rebuilt by fixed tie-breaks.  Start from the least vertex at the
+least level.  There take the first split, in descending submask order over
+the splits that hold the bundle's top group, whose two levels at the vertex
+sum to its level; if none does, step to the least neighbour one level down.
+These are the choices of the heap-and-back-pointer form of the same DP over
+the whole graph.  Every split or step that adds up to the optimum yields a
+tree of at most cap vertices, which lies within cap - 1 of each group it
+meets, so a row shared from a sub-bundle gives the same tree as a search of
+that bundle alone.  Group count is capped because the work grows as
+3^groups: every split of every bundle.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -19,6 +34,8 @@ from .graphs import Graph, iter_bits, mask_of, tree_problem
 from .oracles import FOUND, INFEASIBLE, NONE_WITHIN_BUDGET
 
 GROUP_LIMIT = 8
+
+Row = Tuple[int, ...]  # vertex masks by level; a short row repeats its last level
 
 
 @dataclass(frozen=True)
@@ -41,6 +58,148 @@ class SteinerResult:
         return None if self.tree is None else self.tree.size
 
 
+class SteinerLattice:
+    """Rows of the subset DP for one graph, one list of groups and one cap.
+
+    Groups are disjoint nonempty vertex masks and bundles are masks over
+    their indices.  `row` builds a bundle's row from the kept rows of its
+    sub-bundles, so callers offer every sub-bundle first.  A sub-bundle
+    without a kept row has no tree within the cap, and neither does any
+    bundle that contains it.
+    """
+
+    def __init__(self, g: Graph, groups: Sequence[int], size_cap: Optional[int]):
+        self.g = g
+        self.groups = groups
+        self.nbr = g.neighbor_masks()
+        # a tree has at most n - 1 edges
+        self.top = g.n - 1 if size_cap is None else min(size_cap, g.n) - 1
+        self.rows: Dict[int, Row] = {}
+
+    def row(self, bundle: int, keep: bool) -> Row:
+        """The bundle's row, or () when no tree of it fits the cap.
+
+        A kept row runs to the cap, or until it stops growing, and is
+        stored for larger bundles.  A row that is not kept stops at its
+        first nonempty level, the last one `tree` reads.
+        """
+        if bundle & (bundle - 1):
+            sides = self._sides(bundle)
+            if sides is None:
+                return ()
+            cur = reach = 0
+            for a, b in sides:
+                reach |= a[-1] & b[-1]
+        else:
+            sides = []
+            cur = reach = self.groups[bundle.bit_length() - 1]
+        # reach: every vertex some split can ever add; once the row holds
+        # it, splits add nothing and the row ends when it stops growing
+        nbr = self.nbr
+        levels = [cur]
+        prev = 0
+        for d in range(1, self.top + 1):
+            if cur and not keep:
+                break
+            grown = cur
+            shell = cur & ~prev
+            while shell:
+                low = shell & -shell
+                grown |= nbr[low.bit_length() - 1]
+                shell ^= low
+            if reach & ~grown:
+                # past its end a row repeats its last level, so a term with
+                # an index past the end is one with both indices inside,
+                # at a lower level that the row already holds
+                for a, b in sides:
+                    la, lb = len(a), len(b)
+                    first = d - lb + 1 if d >= lb else 0
+                    for i in range(first, d + 1 if d < la else la):
+                        grown |= a[i] & b[d - i]
+            elif grown == cur:
+                break
+            prev, cur = cur, grown
+            levels.append(cur)
+        if not cur:
+            return ()
+        row = tuple(levels)
+        if keep:
+            self.rows[bundle] = row
+        return row
+
+    def _sides(self, bundle: int) -> Optional[List[Tuple[Row, Row]]]:
+        # the rows of the two sides of every split, or None when a side
+        # has no row; level 0 of a split is empty, as groups are disjoint
+        rows = self.rows
+        rest = bundle & ~(1 << (bundle.bit_length() - 1))
+        sides = []
+        part = rest
+        while part:
+            a = rows.get(bundle ^ part)
+            b = rows.get(part)
+            if a is None or b is None:
+                return None
+            sides.append((a, b))
+            part = (part - 1) & rest
+        return sides
+
+    def tree(self, bundle: int, row: Row) -> SteinerTree:
+        """The tree the tie-breaks pick from the bundle's nonempty row.
+
+        Checks its own result: a tree of the graph, of value + 1 vertices,
+        meeting every group of the bundle.
+        """
+        value = 0
+        while not row[value]:
+            value += 1
+        start = (row[value] & -row[value]).bit_length() - 1
+        nbr = self.nbr
+        span = 0
+        edges = set()
+        todo = [(bundle, row, start, value)]
+        while todo:
+            b, lv, v, d = todo.pop()
+            span |= 1 << v
+            if b & (b - 1):
+                halves = self._split_at(b, v, d)
+                if halves:
+                    todo.extend(halves)
+                    continue
+            if d:
+                near = nbr[v] & lv[d - 1]
+                w = (near & -near).bit_length() - 1
+                edges.add((v, w) if v < w else (w, v))
+                todo.append((b, lv, w, d - 1))
+        tree = SteinerTree(tuple(iter_bits(span)), tuple(sorted(edges)))
+        problem = tree_problem(self.g, tree.vertices, tree.edges)
+        if problem is not None:
+            raise ContractViolation(f"reconstructed tree {problem}")
+        if tree.size != value + 1:
+            raise ContractViolation("value and reconstruction disagree")
+        for i in iter_bits(bundle):
+            if not span & self.groups[i]:
+                members = tuple(iter_bits(self.groups[i]))
+                raise ContractViolation(f"tree misses group {members}")
+        return tree
+
+    def _split_at(self, bundle: int, v: int, d: int) -> List[Tuple[int, Row, int, int]]:
+        # the first split, by descending side holding the top group, whose
+        # two levels at v sum to d; [] when v got its level by growth
+        rows = self.rows
+        rest = bundle & ~(1 << (bundle.bit_length() - 1))
+        part = rest & -rest
+        while part:
+            a = rows[bundle ^ part]
+            b = rows[part]
+            for i in range(min(d, len(a) - 1) + 1):
+                if (a[i] >> v) & 1:
+                    if (b[min(d - i, len(b) - 1)] >> v) & 1:
+                        return [(bundle ^ part, a, v, i), (part, b, v, d - i)]
+                    break
+            part = (part - rest) & rest
+        return []
+
+
 def steiner_exact(
     g: Graph, groups: Sequence[Iterable[int]], size_cap: Optional[int] = None
 ) -> SteinerResult:
@@ -51,17 +210,8 @@ def steiner_exact(
     count; when only such trees exist the status is NONE_WITHIN_BUDGET,
     and INFEASIBLE when no tree exists at all.
 
-    Runs the subset DP: dp[mask][v] is the fewest edges of a tree that
-    contains v and meets all groups in mask, built by pairwise merges at v
-    and unit-weight Dijkstra growth.  All tie-breaking is deterministic.
-
-    Under a size cap below n the DP only visits the region within cap - 1
-    of every group (an AND over groups of ORs of balls).  A tree of at
-    most cap vertices lies in that region, since each of its vertices is
-    at most cap - 1 tree edges from each group it meets; so do the
-    subtrees it is merged from, which keeps every value and tie-break on
-    the way to the answer, and the rebuilt tree, as over the whole graph.
-    Uncapped calls, and caps of n or more, scan every vertex.
+    One query of a fresh `SteinerLattice`: every proper sub-bundle's row in
+    increasing mask order, then the whole bundle's row and its tree.
     """
     groups = tuple(tuple(sorted(set(grp))) for grp in groups)
     if not groups:
@@ -82,98 +232,18 @@ def steiner_exact(
         for v in grp:
             if not 0 <= v < g.n:
                 raise ValueError(f"group vertex {v} out of range")
-    gc = len(groups)
-    full = (1 << gc) - 1
-    cap_edges = None if size_cap is None else size_cap - 1
-    order: Sequence[int] = range(g.n)
-    adj: Sequence[Sequence[int]] = g.adj
-    inside: Optional[bytearray] = None  # region membership; None: everywhere
-    if cap_edges is not None and cap_edges < g.n - 1:
-        region = -1
-        for grp in groups:
-            region &= g.ball_of(grp, cap_edges)
-        order = list(iter_bits(region))
-        inside = bytearray(g.n)
-        for v in order:
-            inside[v] = 1
-        near_adj: List[Sequence[int]] = [()] * g.n
-        for v in order:
-            near_adj[v] = [w for w in g.adj[v] if inside[w]]
-        adj = near_adj
-    # a tree has at most n - 1 edges, so n marks "no tree yet"
-    unset = g.n
-    dp: List[List[int]] = [[unset] * g.n for _ in range(full + 1)]
-    back: Dict[Tuple[int, int], Tuple] = {}
-    for i, grp in enumerate(groups):
-        for x in grp:
-            if inside is None or inside[x]:
-                dp[1 << i][x] = 0
-                back[(1 << i, x)] = ("seed",)
-    for mask in range(1, full + 1):
-        row = dp[mask]
-        if mask & (mask - 1):
-            sub = (mask - 1) & mask
-            while sub:
-                other = mask ^ sub
-                a, b = dp[sub], dp[other]
-                for v in order:
-                    cand = a[v] + b[v]
-                    if cand < row[v] and (cap_edges is None or cand <= cap_edges):
-                        row[v] = cand
-                        back[(mask, v)] = ("merge", sub)
-                sub = (sub - 1) & mask
-        heap = [(row[v], v) for v in order if row[v] < unset]
-        heapq.heapify(heap)
-        while heap:
-            d, v = heapq.heappop(heap)
-            if d > row[v]:
-                continue
-            nd = d + 1
-            if cap_edges is not None and nd > cap_edges:
-                continue
-            for w in adj[v]:
-                if nd < row[w]:
-                    row[w] = nd
-                    back[(mask, w)] = ("grow", v)
-                    heapq.heappush(heap, (nd, w))
-    best_v = None
-    for v in order:
-        if dp[full][v] < unset and (best_v is None or dp[full][v] < dp[full][best_v]):
-            best_v = v
-    if best_v is None:
-        group_masks = [mask_of(grp) for grp in groups]
+    group_masks = [mask_of(grp) for grp in groups]
+    lattice = SteinerLattice(g, group_masks, size_cap)
+    full = (1 << len(groups)) - 1
+    for bundle in range(1, full):
+        lattice.row(bundle, keep=True)
+    row = lattice.row(full, keep=False)
+    if not row:
         feasible = any(
             all(c & gm for gm in group_masks) for c in g.component_masks()
         )
         return SteinerResult(NONE_WITHIN_BUDGET if feasible else INFEASIBLE)
-
-    vertices: set = set()
-    edges: set = set()
-
-    def collect(mask: int, v: int) -> None:
-        vertices.add(v)
-        op = back[(mask, v)]
-        if op[0] == "seed":
-            return
-        if op[0] == "grow":
-            u = op[1]
-            edges.add((min(u, v), max(u, v)))
-            collect(mask, u)
-            return
-        collect(op[1], v)
-        collect(mask ^ op[1], v)
-
-    collect(full, best_v)
-    tree = SteinerTree(tuple(sorted(vertices)), tuple(sorted(edges)))
-    problem = tree_problem(g, tree.vertices, tree.edges)
-    if problem is not None:
-        raise ContractViolation(f"reconstructed tree {problem}")
-    if tree.size != dp[full][best_v] + 1:
-        raise ContractViolation("value and reconstruction disagree")
-    for grp in groups:
-        if not vertices.intersection(grp):
-            raise ContractViolation(f"tree misses group {grp}")
-    return SteinerResult(FOUND, tree)
+    return SteinerResult(FOUND, lattice.tree(full, row))
 
 
 def steiner_size(g: Graph, groups: Sequence[Iterable[int]]) -> Optional[int]:

@@ -1,7 +1,9 @@
-"""Shared graph builders and the session-wide kernelization sweep."""
+"""Shared graph builders, the whole-graph Steiner DP twin and the
+session-wide kernelization sweep."""
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -12,8 +14,9 @@ from hypothesis import settings
 
 from lkcds.closure import ClosureResult, build_closure
 from lkcds.cores import Rejection
-from lkcds.graphs import Graph, r_subdivision
+from lkcds.graphs import Graph, mask_of, r_subdivision
 from lkcds.kernel import KernelInstance, KernelParams, kernelize, params_from
+from lkcds.oracles import FOUND, INFEASIBLE, NONE_WITHIN_BUDGET
 from lkcds.steiner import SteinerTree
 
 settings.register_profile("suite", deadline=None)
@@ -176,6 +179,70 @@ SUITE_GRAPHS: List[Tuple[str, Graph]] = [
     ("k6-subdiv2", r_subdivision(complete_graph(6), 3)[0]),
     ("k7-subdiv2", r_subdivision(complete_graph(7), 3)[0]),
 ]
+
+
+def whole_graph_dp(g, groups, size_cap):
+    """The subset DP with a heap and back pointers over every vertex of g:
+    (status, vertices, edges).
+
+    An independent twin of `steiner.SteinerLattice`, kept for cross-checks.
+    A merge keeps the first strict improvement in descending submask order
+    and growth the first heap pop, which are the trees the lattice's
+    tie-breaks rebuild."""
+    groups = [sorted(set(grp)) for grp in groups]
+    gc = len(groups)
+    full = (1 << gc) - 1
+    cap_edges = None if size_cap is None else size_cap - 1
+    unset = g.n
+    dp = [[unset] * g.n for _ in range(full + 1)]
+    back = {}
+    for i, grp in enumerate(groups):
+        for x in grp:
+            dp[1 << i][x] = 0
+            back[(1 << i, x)] = ("seed",)
+    for mask in range(1, full + 1):
+        row = dp[mask]
+        if mask & (mask - 1):
+            sub = (mask - 1) & mask
+            while sub:
+                a, b = dp[sub], dp[mask ^ sub]
+                for v in range(g.n):
+                    cand = a[v] + b[v]
+                    if cand < row[v] and (cap_edges is None or cand <= cap_edges):
+                        row[v] = cand
+                        back[(mask, v)] = ("merge", sub)
+                sub = (sub - 1) & mask
+        heap = [(d, v) for v, d in enumerate(row) if d < unset]
+        heapq.heapify(heap)
+        while heap:
+            d, v = heapq.heappop(heap)
+            if d > row[v] or (cap_edges is not None and d + 1 > cap_edges):
+                continue
+            for w in g.adj[v]:
+                if d + 1 < row[w]:
+                    row[w] = d + 1
+                    back[(mask, w)] = ("grow", v)
+                    heapq.heappush(heap, (d + 1, w))
+    best = None
+    for v in range(g.n):
+        if dp[full][v] < unset and (best is None or dp[full][v] < dp[full][best]):
+            best = v
+    if best is None:
+        gms = [mask_of(grp) for grp in groups]
+        feasible = any(all(c & gm for gm in gms) for c in g.component_masks())
+        return (NONE_WITHIN_BUDGET if feasible else INFEASIBLE), None, None
+    vertices, edges = set(), set()
+    todo = [(full, best)]
+    while todo:
+        mask, v = todo.pop()
+        vertices.add(v)
+        op = back[(mask, v)]
+        if op[0] == "grow":
+            edges.add((min(op[1], v), max(op[1], v)))
+            todo.append((mask, op[1]))
+        elif op[0] == "merge":
+            todo += [(op[1], v), (mask ^ op[1], v)]
+    return FOUND, tuple(sorted(vertices)), tuple(sorted(edges))
 
 
 def tampered_path5_closure() -> ClosureResult:

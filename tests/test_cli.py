@@ -173,6 +173,22 @@ def test_bad_values_exit_2_without_traceback(capsys, tmp_path, c6_file):
         assert err.startswith("error: ") and "Traceback" not in err
     # a negative target gets the message of a too-large one
     assert "target vertex out of range" in err
+    kern = tmp_path / "kern.txt"
+    code, _, _ = run(
+        capsys,
+        ["kernelize", "--input", c6_file, "--k", "2", "--r", "1", "--alpha", "7",
+         "--out", str(kern)],
+    )
+    assert code == 0
+    for solution, bad in (("-1 0", -1), ("0 99", 99)):
+        code, _, err = run(
+            capsys,
+            ["lift", "--input", c6_file, "--kernel", str(kern), "--solution", solution],
+        )
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert f"vertex {bad} is not a kernel vertex" in err
+        assert "the kernel has vertices 0..5" in err
 
 
 @pytest.mark.parametrize(

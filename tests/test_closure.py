@@ -18,6 +18,7 @@ from conftest import (
     random_tree,
     spider_graph,
     tampered_path5_closure,
+    whole_graph_dp,
 )
 from lkcds.closure import (
     avoiding_path_tree,
@@ -28,7 +29,7 @@ from lkcds.closure import (
 )
 from lkcds.domination import greedy_rdom
 from lkcds.graphs import Graph, induced_subgraph
-from lkcds.oracles import brute_steiner
+from lkcds.oracles import FOUND, brute_steiner
 from lkcds.projections import classify, profile
 from lkcds.steiner import SteinerTree, steiner_size
 
@@ -151,9 +152,10 @@ def test_closure_stats_accounting():
     assert st_["kept_trees"] + st_["dropped_subsets"] == st_["candidate_subsets"]
 
 
-def _compatible_counts(g, groups, cap):
-    # pruned pairs and bundles under "some members lie within cap - 1",
-    # from distance rows rather than balls
+def _compatible_bundles(g, groups, cap):
+    # pruned pairs, and the bundles of at most cap pairwise compatible
+    # groups under "some members lie within cap - 1", from distance rows
+    # rather than balls
     def gap(i, j):
         ds = [g.dist_row(x)[y] for x in groups[i] for y in groups[j]]
         return min((d for d in ds if d >= 0), default=None)
@@ -165,16 +167,13 @@ def _compatible_counts(g, groups, cap):
         d = gap(i, j)
         ok[i][j] = ok[j][i] = d is not None and d <= cap - 1
         pruned += not ok[i][j]
-
-    def bundles(chosen):
-        count = 1
-        if len(chosen) < cap:
-            for j in range(chosen[-1] + 1, gn):
-                if all(ok[i][j] for i in chosen):
-                    count += bundles(chosen + [j])
-        return count
-
-    return pruned, sum(bundles([i]) for i in range(gn))
+    bundles = [
+        key
+        for size in range(1, cap + 1)
+        for key in combinations(range(gn), size)
+        if all(ok[i][j] for i, j in combinations(key, 2))
+    ]
+    return pruned, bundles
 
 
 @pytest.mark.parametrize("t", [1, 2])
@@ -182,9 +181,9 @@ def test_compatibility_matches_group_distances(t):
     for name, g in SUITE_GRAPHS:
         clo = build_closure(g, greedy_rdom(g, 1), 1, t)
         assert clo.cap == 2 * t
-        pruned, bundles = _compatible_counts(g, clo.groups, clo.cap)
+        pruned, bundles = _compatible_bundles(g, clo.groups, clo.cap)
         assert clo.stats["pruned_pairs"] == pruned, name
-        assert clo.stats["candidate_subsets"] == bundles, name
+        assert clo.stats["candidate_subsets"] == len(bundles), name
 
 
 @st.composite
@@ -213,6 +212,48 @@ def test_kept_bundles_match_brute_force(case):
             if res.found:
                 want[key] = res.value
     assert {key: tree.size for key, tree in clo.kept.items()} == want
+
+
+@st.composite
+def lattice_cases(draw):
+    """A random graph of at most 12 vertices, possibly disconnected, with
+    blockers, a radius and a t whose cap is 2, 3 or 4."""
+    n = draw(st.integers(1, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    g = Graph.from_edges(n, [e for e in pairs if draw(st.integers(0, 9)) < 3])
+    blockers = draw(st.lists(st.integers(0, n - 1), max_size=4, unique=True))
+    r = draw(st.integers(1, 2))
+    t = draw(st.sampled_from([1, Fraction(3, 2), 2]))
+    return g, blockers, r, t
+
+
+@given(lattice_cases())
+@settings(max_examples=150)
+def test_shared_lattice_matches_whole_graph_dp(case):
+    # one lattice serves every bundle of the closure; each kept tree is the
+    # tree a search of its bundle alone over the whole graph rebuilds
+    g, blockers, r, t = case
+    clo = build_closure(g, blockers, r, t)
+    _, bundles = _compatible_bundles(g, clo.groups, clo.cap)
+    dropped = 0
+    for key in bundles:
+        status, vertices, edges = whole_graph_dp(
+            g, [clo.groups[i] for i in key], clo.cap
+        )
+        if status == FOUND:
+            assert key in clo.kept, key
+            tree = clo.kept[key]
+            assert (tree.vertices, tree.edges) == (vertices, edges), key
+        else:
+            assert key not in clo.kept, key
+            dropped += 1
+    assert len(clo.kept) == len(bundles) - dropped
+    assert clo.stats["candidate_subsets"] == len(bundles)
+    assert clo.stats["dropped_subsets"] == dropped
+    assert (
+        clo.stats["kept_trees"] + clo.stats["dropped_subsets"]
+        == clo.stats["candidate_subsets"]
+    )
 
 
 def test_closure_rejects_bad_blockers():

@@ -56,6 +56,35 @@ def test_greedy_targets_subset():
     assert len(sol) == 1
 
 
+def rescan_greedy(g, r, targets=None):
+    # the plain form: rescan every vertex's gain for every pick
+    want = (1 << g.n) - 1 if targets is None else mask_of(targets)
+    balls = g.balls(r)
+    chosen = []
+    while want:
+        best_v, best_gain = -1, 0
+        for v in range(g.n):
+            gain = (balls[v] & want).bit_count()
+            if gain > best_gain:
+                best_v, best_gain = v, gain
+        chosen.append(best_v)
+        want &= ~balls[best_v]
+    return tuple(chosen)
+
+
+@given(st.integers(1, 30), st.integers(0, 40), st.integers(1, 3), st.data())
+@settings(max_examples=150)
+def test_lazy_greedy_matches_rescan(n, extra, r, data):
+    g = random_connected(n, extra, data.draw(st.integers(0, 10_000)))
+    targets = data.draw(st.one_of(st.none(), st.sets(st.integers(0, n - 1))))
+    assert greedy_rdom(g, r, targets) == rescan_greedy(g, r, targets)
+
+
+def test_greedy_refuses_targets_outside_the_graph():
+    with pytest.raises(ValueError, match="target vertex out of range"):
+        greedy_rdom(path_graph(4), 1, targets=[4])
+
+
 def test_connect_path_counts_interiors():
     p7 = path_graph(7)
     res = connect(p7, [0, 6], 6)

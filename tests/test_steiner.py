@@ -1,14 +1,17 @@
 """Group Steiner trees measured in vertices, against brute force."""
 
-import heapq
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cycle_graph, grid_graph, path_graph, random_connected
-from lkcds.graphs import Graph, mask_of
+from conftest import (
+    cycle_graph,
+    grid_graph,
+    path_graph,
+    random_connected,
+    whole_graph_dp,
+)
+from lkcds.graphs import Graph
 from lkcds.oracles import FOUND, INFEASIBLE, NONE_WITHIN_BUDGET, brute_steiner
 from lkcds.steiner import steiner_exact, steiner_size
 
@@ -106,65 +109,6 @@ def test_deterministic_reconstruction():
     first = steiner_exact(g, groups)
     second = steiner_exact(g, groups)
     assert first.tree == second.tree
-
-
-def whole_graph_dp(g, groups, size_cap):
-    """The subset DP over every vertex of g, as it ran before the region
-    confinement: (status, vertices, edges), with the same tie-breaks."""
-    groups = [sorted(set(grp)) for grp in groups]
-    gc = len(groups)
-    full = (1 << gc) - 1
-    cap_edges = None if size_cap is None else size_cap - 1
-    unset = g.n
-    dp = [[unset] * g.n for _ in range(full + 1)]
-    back = {}
-    for i, grp in enumerate(groups):
-        for x in grp:
-            dp[1 << i][x] = 0
-            back[(1 << i, x)] = ("seed",)
-    for mask in range(1, full + 1):
-        row = dp[mask]
-        if mask & (mask - 1):
-            sub = (mask - 1) & mask
-            while sub:
-                a, b = dp[sub], dp[mask ^ sub]
-                for v in range(g.n):
-                    cand = a[v] + b[v]
-                    if cand < row[v] and (cap_edges is None or cand <= cap_edges):
-                        row[v] = cand
-                        back[(mask, v)] = ("merge", sub)
-                sub = (sub - 1) & mask
-        heap = [(d, v) for v, d in enumerate(row) if d < unset]
-        heapq.heapify(heap)
-        while heap:
-            d, v = heapq.heappop(heap)
-            if d > row[v] or (cap_edges is not None and d + 1 > cap_edges):
-                continue
-            for w in g.adj[v]:
-                if d + 1 < row[w]:
-                    row[w] = d + 1
-                    back[(mask, w)] = ("grow", v)
-                    heapq.heappush(heap, (d + 1, w))
-    best = None
-    for v in range(g.n):
-        if dp[full][v] < unset and (best is None or dp[full][v] < dp[full][best]):
-            best = v
-    if best is None:
-        gms = [mask_of(grp) for grp in groups]
-        feasible = any(all(c & gm for gm in gms) for c in g.component_masks())
-        return (NONE_WITHIN_BUDGET if feasible else INFEASIBLE), None, None
-    vertices, edges = set(), set()
-    todo = [(full, best)]
-    while todo:
-        mask, v = todo.pop()
-        vertices.add(v)
-        op = back[(mask, v)]
-        if op[0] == "grow":
-            edges.add((min(op[1], v), max(op[1], v)))
-            todo.append((mask, op[1]))
-        elif op[0] == "merge":
-            todo += [(op[1], v), (mask ^ op[1], v)]
-    return FOUND, tuple(sorted(vertices)), tuple(sorted(edges))
 
 
 @st.composite

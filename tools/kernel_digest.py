@@ -15,17 +15,21 @@ instance count and a sha256:
 - `closure`: per accepted closure kernel, the closure stats, the kept
   trees and the `verify_closure` result.
 
-A last `cover` line hashes the set-cover oracles alone: `exact_ds`,
+A `cover` line hashes the set-cover oracles alone: `exact_ds`,
 `exact_setcover` and `cover_exists` on seeded random graphs and set
 systems, with no budget and with node budgets small enough to run out.
+A last `steiner` line hashes the status and the tree of `steiner_exact`
+on seeded random group systems of up to 8 groups, some on disconnected
+hosts, uncapped and with every size cap from 1 to 5.
 
 Two checkouts that print the same `kernel` lines produce identical cores,
 byte-identical kernels and identical oracle answers on those instances;
 the `closure` lines add the closures and the verifier verdicts, which a
 change to the bundle search or to the stats may move while every kernel
 stays the same.  The `cover` line moves when a change to the set-cover
-search changes an answer or where a budget runs out.  Standard library
-only.
+search changes an answer or where a budget runs out, and the `steiner`
+line when a change to the Steiner search changes a status or a tree.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -129,6 +133,35 @@ def cover_lines(seed: int) -> List[str]:
     return lines
 
 
+STEINER_QUERIES = 200  # random group systems per seed
+STEINER_CAPS = (None, 1, 2, 3, 4, 5)
+
+
+def steiner_lines(seed: int) -> List[str]:
+    """`steiner_exact` statuses and trees on seeded random group systems."""
+    from lkcds.graphs import Graph
+    from lkcds.steiner import steiner_exact
+
+    rng = random.Random(seed)
+    lines = []
+    for _ in range(STEINER_QUERIES):
+        n = rng.randint(1, 14)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        # the sparsest hosts are often disconnected
+        density = rng.choice((0.1, 0.2, 0.35))
+        g = Graph.from_edges(n, [e for e in pairs if rng.random() < density])
+        order = rng.sample(range(n), n)
+        gc = rng.randint(1, min(8, n))
+        groups = [[v] for v in order[:gc]]
+        for v in order[gc:]:
+            slot = rng.randint(-1, gc - 1)  # -1: in no group
+            if slot >= 0:
+                groups[slot].append(v)
+        for cap in STEINER_CAPS:
+            lines.append(repr(steiner_exact(g, groups, size_cap=cap)))
+    return lines
+
+
 def main(argv: List[str]) -> int:
     if not argv:
         print("usage: python3 tools/kernel_digest.py <checkout> [seeds...]", file=sys.stderr)
@@ -153,6 +186,11 @@ def main(argv: List[str]) -> int:
         feed(digest, cover_lines(seed))
     queries = len(seeds) * COVER_QUERIES
     print(f"cover seeds={tag} queries={queries} sha256={digest.hexdigest()}")
+    digest = hashlib.sha256()
+    for seed in seeds:
+        feed(digest, steiner_lines(seed))
+    queries = len(seeds) * STEINER_QUERIES
+    print(f"steiner seeds={tag} queries={queries} sha256={digest.hexdigest()}")
     return 0
 
 
