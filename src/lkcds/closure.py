@@ -69,9 +69,9 @@ class ClosureResult:
 def _bounded_cliques(
     compat: List[int], cap: int
 ) -> Iterator[Tuple[Tuple[int, ...], int]]:
-    # every index set of at most cap pairwise compatible groups, with its
-    # mask: by size, so every proper subset comes first, and ascending
-    # within a size; one depth-first pass per size holds no list of them
+    # every index set of 2 to cap pairwise compatible groups, with its
+    # mask: by size, so every proper subset of two or more comes first, and
+    # ascending within a size; one depth-first pass per size holds no list
     def grow(key, bundle, cand, size):
         if len(key) == size:
             yield key, bundle
@@ -80,7 +80,7 @@ def _bounded_cliques(
                 rest = cand & compat[j] & ~((2 << j) - 1)
                 yield from grow(key + (j,), bundle | 1 << j, rest, size)
 
-    for size in range(1, cap + 1):
+    for size in range(2, cap + 1):
         for i, c in enumerate(compat):
             yield from grow((i,), 1 << i, c & ~((2 << i) - 1), size)
 
@@ -91,27 +91,25 @@ def build_closure(
     """Closure of g around the blockers, keeping bundles of at most cap groups.
 
     The groups are the profile classes of the free vertices, then one group
-    per blocker; every vertex lies in exactly one.  Two groups are
-    compatible when the OR of the radius cap - 1 balls of one group's
-    members meets the other group, that is, when some members lie within
-    cap - 1 of each other; a tree of at most cap vertices can only meet
-    pairwise compatible groups.  The bundles of at most cap pairwise
-    compatible groups are visited by size in one `SteinerLattice`, so each
-    bundle's row is computed once and read by every larger bundle, and the
-    optimum tree of every bundle that has one within the cap is kept.  A
-    bundle with a sub-bundle that has no such tree has none either, and its
-    row is not built.  Rows of cap groups are read by no larger bundle and
-    are not stored.
+    per blocker; every vertex lies in exactly one.  All bundles are visited
+    by size in one `SteinerLattice`, so each bundle's row is computed once
+    and read by every larger bundle, and the optimum tree of every bundle
+    that has one within the cap is kept.  Each group's own row comes first;
+    its last level is the group's radius cap - 1 ball, and two groups are
+    compatible when that ball meets the other group, that is, when some
+    members lie within cap - 1 of each other.  A tree of at most cap
+    vertices can only meet pairwise compatible groups, so larger bundles
+    are the sets of at most cap pairwise compatible groups.  A bundle with
+    a sub-bundle that has no such tree has none either, and its row is not
+    built.  Rows of cap groups are read by no larger bundle and are not
+    stored.
     """
     tf, cap = piece_cap(t)
     if cap < 1:
         raise ValueError("t is too small for any tree to fit")
     xs = tuple(sorted(set(blockers)))
     xset = set(xs)
-    for x in xs:
-        if not 0 <= x < g.n:
-            raise ValueError(f"blocker {x} out of range")
-    cls = classify(g, xs, r)
+    cls = classify(g, xs, r)  # refuses a blocker outside g
     groups: List[Tuple[int, ...]] = [c.members for c in cls.classes]
     class_count = len(groups)
     groups.extend((x,) for x in xs)
@@ -120,18 +118,20 @@ def build_closure(
     for i, grp in enumerate(groups):
         for v in grp:
             group_of[v] = i
+    lattice = SteinerLattice(g, [mask_of(grp) for grp in groups], cap)
+    kept: Dict[Tuple[int, ...], SteinerTree] = {}
     compat = []
-    for i, grp in enumerate(groups):
+    for i in range(len(groups)):
+        row = lattice.row(1 << i, keep=cap > 1)
+        kept[(i,)] = lattice.tree(1 << i, row)
         near = 0
-        for v in iter_bits(g.ball_of(grp, cap - 1)):
+        for v in iter_bits(row[-1]):
             near |= 1 << group_of[v]
         compat.append(near & ~(1 << i))
     pairs = len(groups) * (len(groups) - 1) // 2
     pruned_pairs = pairs - sum(c.bit_count() for c in compat) // 2
 
-    lattice = SteinerLattice(g, [mask_of(grp) for grp in groups], cap)
-    kept: Dict[Tuple[int, ...], SteinerTree] = {}
-    candidates = 0
+    candidates = len(groups)
     for key, bundle in _bounded_cliques(compat, cap):
         candidates += 1
         row = lattice.row(bundle, keep=len(key) < cap)

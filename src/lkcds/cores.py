@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Set, Tuple, Union
 
 from .domination import ContractViolation, connect
-from .graphs import Graph, iter_bits, mask_of
+from .graphs import Graph, iter_bits, mask_of, vertex_mask
 from .oracles import cover_exists
 
 DISCONNECTED = "graph is disconnected; no connected dominating set exists"
@@ -87,9 +87,7 @@ def core_verify(g: Graph, z: Iterable[int], k: int, r: int) -> bool:
     Fails exactly when some budget-k set covers Z while leaving a vertex u
     uncovered, which a cover search restricted outside u's ball detects.
     """
-    zmask = mask_of(z)
-    if zmask >> g.n:
-        raise ValueError("core vertex out of range")
+    zmask = vertex_mask(g, z, "core vertex")
     balls = g.balls(r)
     full = (1 << g.n) - 1
     return not any(cover_exists(balls, zmask, k, full & ~b) for b in balls)

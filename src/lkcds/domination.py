@@ -22,6 +22,7 @@ from .graphs import (
     iter_bits,
     mask_of,
     tree_problem,
+    vertex_mask,
 )
 
 Rational = Union[int, Fraction]
@@ -35,14 +36,12 @@ def dominates(
     g: Graph, dset: Iterable[int], r: int, targets: Optional[Iterable[int]] = None
 ) -> bool:
     """Whether every target lies within distance r of the set."""
-    want = (1 << g.n) - 1 if targets is None else mask_of(targets)
-    if want >> g.n:
-        raise ValueError("target vertex out of range")
+    want = (1 << g.n) - 1
+    if targets is not None:
+        want = vertex_mask(g, targets, "target vertex")
     balls = g.balls(r)
     got = 0
-    for v in dset:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range")
+    for v in iter_bits(vertex_mask(g, dset, "vertex")):
         got |= balls[v]
     return want & ~got == 0
 
@@ -56,9 +55,9 @@ def greedy_rdom(
     gains suffices: the top entry is recomputed, and it is the pick when
     its gain was still current.
     """
-    want = (1 << g.n) - 1 if targets is None else mask_of(targets)
-    if want >> g.n:
-        raise ValueError("target vertex out of range")
+    want = (1 << g.n) - 1
+    if targets is not None:
+        want = vertex_mask(g, targets, "target vertex")
     balls = g.balls(r)
     heap = [(-(ball & want).bit_count(), v) for v, ball in enumerate(balls)]
     heapq.heapify(heap)
@@ -98,13 +97,9 @@ def connect(g: Graph, seeds: Iterable[int], stretch: int) -> ConnectResult:
     seed_tuple = tuple(sorted(set(seeds)))
     if not seed_tuple:
         raise ValueError("cannot connect an empty set")
-    for v in seed_tuple:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range")
-    current = mask_of(seed_tuple)
+    current = vertex_mask(g, seed_tuple, "vertex")
     comps = list(induced_components(g, current))
     p0 = len(comps)
-    masks = g.neighbor_masks()
     added: List[int] = []
     paths: List[Tuple[int, ...]] = []
     while len(comps) > 1:
@@ -123,12 +118,12 @@ def connect(g: Graph, seeds: Iterable[int], stretch: int) -> ConnectResult:
         for w in interior:
             if not (current >> w) & 1:
                 added.append(w)
-        current |= mask_of(interior)
+        inner = mask_of(interior)
+        current |= inner
         paths.append(tuple(path))
         # the path joins every component it touches; the others stay apart
-        joined = reach = mask_of(path)
-        for w in interior:
-            reach |= masks[w]
+        joined = mask_of(path)
+        reach = joined | g.neighborhood(inner)
         for c in comps:
             if c & reach:
                 joined |= c
@@ -193,10 +188,7 @@ def _closest_pair(
         within = free | targets
         seen = layer | 1 << u
         for _ in range(gap - 1):
-            grown = 0
-            for w in iter_bits(layer):
-                grown |= masks[w]
-            layer = grown & within & ~seen
+            layer = g.neighborhood(layer) & within & ~seen
             seen |= layer
         hit = layer & targets
         if hit:

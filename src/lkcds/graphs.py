@@ -22,6 +22,21 @@ def mask_of(vertices: Iterable[int]) -> int:
     return m
 
 
+def vertex_mask(g: Graph, vertices: Iterable[int], what: str) -> int:
+    """The mask of vertices of g; the first one outside g is refused by name.
+
+    The message reads f"{what} {v} out of range", so `what` names the role
+    the caller gives its input, as in "target vertex" or "blocker".
+    """
+    n = g.n
+    m = 0
+    for v in vertices:
+        if not 0 <= v < n:
+            raise ValueError(f"{what} {v} out of range")
+        m |= 1 << v
+    return m
+
+
 def iter_bits(mask: int) -> Iterator[int]:
     """Yield set bit positions in ascending order."""
     while mask:
@@ -91,56 +106,55 @@ class Graph:
             self._masks = tuple(mask_of(row) for row in self.adj)
         return self._masks
 
+    def neighborhood(self, mask: int) -> int:
+        """The OR of the neighbour masks of the mask's vertices."""
+        masks = self.neighbor_masks()
+        out = 0
+        while mask:
+            low = mask & -mask
+            out |= masks[low.bit_length() - 1]
+            mask ^= low
+        return out
+
+    def layers(self, start: int, within: int = -1) -> Iterator[int]:
+        """BFS layers from the `start` mask through the `within` mask.
+
+        Layer 0 is `start`; layer d holds the vertices of `within` at
+        distance d from it in the subgraph induced by `within` and `start`.
+        """
+        seen = layer = start
+        while layer:
+            yield layer
+            layer = self.neighborhood(layer) & within & ~seen
+            seen |= layer
+
     def balls(self, r: int) -> Tuple[int, ...]:
         """Closed r-ball of every vertex, as bitmasks."""
         if r < 0:
             raise ValueError("radius must be nonnegative")
         out = self._balls.get(r)
         if out is None:
-            masks = self.neighbor_masks()
             inner: Tuple[int, ...] = (0,) * self.n
             out = tuple(1 << v for v in range(self.n))
             for _ in range(r):
                 # only the outermost shell can reach past the ball
-                grown = []
-                for b, old in zip(out, inner):
-                    for u in iter_bits(b & ~old):
-                        b |= masks[u]
-                    grown.append(b)
-                if tuple(grown) == out:
+                grown = tuple(
+                    b | self.neighborhood(b & ~old) for b, old in zip(out, inner)
+                )
+                if grown == out:
                     break  # every ball holds its whole component
-                inner, out = out, tuple(grown)
+                inner, out = out, grown
             self._balls[r] = out
         return out
-
-    def ball_of(self, vertices: Iterable[int], r: int) -> int:
-        """Vertices within r of some vertex in `vertices`, as a bitmask."""
-        balls = self.balls(r)
-        m = 0
-        for v in vertices:
-            m |= balls[v]
-        return m
 
     def dist_row(self, v: int) -> Tuple[int, ...]:
         """BFS distances from v; unreachable vertices get -1."""
         row = self._dist.get(v)
         if row is None:
-            masks = self.neighbor_masks()
             dist = [-1] * self.n
-            dist[v] = 0
-            seen = 1 << v
-            frontier = 1 << v
-            d = 0
-            while frontier:
-                grown = 0
-                for u in iter_bits(frontier):
-                    grown |= masks[u]
-                grown &= ~seen
-                d += 1
-                for u in iter_bits(grown):
+            for d, layer in enumerate(self.layers(1 << v)):
+                for u in iter_bits(layer):
                     dist[u] = d
-                seen |= grown
-                frontier = grown
             row = tuple(dist)
             self._dist[v] = row
         return row
@@ -200,9 +214,7 @@ def bfs_layers(
     srcs = sorted(set(sources))
     if not srcs:
         raise ValueError("bfs_layers needs at least one source")
-    for s in srcs:
-        if not 0 <= s < g.n:
-            raise ValueError(f"source {s} out of range")
+    vertex_mask(g, srcs, "source")
     blocked = set(forbidden)
     dist: Dict[int, int] = {}
     parent: Dict[int, Optional[int]] = {}
@@ -226,25 +238,19 @@ def bfs_layers(
     return BFSResult(dist, parent)
 
 
-def _flood(masks: Sequence[int], start: int, within: int) -> int:
+def _flood(g: Graph, start: int, within: int) -> int:
     # the component of the `start` bit in the subgraph induced by `within`
-    comp = frontier = start
-    while frontier:
-        grown = 0
-        for u in iter_bits(frontier):
-            grown |= masks[u]
-        grown &= within & ~comp
-        comp |= grown
-        frontier = grown
+    comp = 0
+    for layer in g.layers(start, within):
+        comp |= layer
     return comp
 
 
 def induced_components(g: Graph, m: int) -> Tuple[int, ...]:
     """Components induced by a bitmask, ordered by smallest member."""
-    masks = g.neighbor_masks()
     comps = []
     while m:
-        comp = _flood(masks, m & -m, m)
+        comp = _flood(g, m & -m, m)
         comps.append(comp)
         m &= ~comp
     return tuple(comps)
@@ -252,7 +258,7 @@ def induced_components(g: Graph, m: int) -> Tuple[int, ...]:
 
 def mask_connected(g: Graph, m: int) -> bool:
     """Whether the vertices of a bitmask induce a connected subgraph."""
-    return m != 0 and _flood(g.neighbor_masks(), m & -m, m) == m
+    return m != 0 and _flood(g, m & -m, m) == m
 
 
 def tree_problem(
@@ -296,9 +302,7 @@ def tree_problem(
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Tuple[Graph, Tuple[int, ...]]:
     """Induced subgraph plus the parent id of each new vertex."""
     parents = tuple(sorted(set(vertices)))
-    for v in parents:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range")
+    vertex_mask(g, parents, "vertex")
     index = {v: i for i, v in enumerate(parents)}
     edges = [
         (index[u], index[v])

@@ -21,6 +21,11 @@ from .oracles import SetCoverInstance, exact_cds, exact_setcover
 IFF_VERIFIED = "iff-verified"
 BACKWARD_ONLY = "backward-only"
 
+# the dimensions `random_setcover` draws from, each from 1 up to its bound
+MAX_UNIVERSE = 8
+MAX_SETS = 8
+MAX_K = 3
+
 
 @dataclass(frozen=True)
 class HardnessInstance:
@@ -29,7 +34,6 @@ class HardnessInstance:
     roles: Dict[int, str]
     setcover: SetCoverInstance
     r: int
-    k_in: int
     k_out: int
     offset: int
     regime: str
@@ -73,21 +77,18 @@ def hardness_instance(sc: SetCoverInstance, r: int) -> HardnessInstance:
         roles=roles,
         setcover=sc,
         r=r,
-        k_in=sc.k,
         k_out=sc.k + 1,
         offset=1,
         regime=IFF_VERIFIED if r == 1 else BACKWARD_ONLY,
     )
 
 
-def random_setcover(
-    seed: int, max_universe: int = 8, max_sets: int = 8, max_k: int = 3
-) -> SetCoverInstance:
+def random_setcover(seed: int) -> SetCoverInstance:
     """Seeded instance with bounded dimensions; not guaranteed coverable."""
     rng = random.Random(seed)
-    n = rng.randint(1, max_universe)
-    m = rng.randint(1, max_sets)
-    k = rng.randint(1, max_k)
+    n = rng.randint(1, MAX_UNIVERSE)
+    m = rng.randint(1, MAX_SETS)
+    k = rng.randint(1, MAX_K)
     sets = []
     for _ in range(m):
         size = rng.randint(1, n)

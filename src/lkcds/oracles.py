@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .graphs import Graph, iter_bits, mask_of
+from .graphs import Graph, iter_bits, mask_of, vertex_mask
 
 FOUND = "found"
 NONE_WITHIN_BUDGET = "none-within-budget"
@@ -264,10 +264,8 @@ def exact_acds(
     budget_nodes: Optional[int] = None,
 ) -> SolveResult:
     """Minimum connected set r-dominating an annotated subset, capped at k."""
-    vertices = tuple(annotated)
-    if not all(0 <= v < g.n for v in vertices):
-        raise ValueError("target vertex out of range")
-    return _connected_cover(g, mask_of(vertices), r, k, budget_nodes)
+    targets = vertex_mask(g, annotated, "target vertex")
+    return _connected_cover(g, targets, r, k, budget_nodes)
 
 
 # ---------------------------------------------------------------------------

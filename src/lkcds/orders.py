@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .domination import ContractViolation
-from .graphs import Graph
+from .graphs import Graph, bfs_layers
 
 
 class OrderedGraph:
@@ -94,7 +94,8 @@ def heuristic_order(
     """Cheap wcol-friendly orders.
 
     degeneracy: reverse of min-degree removal, so core vertices come first.
-    bfs: breadth-first discovery from vertex 0.
+    bfs: breadth-first discovery from vertex 0, then from the least
+    vertex not yet found.
     random: seeded shuffle, for baselines.
     """
     if kind == "degeneracy":
@@ -110,20 +111,14 @@ def heuristic_order(
                     deg[w] -= 1
         return OrderedGraph(g, tuple(reversed(removal)))
     if kind == "bfs":
+        # a BFS record's distance map holds the vertices in queue order
         seen: set = set()
         seq: List[int] = []
         for start in range(g.n):
-            if start in seen:
-                continue
-            seen.add(start)
-            queue: deque = deque([start])
-            while queue:
-                v = queue.popleft()
-                seq.append(v)
-                for w in g.adj[v]:
-                    if w not in seen:
-                        seen.add(w)
-                        queue.append(w)
+            if start not in seen:
+                found = bfs_layers(g, [start]).dist
+                seq.extend(found)
+                seen.update(found)
         return OrderedGraph(g, seq)
     if kind == "random":
         rng = random.Random(seed)

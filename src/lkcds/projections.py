@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .graphs import Graph, bfs_layers
+from .graphs import Graph, bfs_layers, vertex_mask
 
 
 @dataclass(frozen=True)
@@ -91,6 +91,7 @@ def classify(g: Graph, blockers: Iterable[int], r: int) -> ProfileClassification
     X-free interiors reverse cleanly, so both give the same distances.
     """
     xs = tuple(sorted(set(blockers)))
+    vertex_mask(g, xs, "blocker")
     xset = set(xs)
     free_ids = [v for v in range(g.n) if v not in xset]
     pairs: Dict[int, List[Tuple[int, int]]] = {u: [] for u in free_ids}

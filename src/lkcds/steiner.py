@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .domination import ContractViolation
-from .graphs import Graph, iter_bits, mask_of, tree_problem
+from .graphs import Graph, iter_bits, tree_problem, vertex_mask
 from .oracles import FOUND, INFEASIBLE, NONE_WITHIN_BUDGET
 
 GROUP_LIMIT = 8
@@ -95,18 +95,13 @@ class SteinerLattice:
             cur = reach = self.groups[bundle.bit_length() - 1]
         # reach: every vertex some split can ever add; once the row holds
         # it, splits add nothing and the row ends when it stops growing
-        nbr = self.nbr
+        neighborhood = self.g.neighborhood
         levels = [cur]
         prev = 0
         for d in range(1, self.top + 1):
             if cur and not keep:
                 break
-            grown = cur
-            shell = cur & ~prev
-            while shell:
-                low = shell & -shell
-                grown |= nbr[low.bit_length() - 1]
-                shell ^= low
+            grown = cur | neighborhood(cur & ~prev)
             if reach & ~grown:
                 # past its end a row repeats its last level, so a term with
                 # an index past the end is one with both indices inside,
@@ -228,11 +223,7 @@ def steiner_exact(
             seen.add(v)
     if size_cap is not None and size_cap < 1:
         raise ValueError("size cap must be at least 1")
-    for grp in groups:
-        for v in grp:
-            if not 0 <= v < g.n:
-                raise ValueError(f"group vertex {v} out of range")
-    group_masks = [mask_of(grp) for grp in groups]
+    group_masks = [vertex_mask(g, grp, "group vertex") for grp in groups]
     lattice = SteinerLattice(g, group_masks, size_cap)
     full = (1 << len(groups)) - 1
     for bundle in range(1, full):

@@ -171,8 +171,13 @@ def test_bad_values_exit_2_without_traceback(capsys, tmp_path, c6_file):
         code, _, err = run(capsys, argv)
         assert code == 2
         assert err.startswith("error: ") and "Traceback" not in err
-    # a negative target gets the message of a too-large one
-    assert "target vertex out of range" in err
+    # a negative target is named like a too-large one
+    assert "target vertex -1 out of range" in err
+    code, _, err = run(
+        capsys, ["profile-stats", "--input", c6_file, "--r", "1", "--z=0,9"]
+    )
+    assert code == 2
+    assert err == "error: blocker 9 out of range\n"
     kern = tmp_path / "kern.txt"
     code, _, _ = run(
         capsys,

@@ -48,6 +48,11 @@ def test_exact_core_is_verified_and_small():
     assert len(core.vertices) <= g.n
 
 
+def test_core_verify_names_a_vertex_outside_the_graph():
+    with pytest.raises(ValueError, match="^core vertex -1 out of range$"):
+        core_verify(path_graph(5), [-1], 1, 1)
+
+
 def test_core_verify_fails_for_too_small_sets():
     # {0} is not a core of P5 at k=1: covering 0 does not force covering 4
     p5 = path_graph(5)

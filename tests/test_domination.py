@@ -81,8 +81,22 @@ def test_lazy_greedy_matches_rescan(n, extra, r, data):
 
 
 def test_greedy_refuses_targets_outside_the_graph():
-    with pytest.raises(ValueError, match="target vertex out of range"):
+    with pytest.raises(ValueError, match="target vertex 4 out of range"):
         greedy_rdom(path_graph(4), 1, targets=[4])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda g: dominates(g, [0], 1, targets=[-1]), "target vertex -1 out of range"),
+        (lambda g: dominates(g, [-1], 1), "vertex -1 out of range"),
+        (lambda g: greedy_rdom(g, 1, targets=[-1]), "target vertex -1 out of range"),
+        (lambda g: connect(g, [0, 4], 4), "vertex 4 out of range"),
+    ],
+)
+def test_vertex_checks_name_the_input(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(path_graph(4))
 
 
 def test_connect_path_counts_interiors():

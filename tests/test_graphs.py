@@ -1,9 +1,11 @@
 """Graph container, traversal, subdivision, and file formats."""
 
 import random
+from collections import deque
+from itertools import islice
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import cycle_graph, grid_graph, path_graph, random_connected, star_graph
@@ -12,7 +14,9 @@ from lkcds.graphs import (
     GraphFormatError,
     bfs_layers,
     graph_on_vertices,
+    induced_components,
     induced_subgraph,
+    iter_bits,
     mask_connected,
     mask_of,
     parse_graph,
@@ -20,7 +24,9 @@ from lkcds.graphs import (
     serialize_graph,
     sniff_format,
     tree_problem,
+    vertex_mask,
 )
+from lkcds.orders import heuristic_order
 
 
 def test_from_edges_normalizes():
@@ -64,6 +70,85 @@ def test_balls_match_distance_rows(n, seed):
             for v in range(n)
         )
         assert g.balls(r) == want
+
+
+def plain_bfs_order(g):
+    # breadth-first discovery from each vertex not yet found, by a deque
+    seen = set()
+    seq = []
+    for start in range(g.n):
+        if start in seen:
+            continue
+        seen.add(start)
+        queue = deque([start])
+        while queue:
+            v = queue.popleft()
+            seq.append(v)
+            for w in g.adj[v]:
+                if w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+    return seq
+
+
+@given(st.integers(0, 14), st.sampled_from((0.1, 0.2, 0.4)), st.data())
+@settings(max_examples=150)
+def test_mask_primitives_match_the_queue_bfs(n, density, data):
+    # the mask routines (neighborhood, layers and what is built on them)
+    # against bfs_layers, the one queue BFS, on sparse and often
+    # disconnected graphs
+    rng = random.Random(data.draw(st.integers(0, 10_000)))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    g = Graph.from_edges(n, [e for e in pairs if rng.random() < density])
+    full = (1 << n) - 1
+    for _ in range(4):
+        m = data.draw(st.integers(0, full))
+        want = 0
+        for v in iter_bits(m):
+            want |= mask_of(g.adj[v])
+        assert g.neighborhood(m) == want
+    for v in range(n):
+        # a graph has at most n layers, so a flood that never stops shows
+        # up as one too many
+        dist = bfs_layers(g, [v]).dist
+        depth = max(dist.values())
+        assert list(islice(g.layers(1 << v), n + 1)) == [
+            mask_of(u for u, d in dist.items() if d == i) for i in range(depth + 1)
+        ]
+        assert g.dist_row(v) == tuple(dist.get(u, -1) for u in range(n))
+    for r in range(4):
+        assert g.balls(r) == tuple(
+            mask_of(bfs_layers(g, [v], depth_cap=r).dist) for v in range(n)
+        )
+    for _ in range(4):
+        m = data.draw(st.integers(0, full))
+        sub, parents = induced_subgraph(g, iter_bits(m))
+        comps = []
+        left = set(range(sub.n))
+        while left:
+            reached = bfs_layers(sub, [min(left)]).dist
+            comps.append(mask_of(parents[i] for i in reached))
+            left.difference_update(reached)
+        assert induced_components(g, m) == tuple(comps)
+        if m:
+            # layers confined to m are the queue BFS of the induced subgraph
+            start = parents[0]
+            dist = bfs_layers(sub, [0]).dist
+            depth = max(dist.values())
+            assert list(islice(g.layers(1 << start, m), n + 1)) == [
+                mask_of(parents[i] for i, d in dist.items() if d == j)
+                for j in range(depth + 1)
+            ]
+    assert list(heuristic_order(g, "bfs").seq) == plain_bfs_order(g)
+
+
+def test_vertex_mask_names_the_first_vertex_outside():
+    g = path_graph(3)
+    assert vertex_mask(g, [2, 0, 2], "vertex") == 0b101
+    with pytest.raises(ValueError, match="^blocker 3 out of range$"):
+        vertex_mask(g, [0, 3, -1], "blocker")
+    with pytest.raises(ValueError, match="^source -1 out of range$"):
+        bfs_layers(g, [-1, 5])
 
 
 def test_mask_connected():

@@ -18,9 +18,14 @@ instance count and a sha256:
 A `cover` line hashes the set-cover oracles alone: `exact_ds`,
 `exact_setcover` and `cover_exists` on seeded random graphs and set
 systems, with no budget and with node budgets small enough to run out.
-A last `steiner` line hashes the status and the tree of `steiner_exact`
-on seeded random group systems of up to 8 groups, some on disconnected
-hosts, uncapped and with every size cap from 1 to 5.
+A `steiner` line hashes the status and the tree of `steiner_exact` on
+seeded random group systems of up to 8 groups, some on disconnected
+hosts, uncapped and with every size cap from 1 to 5.  A last `graphs`
+line hashes the graph primitives the other lines reach only in part, on
+seeded random graphs of 0 to 16 vertices, often disconnected: the
+`dist_row` of every vertex, `balls` at radius 0 to 3, `component_masks`,
+the `heuristic_order` of each kind with its `wreach` sets at radius 0 to
+3, and `connect` on random seed sets.
 
 Two checkouts that print the same `kernel` lines produce identical cores,
 byte-identical kernels and identical oracle answers on those instances;
@@ -29,6 +34,8 @@ change to the bundle search or to the stats may move while every kernel
 stays the same.  The `cover` line moves when a change to the set-cover
 search changes an answer or where a budget runs out, and the `steiner`
 line when a change to the Steiner search changes a status or a tree.
+The `graphs` line moves when a distance, ball, component, order, weak
+reachability set or stitching result changes.
 Standard library only.
 """
 
@@ -162,6 +169,39 @@ def steiner_lines(seed: int) -> List[str]:
     return lines
 
 
+GRAPH_QUERIES = 150  # random graphs per seed
+ORDER_KINDS = ("degeneracy", "bfs", "random")
+
+
+def graph_lines(seed: int) -> List[str]:
+    """Distances, balls, components, orders and stitching on seeded random graphs."""
+    from lkcds.domination import ContractViolation, connect
+    from lkcds.graphs import Graph
+    from lkcds.orders import heuristic_order
+
+    rng = random.Random(seed)
+    lines = []
+    for query in range(GRAPH_QUERIES):
+        n = rng.randint(0, 16) if query else 0
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        density = rng.choice((0.1, 0.2, 0.35))
+        g = Graph.from_edges(n, [e for e in pairs if rng.random() < density])
+        lines.append(repr([g.dist_row(v) for v in range(n)]))
+        lines.append(repr([g.balls(r) for r in range(4)]))
+        lines.append(repr(g.component_masks()))
+        for kind in ORDER_KINDS:
+            og = heuristic_order(g, kind, seed=rng.randint(0, 10_000))
+            lines.append(repr(og.seq))
+            lines.append(repr([og.wreach(s) for s in range(4)]))
+        if n:
+            seeds = rng.sample(range(n), rng.randint(1, n))
+            try:
+                lines.append(repr(connect(g, seeds, rng.choice((1, 2, n)))))
+            except ContractViolation as exc:
+                lines.append(f"ContractViolation: {exc}")
+    return lines
+
+
 def main(argv: List[str]) -> int:
     if not argv:
         print("usage: python3 tools/kernel_digest.py <checkout> [seeds...]", file=sys.stderr)
@@ -191,6 +231,11 @@ def main(argv: List[str]) -> int:
         feed(digest, steiner_lines(seed))
     queries = len(seeds) * STEINER_QUERIES
     print(f"steiner seeds={tag} queries={queries} sha256={digest.hexdigest()}")
+    digest = hashlib.sha256()
+    for seed in seeds:
+        feed(digest, graph_lines(seed))
+    queries = len(seeds) * GRAPH_QUERIES
+    print(f"graphs seeds={tag} queries={queries} sha256={digest.hexdigest()}")
     return 0
 
 
