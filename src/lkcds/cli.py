@@ -194,7 +194,7 @@ def cmd_profile_stats(args: argparse.Namespace) -> int:
             raise _CliError("profile-stats needs --z or --k")
         blockers = list(_core_outcome(args).vertices)
     cls = classify(g, blockers, args.r)
-    print(f"blockers {len(blockers)}")
+    print(f"blockers {len(cls.blockers)}")
     print(f"classes {len(cls)}")
     for i, c in enumerate(cls.classes):
         print(f"class {i} size {len(c.members)} entries {len(c.profile.entries)}")

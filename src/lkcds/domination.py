@@ -13,7 +13,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .graphs import (
     Graph,
@@ -87,26 +87,69 @@ def connect(g: Graph, seeds: Iterable[int], stretch: int) -> ConnectResult:
     Components are ordered by their smallest member.  Each round merges
     along the least key (d, u, v) over seed vertices u and v, where u lies
     in an earlier component than v and d is their host distance; the path
-    is `bfs_layers(g, [u]).path_to(v)`.  A round costs one labelled
-    multi-source BFS, O(n + m), which finds d, then depth-d bitmask floods
-    through non-seed vertices from each u in ascending order, until one
-    reaches a later component.  A merge needing more than `stretch`
-    interior vertices, or a total beyond stretch * (components - 1),
-    violates the contract this routine is used under and raises.
+    is `bfs_layers(g, [u]).path_to(v)`, and its interior vertices become
+    seeds.  A merge needing more than `stretch` interior vertices, or a
+    total beyond stretch * (components - 1), violates the contract this
+    routine is used under and raises.
+
+    Host distances never change, so the rounds share one pass over seed
+    pairs in key order.  Every seed keeps its own BFS (`Graph.layers`),
+    and all of them advance together one radius at a time; a layer that
+    meets a seed of another component puts the pair on a heap in both
+    orientations.  A seed added by a merge first catches up to the
+    current radius.  Popped pairs that now share a component are
+    dropped, and pairs pointing from a later component to an earlier one
+    are held back until the round's merge, which may turn them round.
+    One call costs one depth-d BFS per seed, with d the largest merge
+    distance, plus a few heap operations per seed pair met.
     """
     seed_tuple = tuple(sorted(set(seeds)))
     if not seed_tuple:
         raise ValueError("cannot connect an empty set")
     current = vertex_mask(g, seed_tuple, "vertex")
-    comps = list(induced_components(g, current))
-    p0 = len(comps)
+    members = list(induced_components(g, current))  # seed mask per component id
+    p0 = live = len(members)
+    if p0 == 1:
+        return ConnectResult(seed_tuple, (), ())
+    least = [c & -c for c in members]  # the order of the components
+    comp = [0] * g.n  # component id per seed vertex
+    for i, c in enumerate(members):
+        for v in iter_bits(c):
+            comp[v] = i
+    # each seed's BFS layers, read one per radius; other slots stay unused
+    floods: List[Iterator[int]] = [iter(())] * g.n
+    for v in seed_tuple:
+        floods[v] = g.layers(1 << v)
+        next(floods[v])
+    radius = 0
+    heap: List[Tuple[int, int, int]] = []
     added: List[int] = []
     paths: List[Tuple[int, ...]] = []
-    while len(comps) > 1:
-        best = _closest_pair(g, comps)
-        if best is None:
-            raise ContractViolation("seed components lie in different graph parts")
-        d, u, v = best
+    while live > 1:
+        held = []
+        while True:
+            if not heap:
+                radius += 1
+                grown = 0
+                for s in iter_bits(current):
+                    layer = next(floods[s], 0)
+                    grown |= layer
+                    # the heap was empty and entries come in key order,
+                    # so the list is a heap
+                    for b in iter_bits(layer & current & ~members[comp[s]]):
+                        heap.append((radius, s, b))
+                if not (heap or grown):
+                    raise ContractViolation(
+                        "seed components lie in different graph parts"
+                    )
+                continue
+            d, u, v = heapq.heappop(heap)
+            if comp[u] == comp[v]:
+                continue
+            if least[comp[u]] > least[comp[v]]:
+                held.append((d, u, v))
+                continue
+            break
         if d - 1 > stretch:
             raise ContractViolation(
                 f"merge from {u} to {v} needs {d - 1} interior vertices, "
@@ -119,81 +162,36 @@ def connect(g: Graph, seeds: Iterable[int], stretch: int) -> ConnectResult:
             if not (current >> w) & 1:
                 added.append(w)
         inner = mask_of(interior)
-        current |= inner
+        fresh = inner & ~current
         paths.append(tuple(path))
         # the path joins every component it touches; the others stay apart
-        joined = mask_of(path)
-        reach = joined | g.neighborhood(inner)
-        for c in comps:
-            if c & reach:
-                joined |= c
-        comps = sorted(
-            [c for c in comps if not c & reach] + [joined], key=lambda c: c & -c
-        )
+        reach = mask_of(path) | g.neighborhood(inner)
+        ids = {comp[x] for x in iter_bits(reach & current)}
+        keep = comp[u]
+        merged = inner
+        for i in ids:
+            merged |= members[i]
+            if i != keep:
+                for x in iter_bits(members[i]):
+                    comp[x] = keep
+        members[keep] = merged
+        least[keep] = merged & -merged  # the new interior vertices count too
+        live -= len(ids) - 1
+        current |= inner
+        for entry in held:
+            heapq.heappush(heap, entry)
+        for x in iter_bits(fresh):
+            comp[x] = keep
+            floods[x] = g.layers(1 << x)
+            for dist, layer in zip(range(radius + 1), floods[x]):
+                for b in iter_bits(layer & current & ~merged):
+                    heapq.heappush(heap, (dist, x, b))
+                    heapq.heappush(heap, (dist, b, x))
     if len(added) > stretch * (p0 - 1):
         raise ContractViolation(
             f"added {len(added)} vertices, allowed {stretch * (p0 - 1)}"
         )
     return ConnectResult(tuple(iter_bits(current)), tuple(added), tuple(paths))
-
-
-def _closest_pair(
-    g: Graph, comps: Sequence[int]
-) -> Optional[Tuple[int, int, int]]:
-    # The least (d, u, v) with u in an earlier component than v, or None
-    # when no two components share a graph part.  A BFS from all of them at
-    # once labels each vertex by a nearest component; a shortest path
-    # between two components changes label along some edge (x, y), so the
-    # least gap is the least dist[x] + 1 + dist[y] over such edges.
-    label = [-1] * g.n
-    dist = [0] * g.n
-    queue: List[int] = []
-    for i, c in enumerate(comps):
-        for v in iter_bits(c):
-            label[v] = i
-            queue.append(v)
-    gap = None
-    for x in queue:  # the loop also visits what it appends
-        dx = dist[x]
-        # an edge not yet seen has both ends at depth >= dx, so it gives
-        # at least 2 * dx + 1
-        if gap is not None and 2 * dx + 1 >= gap:
-            break
-        lx = label[x]
-        for y in g.adj[x]:
-            ly = label[y]
-            if ly < 0:
-                label[y] = lx
-                dist[y] = dx + 1
-                queue.append(y)
-            elif ly != lx and (gap is None or dx + 1 + dist[y] < gap):
-                gap = dx + 1 + dist[y]
-    if gap is None:
-        return None
-    masks = g.neighbor_masks()
-    later = [0] * len(comps)
-    for i in range(len(comps) - 2, -1, -1):
-        later[i] = later[i + 1] | comps[i + 1]
-    seeds = later[0] | comps[0]
-    free = ((1 << g.n) - 1) & ~seeds
-    # No pair is closer than gap, so the first u whose depth-gap layer
-    # meets a later component gives the least key.  A shortest path
-    # between closest components has no seed vertex inside, so the
-    # flood only crosses free vertices.
-    for u in iter_bits(seeds):
-        targets = later[label[u]]
-        layer = masks[u] & free  # gap >= 2: no target is adjacent
-        if not (targets and layer):
-            continue
-        within = free | targets
-        seen = layer | 1 << u
-        for _ in range(gap - 1):
-            layer = g.neighborhood(layer) & within & ~seen
-            seen |= layer
-        hit = layer & targets
-        if hit:
-            return gap, u, (hit & -hit).bit_length() - 1
-    raise ContractViolation("no seed pair realises the closest gap")
 
 
 # ---------------------------------------------------------------------------

@@ -129,6 +129,12 @@ def test_core_and_stats_commands(capsys, c6_file):
     )
     assert code == 0
     assert out.splitlines()[0] == "blockers 2"
+    # a repeated blocker counts once, as in the classes printed after it
+    code, out, _ = run(
+        capsys, ["profile-stats", "--input", c6_file, "--r", "1", "--z=0,0"]
+    )
+    assert code == 0
+    assert out.splitlines()[0] == "blockers 1"
     code, out, _ = run(capsys, ["wcol-report", "--input", c6_file, "--s", "2"])
     assert code == 0
     assert out.splitlines()[0].startswith("wcol 2 ")

@@ -1,6 +1,7 @@
 """Domination predicates, greedy cover, stitching, and subtree covers."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -156,10 +157,11 @@ def _all_pairs_connect(g, seeds, stretch):
         if len(comps) <= 1:
             break
         comp_of = {v: i for i, c in enumerate(comps) for v in iter_bits(c)}
+        members = list(iter_bits(current))
         best = None
-        for u in iter_bits(current):
+        for u in members:
             row = g.dist_row(u)
-            for v in iter_bits(current):
+            for v in members:
                 if comp_of[u] < comp_of[v] and row[v] >= 0:
                     key = (row[v], u, v)
                     if best is None or key < best:
@@ -227,6 +229,60 @@ def test_connect_matches_all_pairs_scan_on_a_heuristic_core():
     got = connect(g, core, 2)
     assert got == _all_pairs_connect(g, core, 2)
     assert len(got.merge_paths) > 10
+
+
+def test_connect_orders_by_the_merged_least_member():
+    # the merge 6-3-9 makes 3 the least member of its component, so the
+    # next pair runs from 3 to 4, not from 4 to 3
+    g = Graph.from_edges(
+        15,
+        [(0, 1), (0, 8), (1, 2), (1, 4), (1, 7), (2, 3), (3, 5), (3, 6),
+         (3, 9), (4, 11), (6, 13), (7, 12), (7, 14), (8, 10)],
+    )
+    res = connect(g, [14, 6, 9, 4], 2)
+    assert res.merge_paths == ((6, 3, 9), (3, 2, 1, 4), (1, 7, 14))
+    assert res == _all_pairs_connect(g, [14, 6, 9, 4], 2)
+
+
+@pytest.mark.parametrize(
+    "stretch, expected",
+    [
+        (2, ((7, 0, 8), (0, 4, 1, 2))),
+        (1, ("ContractViolation", "merge from 0 to 2 needs 2 interior vertices, allowed 1")),
+    ],
+)
+def test_connect_merges_from_a_new_interior_vertex(stretch, expected):
+    # the interior vertex 0 of the first merge becomes the component's least
+    # member and the start of the second merge
+    g = Graph.from_edges(
+        9, [(0, 4), (0, 7), (0, 8), (1, 2), (1, 4), (3, 5), (3, 6), (4, 5), (5, 7), (6, 7)]
+    )
+    seeds = [7, 3, 2, 8, 6]
+    got = _outcome(connect, g, seeds, stretch)
+    assert got == _outcome(_all_pairs_connect, g, seeds, stretch)
+    assert getattr(got, "merge_paths", got) == expected
+
+
+def _relabeled(g, seed):
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+@pytest.mark.parametrize("n", [100, 200])
+def test_connect_matches_all_pairs_scan_at_ladder_scale(n):
+    # ladder-like hosts: merges over distances 3 and 4 take the searches
+    # past their first radii, and their interior vertices become seeds that
+    # have to catch up
+    g = _relabeled(random_connected(n, n // 10, n + 1), n)
+    runs = [(find_core(g, 1, r, mode="heuristic").vertices, 2 * r) for r in (1, 2)]
+    runs += [(greedy_rdom(g, r), g.n) for r in (1, 2)]
+    lengths = []
+    for seeds, stretch in runs:
+        got = connect(g, seeds, stretch)
+        assert got == _all_pairs_connect(g, seeds, stretch)
+        lengths += [len(p) for p in got.merge_paths]
+    assert max(lengths) >= 4
 
 
 def test_covering_family_singletons_when_t_small():

@@ -25,7 +25,11 @@ line hashes the graph primitives the other lines reach only in part, on
 seeded random graphs of 0 to 16 vertices, often disconnected: the
 `dist_row` of every vertex, `balls` at radius 0 to 3, `component_masks`,
 the `heuristic_order` of each kind with its `wreach` sets at radius 0 to
-3, and `connect` on random seed sets.
+3, and `connect` on random seed sets.  A `connect` line hashes `connect`
+on ladder-scale hosts, sparse random graphs of 100 to 300 vertices
+relabelled as the `ladder` workload builds them: the heuristic core at
+r = 1 and 2 stitched with stretch 2r, and the greedy r-dominating set at
+r = 1 and 2 stitched with stretch n.
 
 Two checkouts that print the same `kernel` lines produce identical cores,
 byte-identical kernels and identical oracle answers on those instances;
@@ -35,7 +39,8 @@ stays the same.  The `cover` line moves when a change to the set-cover
 search changes an answer or where a budget runs out, and the `steiner`
 line when a change to the Steiner search changes a status or a tree.
 The `graphs` line moves when a distance, ball, component, order, weak
-reachability set or stitching result changes.
+reachability set or stitching result changes, and the `connect` line when
+a stitching result on hosts of ladder size changes.
 Standard library only.
 """
 
@@ -202,6 +207,33 @@ def graph_lines(seed: int) -> List[str]:
     return lines
 
 
+CONNECT_HOSTS = 8  # ladder-scale hosts per seed
+
+
+def connect_lines(seed: int, workloads) -> List[str]:
+    """`connect` on heuristic cores and greedy dominating sets of ladder-scale hosts."""
+    from lkcds.cores import find_core
+    from lkcds.domination import ContractViolation, connect, greedy_rdom
+
+    rng = random.Random(seed)
+    lines = []
+    for _ in range(CONNECT_HOSTS):
+        n = rng.randint(100, 300)
+        shape = workloads.random_connected(n, n // 10, rng.randint(0, 10_000))
+        g = workloads.relabeled(shape, rng)
+        for r in (1, 2):
+            runs = (
+                (find_core(g, 1, r, mode="heuristic").vertices, 2 * r),
+                (greedy_rdom(g, r), n),
+            )
+            for seeds, stretch in runs:
+                try:
+                    lines.append(repr(connect(g, seeds, stretch)))
+                except ContractViolation as exc:
+                    lines.append(f"ContractViolation: {exc}")
+    return lines
+
+
 def main(argv: List[str]) -> int:
     if not argv:
         print("usage: python3 tools/kernel_digest.py <checkout> [seeds...]", file=sys.stderr)
@@ -236,6 +268,11 @@ def main(argv: List[str]) -> int:
         feed(digest, graph_lines(seed))
     queries = len(seeds) * GRAPH_QUERIES
     print(f"graphs seeds={tag} queries={queries} sha256={digest.hexdigest()}")
+    digest = hashlib.sha256()
+    for seed in seeds:
+        feed(digest, connect_lines(seed, workloads))
+    hosts = len(seeds) * CONNECT_HOSTS
+    print(f"connect seeds={tag} hosts={hosts} sha256={digest.hexdigest()}")
     return 0
 
 
