@@ -14,6 +14,7 @@ from typing import Callable, List, Optional, Sequence, TypeVar
 
 from . import closure as _closure
 from .cores import CoreOutcome, Rejection, connected_core, find_core
+from .domination import ContractViolation
 from .graphs import Graph, parse_graph, serialize_graph
 from .hardness import hardness_instance
 from .kernel import (
@@ -146,7 +147,10 @@ def cmd_lift(args: argparse.Namespace) -> int:
     host = _load_graph(args.input, args.format)
     inst = _parse_file(args.kernel, parse_kernel)
     sol = _parse_ids(args.solution) if args.solution else []
-    res = lift(host, inst, sol)
+    try:
+        res = lift(host, inst, sol)
+    except ContractViolation as exc:
+        raise _CliError(f"lift rejected the data: {exc}", EXIT_VERIFY) from exc
     print("lifted", " ".join(str(v) for v in res.solution))
     _note(
         f"value={res.value} dominates={res.dominates_host} connected={res.connected}"

@@ -11,11 +11,11 @@ the verifier checks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .domination import Rational, piece_cap
 from .graphs import (
+    BFSResult,
     Graph,
     bfs_layers,
     graph_on_vertices,
@@ -25,6 +25,20 @@ from .graphs import (
 )
 from .projections import ProfileClassification, classify, profile
 from .steiner import SteinerLattice, SteinerTree, steiner_size
+
+
+def _walk_paths(
+    res: BFSResult, start: int, targets: Iterable[int]
+) -> Tuple[Set[int], Set[Tuple[int, int]]]:
+    # vertices and edges, each edge low end first, of the search's paths
+    # from its start to every target
+    vs: Set[int] = {start}
+    es: Set[Tuple[int, int]] = set()
+    for x in targets:
+        path = res.path_to(x)
+        vs.update(path)
+        es.update((min(a, b), max(a, b)) for a, b in zip(path, path[1:]))
+    return vs, es
 
 
 def avoiding_path_tree(
@@ -38,16 +52,7 @@ def avoiding_path_tree(
     """
     xs = set(blockers)
     res = bfs_layers(g, [u], depth_cap=r, forbidden=xs)
-    vs: Set[int] = {u}
-    es: Set[Tuple[int, int]] = set()
-    for x in xs:
-        if x not in res.dist:
-            continue
-        path = res.path_to(x)
-        vs.update(path)
-        for a, b in zip(path, path[1:]):
-            es.add((min(a, b), max(a, b)))
-    return vs, es
+    return _walk_paths(res, u, [x for x in xs if x in res.dist])
 
 
 @dataclass(eq=False)
@@ -57,32 +62,12 @@ class ClosureResult:
     blockers_old: Tuple[int, ...]
     blockers_new: Tuple[int, ...]
     r: int
-    t: Fraction
     cap: int
     groups: Tuple[Tuple[int, ...], ...]  # host ids; classes first, then blockers
     class_count: int
     kept: Dict[Tuple[int, ...], SteinerTree]
     terminals: Tuple[int, ...]  # host ids of protected free vertices
     stats: Dict[str, int] = field(default_factory=dict)
-
-
-def _bounded_cliques(
-    compat: List[int], cap: int
-) -> Iterator[Tuple[Tuple[int, ...], int]]:
-    # every index set of 2 to cap pairwise compatible groups, with its
-    # mask: by size, so every proper subset of two or more comes first, and
-    # ascending within a size; one depth-first pass per size holds no list
-    def grow(key, bundle, cand, size):
-        if len(key) == size:
-            yield key, bundle
-        elif cand.bit_count() >= size - len(key):
-            for j in iter_bits(cand):
-                rest = cand & compat[j] & ~((2 << j) - 1)
-                yield from grow(key + (j,), bundle | 1 << j, rest, size)
-
-    for size in range(2, cap + 1):
-        for i, c in enumerate(compat):
-            yield from grow((i,), 1 << i, c & ~((2 << i) - 1), size)
 
 
 def build_closure(
@@ -104,7 +89,7 @@ def build_closure(
     built.  Rows of cap groups are read by no larger bundle and are not
     stored.
     """
-    tf, cap = piece_cap(t)
+    _, cap = piece_cap(t)
     if cap < 1:
         raise ValueError("t is too small for any tree to fit")
     xs = tuple(sorted(set(blockers)))
@@ -131,12 +116,22 @@ def build_closure(
     pairs = len(groups) * (len(groups) - 1) // 2
     pruned_pairs = pairs - sum(c.bit_count() for c in compat) // 2
 
-    candidates = len(groups)
-    for key, bundle in _bounded_cliques(compat, cap):
-        candidates += 1
-        row = lattice.row(bundle, keep=len(key) < cap)
-        if row:
-            kept[key] = lattice.tree(bundle, row)
+    # each level holds the cliques of one size, in ascending order, with
+    # the groups that may still join them: compatible with every member
+    # and past the last one
+    level = [((i,), 1 << i, c & -(2 << i)) for i, c in enumerate(compat)]
+    candidates = len(level)
+    for size in range(2, min(cap, len(groups)) + 1):
+        level = [
+            (key + (j,), bundle | 1 << j, cand & compat[j] & -(2 << j))
+            for key, bundle, cand in level
+            for j in iter_bits(cand)
+        ]
+        candidates += len(level)
+        for key, bundle, _ in level:
+            row = lattice.row(bundle, keep=size < cap)
+            if row:
+                kept[key] = lattice.tree(bundle, row)
     kept = dict(sorted(kept.items()))  # by key, not by the visiting order
     dropped = candidates - len(kept)
 
@@ -179,7 +174,6 @@ def build_closure(
         blockers_old=xs,
         blockers_new=tuple(old2new[x] for x in xs),
         r=r,
-        t=tf,
         cap=cap,
         groups=tuple(groups),
         class_count=class_count,
@@ -311,14 +305,9 @@ def build_translation(
         ell = min(d for _, d in pc.profile.entries)
         anchor = min(x for x, d in pc.profile.entries if d == ell)
         flood = bfs_layers(g, [anchor], depth_cap=r, forbidden=set(xs))
-        tree_edges: Set[Tuple[int, int]] = set()
-        tree_vertices: Set[int] = {anchor}
         for m in pc.members:
             assert flood.dist.get(m) == ell, "members disagree on access distance"
-            path = flood.path_to(m)
-            tree_vertices.update(path)
-            for a, b in zip(path, path[1:]):
-                tree_edges.add((min(a, b), max(a, b)))
+        tree_vertices, tree_edges = _walk_paths(flood, anchor, pc.members)
         copy: Dict[int, int] = {}
         members = set(pc.members)
         for v in sorted(tree_vertices):

@@ -328,6 +328,19 @@ def serialize_kernel(inst: KernelInstance) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _section_fields(sections: Dict[str, List[str]], name: str) -> Dict[str, str]:
+    # the "<key> <value>" lines of one section; a repeated key is refused
+    fields: Dict[str, str] = {}
+    for ln in sections[name]:
+        if not ln.strip():
+            continue
+        key, _, value = ln.partition(" ")
+        if key in fields:
+            raise GraphFormatError(f"[{name}] repeats the key {key!r}")
+        fields[key] = value
+    return fields
+
+
 def parse_kernel(text: str) -> KernelInstance:
     lines = text.splitlines()
     if not lines or lines[0] != FORMAT_TAG:
@@ -348,7 +361,10 @@ def parse_kernel(text: str) -> KernelInstance:
         if required not in sections:
             raise GraphFormatError(f"missing section [{required}]")
     graph = parse_graph("\n".join(sections["graph"]))
-    zline = sections["Z"][0] if sections["Z"] else ""
+    zlines = [ln for ln in sections["Z"] if ln.strip()]
+    if len(zlines) > 1:
+        raise GraphFormatError(f"[Z] holds {len(zlines)} lines, not one")
+    zline = zlines[0] if zlines else ""
     try:
         annotated = tuple(int(v) for v in zline.split())
     except ValueError:
@@ -373,12 +389,8 @@ def parse_kernel(text: str) -> KernelInstance:
         raise GraphFormatError("vertex map does not label every kernel vertex")
     if len(set(vm.values())) != len(vm):
         raise GraphFormatError("vertex map sends two kernel vertices to one host vertex")
-    fields: Dict[str, str] = {}
-    for ln in sections["params"] + sections["provenance"]:
-        if not ln.strip():
-            continue
-        key, _, value = ln.partition(" ")
-        fields[key] = value
+    fields = _section_fields(sections, "params")
+    prov = _section_fields(sections, "provenance")
     try:
         params = KernelParams(
             int(fields["k"]), int(fields["r"]), Fraction(fields["alpha"])
@@ -389,7 +401,7 @@ def parse_kernel(text: str) -> KernelInstance:
     if mode not in ("closure", "trivial"):
         raise GraphFormatError(f"unknown kernel mode {mode!r}")
     vertex_map = tuple(vm[i] for i in range(graph.n))
-    solution = fields.get("solution", "").split()
+    solution = prov.get("solution", "").split()
     if mode == "trivial" and solution != [str(v) for v in vertex_map]:
         raise GraphFormatError("solution line disagrees with the vertex map")
     return KernelInstance(
@@ -398,5 +410,5 @@ def parse_kernel(text: str) -> KernelInstance:
         params=params,
         vertex_map=vertex_map,
         mode=mode,
-        core=fields.get("core", "unknown"),
+        core=prov.get("core", "unknown"),
     )

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections import deque
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .domination import ContractViolation
-from .graphs import Graph, bfs_layers
+from .graphs import Graph, bfs_layers, iter_bits
 
 
 class OrderedGraph:
@@ -41,7 +40,7 @@ class OrderedGraph:
             raise ValueError("radius must be nonnegative")
         got = self._wreach.get(s)
         if got is None:
-            got = _wreach_sets(self.graph, self.pos, s)
+            got = _wreach_sets(self.graph, self.seq, s)
             self._wreach[s] = got
         return got
 
@@ -50,22 +49,18 @@ class OrderedGraph:
 
 
 def _wreach_sets(
-    g: Graph, pos: Sequence[int], s: int
+    g: Graph, seq: Sequence[int], s: int
 ) -> Tuple[Tuple[int, ...], ...]:
+    # from the back of the order, so `later` holds the vertices after u
     sets: List[List[int]] = [[] for _ in range(g.n)]
-    for u in range(g.n):
-        dist = {u: 0}
-        queue: deque = deque([u])
-        while queue:
-            w = queue.popleft()
-            d = dist[w]
-            if d == s:
-                continue
-            for x in g.adj[w]:
-                if x not in dist and pos[x] > pos[u]:
-                    dist[x] = d + 1
-                    queue.append(x)
-        for v in dist:
+    later = 0
+    for u in reversed(seq):
+        reach = shell = 1 << u
+        for _ in range(s):
+            shell = g.neighborhood(shell) & later & ~reach
+            reach |= shell
+        later |= 1 << u
+        for v in iter_bits(reach):
             sets[v].append(u)
     return tuple(tuple(sorted(se)) for se in sets)
 
@@ -138,10 +133,7 @@ def exact_wcol(g: Graph, s: int) -> Tuple[int, Tuple[int, ...]]:
     best_value: Optional[int] = None
     best_order: Tuple[int, ...] = tuple(range(g.n))
     for perm in itertools.permutations(range(g.n)):
-        pos = [0] * g.n
-        for i, v in enumerate(perm):
-            pos[v] = i
-        value = max((len(w) for w in _wreach_sets(g, pos, s)), default=0)
+        value = max((len(w) for w in _wreach_sets(g, perm, s)), default=0)
         if best_value is None or value < best_value:
             best_value = value
             best_order = perm

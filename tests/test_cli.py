@@ -109,6 +109,29 @@ def test_lift_roundtrip(capsys, tmp_path, c6_file):
     assert "value=3" in err
 
 
+def test_lift_refuses_a_bent_kernel_without_traceback(capsys, tmp_path, c6_file):
+    kern = tmp_path / "kern.txt"
+    args = ["kernelize", "--input", c6_file, "--k", "2", "--r", "1", "--alpha", "7"]
+    assert run(capsys, [*args, "--out", str(kern)])[0] == 0
+    text = kern.read_text()
+    assert "[Z]\n0 1 2 3 4 5\n" in text
+    lift = ["lift", "--input", c6_file, "--kernel", str(kern), "--solution", "0"]
+    # a second [Z] line is refused, not read in place of the first
+    kern.write_text(text.replace("[Z]\n", "[Z]\n0\n"))
+    code, out, err = run(capsys, lift)
+    assert (code, out) == (2, "")
+    assert err == f"error: {kern}: [Z] holds 2 lines, not one\n"
+    # a kernel whose annotated set no longer forces domination parses, and
+    # lift names the broken guarantee
+    kern.write_text(text.replace("[Z]\n0 1 2 3 4 5\n", "[Z]\n0\n"))
+    code, out, err = run(capsys, lift)
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: lift rejected the data: "
+        "a budget solution of the kernel fails to dominate the host\n"
+    )
+
+
 def test_gen_writes_parseable_graph(capsys, sc_file):
     code, out, err = run(capsys, ["gen", "--input", sc_file, "--r", "2"])
     assert code == 0

@@ -188,13 +188,14 @@ def test_compatibility_matches_group_distances(t):
 
 @st.composite
 def closure_cases(draw):
-    """A random graph of at most 9 vertices, blockers, a radius and a t."""
+    """A random graph of at most 9 vertices, blockers, a radius and a t
+    whose cap is 2 to 8."""
     n = draw(st.integers(1, 9))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     g = Graph.from_edges(n, [e for e in pairs if draw(st.integers(0, 9)) < 4])
     blockers = draw(st.lists(st.integers(0, n - 1), max_size=3, unique=True))
     r = draw(st.integers(1, 2))
-    t = draw(st.sampled_from([1, Fraction(3, 2), 2]))
+    t = draw(st.sampled_from([1, Fraction(3, 2), 2, Fraction(5, 2), 3, 4]))
     return g, blockers, r, t
 
 
@@ -212,6 +213,8 @@ def test_kept_bundles_match_brute_force(case):
             if res.found:
                 want[key] = res.value
     assert {key: tree.size for key, tree in clo.kept.items()} == want
+    _, bundles = _compatible_bundles(g, clo.groups, clo.cap)
+    assert clo.stats["candidate_subsets"] == len(bundles)
 
 
 @st.composite

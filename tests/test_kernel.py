@@ -248,6 +248,21 @@ def test_parse_kernel_errors():
     for bad, vertex in (("0 1 99", 99), ("-1 0", -1)):
         with pytest.raises(GraphFormatError, match=rf"\[Z\] vertex {vertex} is not"):
             parse_kernel(text.replace(f"[Z]\n{zline}\n", f"[Z]\n{bad}\n"))
+    # [Z] is one line: a second one is refused, not dropped
+    for extra in (f"0\n{zline}", f"{zline}\n0"):
+        with pytest.raises(GraphFormatError, match=r"\[Z\] holds 2 lines"):
+            parse_kernel(text.replace(f"[Z]\n{zline}\n", f"[Z]\n{extra}\n"))
+    assert parse_kernel(text.replace("[Z]\n", "[Z]\n\n")).annotated == inst.annotated
+    # each section's keys are its own, and none may repeat
+    assert "\ncore heuristic-sound\n" in text
+    for section, line in (("params", "k 5"), ("params", "mode trivial"),
+                          ("provenance", "core exact")):
+        with pytest.raises(GraphFormatError, match=rf"\[{section}\] repeats the key"):
+            parse_kernel(text.replace(f"[{section}]\n", f"[{section}]\n{line}\n"))
+    assert parse_kernel(text + "k 5\n").params == inst.params
+    with pytest.raises(GraphFormatError, match="bad parameter block"):
+        parse_kernel(text.replace("\nk 2\n", "\n").replace(
+            "[provenance]\n", "[provenance]\nk 2\n"))
     # a shortcut kernel's solution line must replay its vertex map
     trivial = serialize_kernel(kernelize(star_graph(7), kparams(2, 1, 14)))
     assert "solution 0\n" in trivial

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import cycle_graph, grid_graph, path_graph, random_connected, star_graph
 from lkcds.domination import ContractViolation
+from lkcds.graphs import Graph
 from lkcds.orders import (
     OrderedGraph,
     check_separation,
@@ -50,6 +51,36 @@ def test_wreach_monotone_in_radius():
         large = og.wreach(s)
         for v in range(g.n):
             assert set(small[v]) <= set(large[v])
+
+
+def _wreach_by_paths(og, s):
+    # the definition: v weakly s-reaches u when a simple path of at most s
+    # edges runs from v to u and u is leftmost on it
+    g, pos = og.graph, og.pos
+    sets = [set() for _ in range(g.n)]
+
+    def extend(path):
+        v = path[-1]
+        if min(path, key=pos.__getitem__) == v:
+            sets[path[0]].add(v)
+        if len(path) <= s:
+            for w in g.adj[v]:
+                if w not in path:
+                    extend(path + [w])
+
+    for v in range(g.n):
+        extend([v])
+    return tuple(tuple(sorted(w)) for w in sets)
+
+
+@given(st.data())
+@settings(max_examples=60)
+def test_wreach_matches_the_path_definition(data):
+    pairs = [(u, v) for u in range(8) for v in range(u + 1, 8)]
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True))
+    og = OrderedGraph(Graph.from_edges(8, edges), data.draw(st.permutations(range(8))))
+    for s in range(4):
+        assert og.wreach(s) == _wreach_by_paths(og, s)
 
 
 def test_exact_wcol_on_known_graphs():

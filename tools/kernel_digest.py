@@ -20,13 +20,17 @@ A `cover` line hashes the set-cover oracles alone: `exact_ds`,
 systems, with no budget and with node budgets small enough to run out.
 A `steiner` line hashes the status and the tree of `steiner_exact` on
 seeded random group systems of up to 8 groups, some on disconnected
-hosts, uncapped and with every size cap from 1 to 5.  A last `graphs`
-line hashes the graph primitives the other lines reach only in part, on
+hosts, uncapped and with every size cap from 1 to 5.  A `graphs` line
+hashes the graph primitives the other lines reach only in part, on
 seeded random graphs of 0 to 16 vertices, often disconnected: the
 `dist_row` of every vertex, `balls` at radius 0 to 3, `component_masks`,
 the `heuristic_order` of each kind with its `wreach` sets at radius 0 to
-3, and `connect` on random seed sets.  A `connect` line hashes `connect`
-on ladder-scale hosts, sparse random graphs of 100 to 300 vertices
+3, and `connect` on random seed sets.  A `bundles` line hashes the stats
+and the kept trees of `build_closure` on seeded random hosts of at most
+12 vertices, often disconnected, with 0 to 4 blockers, r = 1 and 2 and
+t = 5/2, 3 or 4, so that bundles of 5 to 8 groups, which no workload
+reaches, are searched.  A `connect` line hashes `connect` on
+ladder-scale hosts, sparse random graphs of 100 to 300 vertices
 relabelled as the `ladder` workload builds them: the heuristic core at
 r = 1 and 2 stitched with stretch 2r, and the greedy r-dominating set at
 r = 1 and 2 stitched with stretch n.
@@ -39,8 +43,9 @@ stays the same.  The `cover` line moves when a change to the set-cover
 search changes an answer or where a budget runs out, and the `steiner`
 line when a change to the Steiner search changes a status or a tree.
 The `graphs` line moves when a distance, ball, component, order, weak
-reachability set or stitching result changes, and the `connect` line when
-a stitching result on hosts of ladder size changes.
+reachability set or stitching result changes, the `bundles` line when a
+kept tree or a closure count at a cap of 5 to 8 changes, and the
+`connect` line when a stitching result on hosts of ladder size changes.
 Standard library only.
 """
 
@@ -50,6 +55,7 @@ import hashlib
 import importlib.util
 import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 from typing import List, Tuple
 
@@ -207,6 +213,30 @@ def graph_lines(seed: int) -> List[str]:
     return lines
 
 
+BUNDLE_HOSTS = 100  # random closure hosts per seed
+BUNDLE_TS = (Fraction(5, 2), 3, 4)
+
+
+def bundle_lines(seed: int) -> List[str]:
+    """`build_closure` stats and kept trees at caps 5 to 8 on seeded random hosts."""
+    from lkcds.closure import build_closure
+    from lkcds.graphs import Graph
+
+    rng = random.Random(seed)
+    lines = []
+    for _ in range(BUNDLE_HOSTS):
+        n = rng.randint(1, 12)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        density = rng.uniform(0.1, 0.4)
+        g = Graph.from_edges(n, [e for e in pairs if rng.random() < density])
+        blockers = rng.sample(range(n), rng.randint(0, min(4, n)))
+        r, t = rng.randint(1, 2), rng.choice(BUNDLE_TS)
+        clo = build_closure(g, blockers, r, t)
+        lines.append(repr(sorted(clo.stats.items())))
+        lines.append(repr(sorted(clo.kept.items())))
+    return lines
+
+
 CONNECT_HOSTS = 8  # ladder-scale hosts per seed
 
 
@@ -268,6 +298,11 @@ def main(argv: List[str]) -> int:
         feed(digest, graph_lines(seed))
     queries = len(seeds) * GRAPH_QUERIES
     print(f"graphs seeds={tag} queries={queries} sha256={digest.hexdigest()}")
+    digest = hashlib.sha256()
+    for seed in seeds:
+        feed(digest, bundle_lines(seed))
+    hosts = len(seeds) * BUNDLE_HOSTS
+    print(f"bundles seeds={tag} hosts={hosts} sha256={digest.hexdigest()}")
     digest = hashlib.sha256()
     for seed in seeds:
         feed(digest, connect_lines(seed, workloads))
