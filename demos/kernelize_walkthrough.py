@@ -2,9 +2,10 @@
 """Walk one instance through the whole pipeline, printing every stage.
 
 Host graph -> core -> stitched core -> closure kernel -> exact solve on
-the kernel -> lifted host solution -> ratio certificate.  Run it twice,
-once per approximation factor, to see the budget parameter t change the
-kernel that comes out.
+the kernel -> lifted host solution -> ratio certificate -> the host
+optimum split into replayable pieces.  Run it twice, once per
+approximation factor, to see the budget parameter t change the kernel
+that comes out.
 """
 
 from fractions import Fraction
@@ -17,6 +18,7 @@ from lkcds import (
     exact_cds,
     kernelize,
     params_from,
+    replay_split,
     serialize_kernel,
 )
 
@@ -58,8 +60,10 @@ def run(g, k, r, alpha):
     print(f"ratio check: {cert.lhs} <= {cert.alpha} * "
           f"{Fraction(cert.kernel_value, cert.kernel_opt)}  ->  "
           f"{'ok' if cert.ok else 'VIOLATED'}")
-    if cert.replay is not None:
-        print("optimum replays as pieces:", cert.replay.pieces)
+    host = exact_cds(g, r, k)
+    if host.found and host.solution:
+        split = replay_split(g, params, host.solution)
+        print("optimum replays as pieces:", split.pieces)
     print()
 
 

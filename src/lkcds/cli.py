@@ -13,7 +13,7 @@ import sys
 from typing import Callable, List, Optional, Sequence, TypeVar
 
 from . import closure as _closure
-from .cores import CoreOutcome, Rejection, connected_core, find_core
+from .cores import CORE_MODES, CoreOutcome, Rejection, connected_core, find_core
 from .domination import ContractViolation
 from .graphs import Graph, parse_graph, serialize_graph
 from .hardness import hardness_instance
@@ -38,8 +38,6 @@ EXIT_VERIFY = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
 EXIT_REJECTED = 10
-
-CORE_MODES = ("exact", "heuristic")
 
 T = TypeVar("T")
 
@@ -118,11 +116,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print("trivial kernel; structural checks vacuous: pass")
         return EXIT_OK
     report = _closure.verify_closure(g, inst.closure)
-    for item in (1, 2, 3):
-        bad = [p for p in report.problems if p.startswith(f"item{item}")]
+    for item, bad in enumerate(report.items, 1):
         print(f"item{item}: {'pass' if not bad else 'FAIL'}")
         for p in bad:
-            _note(f"  {p}")
+            _note(f"  item{item}: {p}")
     return EXIT_OK if report.ok else EXIT_VERIFY
 
 
@@ -171,8 +168,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _core_outcome(args: argparse.Namespace) -> CoreOutcome:
-    g = _load_graph(args.input, args.format)
+def _core_outcome(g: Graph, args: argparse.Namespace) -> CoreOutcome:
     outcome = find_core(g, args.k, args.r, mode=args.core_mode)
     if isinstance(outcome, Rejection):
         raise _CliError(f"rejected: {outcome.reason}", EXIT_REJECTED)
@@ -183,7 +179,7 @@ def _core_outcome(args: argparse.Namespace) -> CoreOutcome:
 
 
 def cmd_core(args: argparse.Namespace) -> int:
-    core = _core_outcome(args)
+    core = _core_outcome(_load_graph(args.input, args.format), args)
     print(" ".join(str(v) for v in core.vertices))
     _note(f"|Z|={len(core.vertices)} certified={core.certified}")
     return EXIT_OK
@@ -191,12 +187,7 @@ def cmd_core(args: argparse.Namespace) -> int:
 
 def cmd_profile_stats(args: argparse.Namespace) -> int:
     g = _load_graph(args.input, args.format)
-    if args.z is not None:
-        blockers = _parse_ids(args.z)
-    else:
-        if args.k is None:
-            raise _CliError("profile-stats needs --z or --k")
-        blockers = list(_core_outcome(args).vertices)
+    blockers = _parse_ids(args.z) if args.k is None else _core_outcome(g, args).vertices
     cls = classify(g, blockers, args.r)
     print(f"blockers {len(cls.blockers)}")
     print(f"classes {len(cls)}")
@@ -302,8 +293,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("profile-stats", help="projection class statistics")
     _add_graph_arg(p)
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--z", default=None, help="blocker vertices; omit to use a core")
-    p.add_argument("--k", type=int, default=None)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--z", default=None, help="blocker vertices")
+    source.add_argument("--k", type=int, default=None, help="budget of a core to use")
     p.add_argument("--core-mode", choices=CORE_MODES, default="heuristic")
     p.set_defaults(func=cmd_profile_stats)
 

@@ -46,9 +46,9 @@ def avoiding_path_tree(
 ) -> Tuple[Set[int], Set[Tuple[int, int]]]:
     """Vertices and edges of BFS paths from u to its projection targets.
 
-    Runs the depth-r avoidance flood from u and walks parents back from
-    every reached blocker.  The union realizes all of u's profile
-    distances; vertices off those paths are dropped.
+    Runs the depth-r avoidance flood from u and walks back from every
+    reached blocker along the lexicographically least shortest avoiding
+    path.  The union realizes all of u's profile distances.
     """
     xs = set(blockers)
     res = bfs_layers(g, [u], depth_cap=r, forbidden=xs)
@@ -185,8 +185,15 @@ def build_closure(
 
 @dataclass(frozen=True)
 class ClosureReport:
-    ok: bool
-    problems: Tuple[str, ...]
+    items: Tuple[Tuple[str, ...], ...]  # the problems of items 1, 2 and 3
+
+    @property
+    def ok(self) -> bool:
+        return not any(self.items)
+
+    @property
+    def problems(self) -> Tuple[str, ...]:  # in item order, named "itemN: ..."
+        return tuple(f"item{i}: {p}" for i, ps in enumerate(self.items, 1) for p in ps)
 
 
 def verify_closure(g: Graph, closure: ClosureResult) -> ClosureReport:
@@ -200,19 +207,21 @@ def verify_closure(g: Graph, closure: ClosureResult) -> ClosureReport:
     3. For each kept all-class bundle, the group Steiner value in the
        closure matches the host value, and every stored tree is a real
        tree of the host meeting its groups within the size cap.
-    Each problem names its item ("item3: ...").
+    Item 2 is checked only if item 1 holds, the Steiner values only if all else does.
     """
-    problems: List[str] = []
+    item1: List[str] = []  # the problems found under each item
+    item2: List[str] = []
+    item3: List[str] = []
     xs = closure.blockers_old
     old2new = {old: new for new, old in enumerate(closure.vertex_map)}
 
     for x in xs:
         if x not in old2new:
-            problems.append(f"item1: blocker {x} missing from the closure")
+            item1.append(f"blocker {x} missing from the closure")
     if tuple(old2new.get(x, -1) for x in xs) != closure.blockers_new:
-        problems.append("item1: blocker relabeling is inconsistent")
+        item1.append("blocker relabeling is inconsistent")
 
-    if not problems:
+    if not item1:
         new2old = dict(enumerate(closure.vertex_map))
         cls_host = classify(g, xs, closure.r)
         for u in closure.terminals:
@@ -221,48 +230,45 @@ def verify_closure(g: Graph, closure: ClosureResult) -> ClosureReport:
                 closure.graph, old2new[u], closure.blockers_new, closure.r
             ).relabel(new2old)
             if want != got:
-                problems.append(
-                    f"item2: profile of vertex {u} changed: {want.entries} "
-                    f"-> {got.entries}"
+                item2.append(
+                    f"profile of vertex {u} changed: {want.entries} -> {got.entries}"
                 )
         reps = set(cls_host.representatives)
         missing = reps.difference(closure.terminals)
         if missing:
-            problems.append(
-                f"item2: class representatives {sorted(missing)} were not protected"
-            )
+            item2.append(f"class representatives {sorted(missing)} were not protected")
 
     all_class = []  # kept bundles of classes only, for the Steiner check
     for key, tree in closure.kept.items():
         if len(tree.vertices) > closure.cap:
-            problems.append(f"item3: kept tree {key} exceeds the size cap")
+            item3.append(f"kept tree {key} exceeds the size cap")
         problem = tree_problem(g, tree.vertices, tree.edges)
         if problem is not None:
-            problems.append(f"item3: kept tree {key} {problem}")
+            item3.append(f"kept tree {key} {problem}")
         vs = set(tree.vertices)
         for i in key:
             if vs.isdisjoint(closure.groups[i]):
-                problems.append(f"item3: kept tree {key} misses group {i}")
+                item3.append(f"kept tree {key} misses group {i}")
         if max(key) < closure.class_count:
             all_class.append((key, tree))
-    if not problems:
+    if not (item1 or item2 or item3):
         for key, tree in all_class:
             prime_groups = []
             for i in key:
                 members = [old2new[v] for v in closure.groups[i] if v in old2new]
                 if not members:
-                    problems.append(f"item3: group {i} vanished from the closure")
+                    item3.append(f"group {i} vanished from the closure")
                     break
                 prime_groups.append(members)
             else:
                 prime_value = steiner_size(closure.graph, prime_groups)
                 if prime_value != len(tree.vertices):
-                    problems.append(
-                        f"item3: bundle {key}: host tree has {len(tree.vertices)} "
+                    item3.append(
+                        f"bundle {key}: host tree has {len(tree.vertices)} "
                         f"vertices but the closure needs {prime_value}"
                     )
 
-    return ClosureReport(not problems, tuple(problems))
+    return ClosureReport((tuple(item1), tuple(item2), tuple(item3)))
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,12 @@ from .graphs import Graph, iter_bits, mask_of, vertex_mask
 from .oracles import cover_exists
 
 DISCONNECTED = "graph is disconnected; no connected dominating set exists"
+CORE_MODES = ("exact", "heuristic")
+
+
+def check_core_mode(mode: str) -> None:
+    if mode not in CORE_MODES:
+        raise ValueError(f"unknown core mode {mode!r}")
 
 
 @dataclass(frozen=True)
@@ -58,11 +64,10 @@ def find_core(g: Graph, k: int, r: int, mode: str = "exact") -> CoreOutcome:
         raise ValueError("need k >= 0 and r >= 1")
     if g.n == 0:
         raise ValueError("cannot find a core of the empty graph")
+    check_core_mode(mode)
     if mode == "heuristic":
         z = _containment_prune(g, r)
         return DominationCore(tuple(sorted(z)), k, r, "heuristic-sound")
-    if mode != "exact":
-        raise ValueError(f"unknown core mode {mode!r}")
 
     balls = g.balls(r)
     full = (1 << g.n) - 1

@@ -84,13 +84,13 @@ class ConnectResult:
 def connect(g: Graph, seeds: Iterable[int], stretch: int) -> ConnectResult:
     """Stitch the components induced by `seeds` into one, greedily.
 
-    Components are ordered by their smallest member.  Each round merges
-    along the least key (d, u, v) over seed vertices u and v, where u lies
-    in an earlier component than v and d is their host distance; the path
-    is `bfs_layers(g, [u]).path_to(v)`, and its interior vertices become
-    seeds.  A merge needing more than `stretch` interior vertices, or a
-    total beyond stretch * (components - 1), violates the contract this
-    routine is used under and raises.
+    Components are ordered by their smallest member.  Each round merges along
+    the least key (d, u, v) over seed vertices u and v, where u lies in an
+    earlier component than v and d is their host distance; the path is the
+    lexicographically least shortest one, `bfs_layers(g, [u]).path_to(v)`, and
+    its interior vertices become seeds.  A merge needing more than `stretch`
+    interior vertices, or a total beyond stretch * (components - 1), violates
+    the contract this routine is used under and raises.
 
     Host distances never change, so the rounds share one pass over seed
     pairs in key order.  Every seed keeps its own BFS (`Graph.layers`),

@@ -188,7 +188,8 @@ class BFSResult:
         self.parent = parent
 
     def path_to(self, v: int) -> List[int]:
-        """Vertex sequence from a source to v, inclusive."""
+        """The lexicographically least shortest path from a source to v whose
+        interior avoids the forbidden set (the queue visits layers in that order)."""
         if v not in self.dist:
             raise KeyError(f"vertex {v} was not reached")
         path = [v]

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from .closure import ClosureResult, build_closure
-from .cores import DISCONNECTED, Rejection, connected_core, find_core
+from .cores import DISCONNECTED, Rejection, check_core_mode, connected_core, find_core
 from .domination import (
     ContractViolation,
     CoveringFamily,
@@ -39,6 +39,7 @@ from .oracles import FOUND, NONE_WITHIN_BUDGET, SolveResult, exact_acds, exact_c
 from .steiner import GROUP_LIMIT
 
 FORMAT_TAG = "lkcds/1"
+SECTIONS = ("graph", "Z", "map", "params", "provenance")
 
 
 @dataclass(frozen=True)
@@ -106,6 +107,7 @@ def kernelize(
     """
     if g.n == 0:
         raise ValueError("cannot kernelize the empty graph")
+    check_core_mode(core_mode)
     if not g.is_connected():
         return Rejection(DISCONNECTED)
     shortcut_cap = min(params.k, math.ceil(params.t_eff) - 1)
@@ -183,19 +185,19 @@ def lift(g: Graph, inst: KernelInstance, solution: Iterable[int]) -> LiftResult:
         lifted = tuple(sorted(inst.vertex_map))
     else:
         lifted = tuple(sorted(inst.vertex_map[v] for v in sol))
+    dominated = dominates(g, lifted, r)
+    if not dominated and inst.mode == "closure":
         if len(lifted) <= k:
-            if not dominates(g, lifted, r):
-                raise ContractViolation(
-                    "a budget solution of the kernel fails to dominate the host"
-                )
-        elif not dominates(g, lifted, r):
-            fixed = set(lifted).union(greedy_rdom(g, r))
-            lifted = connect(g, fixed, g.n).connected
-    value = min(len(lifted), k + 1)
+            raise ContractViolation(
+                "a budget solution of the kernel fails to dominate the host"
+            )
+        fixed = set(lifted).union(greedy_rdom(g, r))
+        lifted = connect(g, fixed, g.n).connected
+        dominated = dominates(g, lifted, r)
     return LiftResult(
         solution=lifted,
-        value=value,
-        dominates_host=dominates(g, lifted, r),
+        value=min(len(lifted), k + 1),
+        dominates_host=dominated,
         connected=mask_connected(g, mask_of(lifted)),
     )
 
@@ -259,7 +261,6 @@ class RatioCertificate:
     lhs: Fraction
     rhs: Fraction
     ok: bool
-    replay: Optional[ReplaySplit] = None
 
 
 def certify_ratio(
@@ -269,25 +270,17 @@ def certify_ratio(
 
     The quality ratio of the lifted solution must stay within alpha times
     the quality ratio of the submitted kernel solution, with all four
-    quantities capped at k+1 and compared as exact rationals.  When the
-    host optimum fits the budget its replay split is attached as the
-    witness for the size analysis.
+    quantities capped at k+1 and compared as exact rationals.
     """
     sol = tuple(sorted(set(kernel_solution)))
     lifted = lift(g, inst, sol)
     if not (lifted.dominates_host and lifted.connected):
         raise ContractViolation("lifted solution is not valid for the host")
     k = inst.params.k
-    host_res = exact_cds(g, inst.params.r, k)
-    host_opt = _capped(host_res, k)
+    host_opt = capped_host_opt(g, k, inst.params.r)
     kern_opt = capped_kernel_opt(inst)
     if host_opt is None or kern_opt is None:
         raise ContractViolation("a capped optimum is undefined on a connected instance")
-    replay = (
-        replay_split(g, inst.params, host_res.solution)
-        if host_res.status == FOUND and host_res.solution
-        else None
-    )
     kern_value = min(len(sol), k + 1)
     lhs = Fraction(lifted.value, host_opt)
     rhs = inst.params.alpha * Fraction(kern_value, kern_opt)
@@ -300,7 +293,6 @@ def certify_ratio(
         lhs=lhs,
         rhs=rhs,
         ok=lhs <= rhs,
-        replay=replay,
     )
 
 
@@ -350,6 +342,8 @@ def parse_kernel(text: str) -> KernelInstance:
     for ln in lines[1:]:
         if ln.startswith("[") and ln.endswith("]"):
             current = ln[1:-1]
+            if current not in SECTIONS:
+                raise GraphFormatError(f"unknown section {ln}")
             if current in sections:
                 raise GraphFormatError(f"duplicate section {ln}")
             sections[current] = []
@@ -357,7 +351,7 @@ def parse_kernel(text: str) -> KernelInstance:
         if current is None:
             raise GraphFormatError(f"content before first section: {ln!r}")
         sections[current].append(ln)
-    for required in ("graph", "Z", "map", "params", "provenance"):
+    for required in SECTIONS:
         if required not in sections:
             raise GraphFormatError(f"missing section [{required}]")
     graph = parse_graph("\n".join(sections["graph"]))
@@ -371,9 +365,13 @@ def parse_kernel(text: str) -> KernelInstance:
         raise GraphFormatError(
             f"[Z] line {zline!r} holds a non-integer vertex"
         ) from None
+    seen = set()
     for v in annotated:
         if not 0 <= v < graph.n:
             raise GraphFormatError(f"[Z] vertex {v} is not in the kernel graph")
+        if v in seen:
+            raise GraphFormatError(f"[Z] repeats the vertex {v}")
+        seen.add(v)
     vm: Dict[int, int] = {}
     for ln in sections["map"]:
         if not ln.strip():
@@ -384,6 +382,8 @@ def parse_kernel(text: str) -> KernelInstance:
             raise GraphFormatError(
                 f"[map] line {ln!r} is not '<kernel vertex> <host vertex>'"
             ) from None
+        if a in vm:
+            raise GraphFormatError(f"[map] repeats the kernel vertex {a}")
         vm[a] = b
     if sorted(vm) != list(range(graph.n)):
         raise GraphFormatError("vertex map does not label every kernel vertex")

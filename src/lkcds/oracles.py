@@ -414,28 +414,23 @@ class SetCoverInstance:
 
 
 def parse_setcover(text: str) -> SetCoverInstance:
-    lines = [ln.strip() for ln in text.splitlines()]
-    body = [ln for ln in lines if ln and not ln.startswith("#")]
-    # a set may be empty, so blank lines after the header count as sets
-    header_at = None
-    for i, ln in enumerate(lines):
-        if ln and not ln.startswith("#"):
-            header_at = i
-            break
-    if header_at is None:
+    header, rows = None, []  # rows: the non-comment lines after the header
+    for ln in map(str.strip, text.splitlines()):
+        if ln.startswith("#"):
+            continue
+        if header is not None:
+            rows.append(ln)  # a set may be empty, so blank lines count as sets
+        elif ln:
+            header = ln
+    if header is None:
         raise ValueError("missing 'u <universe> <num_sets> <k>' header")
-    tokens = lines[header_at].split()
+    tokens = header.split()
     if len(tokens) != 4 or tokens[0] != "u":
         raise ValueError("header must read 'u <universe> <num_sets> <k>'")
     try:
         universe, num_sets, k = (int(t) for t in tokens[1:])
     except ValueError:
         raise ValueError("non-integer field in header") from None
-    rows = []
-    for ln in lines[header_at + 1 :]:
-        if ln.startswith("#"):
-            continue
-        rows.append(ln)
     # only surplus blank lines are padding; within the declared count they
     # denote empty sets
     while len(rows) > num_sets and not rows[-1]:

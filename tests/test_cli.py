@@ -132,6 +132,32 @@ def test_lift_refuses_a_bent_kernel_without_traceback(capsys, tmp_path, c6_file)
     )
 
 
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("[map]\n0 0\n", "[map]\n0 7\n0 0\n", "[map] repeats the kernel vertex 0"),
+        ("[Z]\n0 1", "[Z]\n0 0 1", "[Z] repeats the vertex 0"),
+        ("[params]\n", "[extra]\n[params]\n", "unknown section [extra]"),
+    ],
+    ids=["map", "Z", "section"],
+)
+def test_lift_refuses_a_kernel_file_it_would_merge(
+    capsys, tmp_path, c6_file, old, new, message
+):
+    kern = tmp_path / "kern.txt"
+    args = ["kernelize", "--input", c6_file, "--k", "2", "--r", "1", "--alpha", "7"]
+    assert run(capsys, [*args, "--out", str(kern)])[0] == 0
+    text = kern.read_text()
+    assert old in text
+    kern.write_text(text.replace(old, new))
+    code, out, err = run(
+        capsys,
+        ["lift", "--input", c6_file, "--kernel", str(kern), "--solution", "0 1 2 3"],
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: {kern}: {message}\n"
+
+
 def test_gen_writes_parseable_graph(capsys, sc_file):
     code, out, err = run(capsys, ["gen", "--input", sc_file, "--r", "2"])
     assert code == 0
@@ -243,6 +269,20 @@ def test_flags_a_command_does_not_read_are_refused(capsys, c6_file, argv):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "unrecognized arguments" in err or "invalid choice: 'trivial'" in err
+
+
+def test_profile_stats_takes_exactly_one_of_z_and_k(capsys, c6_file):
+    base = ["profile-stats", "--input", c6_file, "--r", "1"]
+    for extra, complaint in (
+        (["--z", "0", "--k", "2"], "argument --k: not allowed with argument --z"),
+        ([], "one of the arguments --z --k is required"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(base + extra)
+        assert exc.value.code == 2
+        assert complaint in capsys.readouterr().err
+    code, out, _ = run(capsys, base + ["--k", "2"])
+    assert code == 0 and out.startswith("blockers ")
 
 
 def test_alpha_epsilon_are_exclusive(capsys, c6_file):

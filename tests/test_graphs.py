@@ -190,6 +190,45 @@ def test_bfs_path_reconstruction():
         assert b in g.adj[a]
 
 
+def least_avoiding_paths(g, sources, depth_cap, forbidden):
+    # brute force over every simple path from a source whose interior
+    # avoids `forbidden`: per end vertex, the shortest such paths within
+    # the depth cap, and of those the lexicographically least
+    best = {}
+
+    def grow(path):
+        v = path[-1]
+        if v not in best or (len(path), path) < (len(best[v]), best[v]):
+            best[v] = path
+        if depth_cap is not None and len(path) > depth_cap:
+            return
+        if len(path) > 1 and v in forbidden:
+            return
+        for w in g.adj[v]:
+            if w not in path:
+                grow(path + [w])
+
+    for s in sources:
+        grow([s])
+    return best
+
+
+@given(st.integers(1, 9), st.sampled_from((0.2, 0.35, 0.5)), st.data())
+@settings(max_examples=150)
+def test_path_to_is_the_least_shortest_avoiding_path(n, density, data):
+    rng = random.Random(data.draw(st.integers(0, 10_000)))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    g = Graph.from_edges(n, [e for e in pairs if rng.random() < density])
+    sources = rng.sample(range(n), rng.randint(1, min(3, n)))
+    forbidden = {v for v in range(n) if rng.random() < 0.3}
+    depth_cap = data.draw(st.sampled_from((None, 0, 1, 2, 3)))
+    res = bfs_layers(g, sources, depth_cap=depth_cap, forbidden=forbidden)
+    want = least_avoiding_paths(g, sources, depth_cap, forbidden)
+    assert res.dist == {v: len(p) - 1 for v, p in want.items()}
+    for v, path in want.items():
+        assert res.path_to(v) == path
+
+
 def test_induced_subgraph_keeps_labels():
     g = cycle_graph(6)
     sub, parents = induced_subgraph(g, [1, 2, 4])

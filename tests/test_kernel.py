@@ -82,6 +82,17 @@ def test_kernelize_rejects_disconnected():
     assert "disconnected" in out.reason
 
 
+def test_kernelize_refuses_an_unknown_core_mode():
+    # checked before the connectivity test and the shortcut, either of
+    # which would otherwise answer without reading the mode
+    path5 = path_graph(5)
+    assert kernelize(path5, params_from(5, 1, alpha=30)).mode == "trivial"
+    disc = Graph.from_edges(4, [(0, 1), (2, 3)])
+    for g in (path5, disc, cycle_graph(9)):
+        with pytest.raises(ValueError, match="unknown core mode 'bogus'"):
+            kernelize(g, params_from(5, 1, alpha=30), core_mode="bogus")
+
+
 def test_kernelize_trivial_shortcut():
     # alpha=14 gives piece width above 2, so a 1-vertex optimum is caught
     g = star_graph(7)
@@ -183,16 +194,6 @@ def test_certify_ratio_small_batch():
         assert cert.lhs <= cert.rhs
 
 
-def test_certify_attaches_replay_when_optimum_found():
-    g = grid_graph(3, 3)
-    inst = kernelize(g, kparams(4, 1, 14), core_mode="heuristic")
-    cert = certify_ratio(g, inst, solve_kernel(inst))
-    assert cert.replay is not None
-    covered = {v for piece in cert.replay.pieces for v in piece}
-    host_opt_sol = exact_cds(g, 1, 4).solution
-    assert covered == set(host_opt_sol)
-
-
 def test_replay_split_bounds():
     g = grid_graph(3, 4)
     sol = exact_cds(g, 1, 12).solution
@@ -233,6 +234,15 @@ def test_parse_kernel_errors():
         parse_kernel(text.replace("[map]", "[maps]"))
     with pytest.raises(GraphFormatError):
         parse_kernel(text + "[graph]\n")
+    # nothing is merged or dropped silently
+    with pytest.raises(GraphFormatError, match=r"unknown section \[extra\]"):
+        parse_kernel(text + "[extra]\n")
+    with pytest.raises(GraphFormatError, match=r"unknown section \[extra\]"):
+        parse_kernel(text.replace("[params]", "[extra]\nx\n[params]"))
+    assert "\n0 0\n" in text
+    for bad in ("0 7\n0 0", "0 0\n0 0"):
+        with pytest.raises(GraphFormatError, match=r"\[map\] repeats the kernel vertex"):
+            parse_kernel(text.replace("\n0 0\n", f"\n{bad}\n"))
     # two kernel vertices may not stand for one host vertex
     assert "\n5 5\n" in text
     with pytest.raises(GraphFormatError, match="two kernel vertices"):
@@ -248,6 +258,9 @@ def test_parse_kernel_errors():
     for bad, vertex in (("0 1 99", 99), ("-1 0", -1)):
         with pytest.raises(GraphFormatError, match=rf"\[Z\] vertex {vertex} is not"):
             parse_kernel(text.replace(f"[Z]\n{zline}\n", f"[Z]\n{bad}\n"))
+    first = zline.split()[0]
+    with pytest.raises(GraphFormatError, match=rf"\[Z\] repeats the vertex {first}"):
+        parse_kernel(text.replace(f"[Z]\n{zline}\n", f"[Z]\n{first} {zline}\n"))
     # [Z] is one line: a second one is refused, not dropped
     for extra in (f"0\n{zline}", f"{zline}\n0"):
         with pytest.raises(GraphFormatError, match=r"\[Z\] holds 2 lines"):

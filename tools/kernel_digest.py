@@ -2,10 +2,10 @@
 
     python3 tools/kernel_digest.py <checkout> [seeds...]
 
-Imports `<checkout>/src` and `<checkout>/bench/workloads.py` (neither is
-edited) and kernelizes every instance of every workload at each seed
-(default 1 2 3).  For each workload it prints two lines, each with the
-instance count and a sha256:
+Imports `<checkout>/src`, `<checkout>/bench/workloads.py` and
+`<checkout>/bench/run.py` (none is edited) and kernelizes every instance
+of every workload at each seed (default 1 2 3).  For each workload it
+prints three lines, each with the instance count and a sha256:
 
 - `kernel`: per instance, the `find_core` result in the workload's core
   mode (the core vertices or the rejection reason), `serialize_kernel` or
@@ -13,7 +13,12 @@ instance count and a sha256:
   results of the exact oracles the verdict reads: `exact_cds` on every
   host of at most 64 vertices and `exact_acds` on every accepted kernel;
 - `closure`: per accepted closure kernel, the closure stats, the kept
-  trees and the `verify_closure` result.
+  trees and the `verify_closure` result;
+- `lift`: per accepted kernel, the `lift` result on the kernel solution
+  the bench's lift verdict builds (greedy, stitched by `connect`), and, on
+  the workloads whose verdict certifies, the `certify_ratio` values
+  (lifted and optimal host values, kernel values, both sides and the
+  verdict) on the kernel solution that verdict submits.
 
 A `cover` line hashes the set-cover oracles alone: `exact_ds`,
 `exact_setcover` and `cover_exists` on seeded random graphs and set
@@ -39,7 +44,8 @@ Two checkouts that print the same `kernel` lines produce identical cores,
 byte-identical kernels and identical oracle answers on those instances;
 the `closure` lines add the closures and the verifier verdicts, which a
 change to the bundle search or to the stats may move while every kernel
-stays the same.  The `cover` line moves when a change to the set-cover
+stays the same, and the `lift` lines the lifted solutions and the
+certificates.  The `cover` line moves when a change to the set-cover
 search changes an answer or where a budget runs out, and the `steiner`
 line when a change to the Steiner search changes a status or a tree.
 The `graphs` line moves when a distance, ball, component, order, weak
@@ -60,14 +66,18 @@ from pathlib import Path
 from typing import List, Tuple
 
 
+def load_bench_module(checkout: Path, name: str):
+    path = checkout / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
 def load_workloads(checkout: Path):
     sys.path.insert(0, str(checkout / "src"))
-    spec = importlib.util.spec_from_file_location(
-        "workloads", checkout / "bench" / "workloads.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    sys.modules["workloads"] = module
-    spec.loader.exec_module(module)
+    module = load_bench_module(checkout, "workloads")
     import lkcds
 
     if Path(lkcds.__file__).resolve().parents[1] != checkout / "src":
@@ -78,8 +88,30 @@ def load_workloads(checkout: Path):
 HOST_ORACLE_N = 64  # the host size up to which bench/run.py re-solves rejections
 
 
-def instance_lines(item, certify: bool) -> Tuple[List[str], List[str]]:
-    """The kernel-side and the closure-side lines of one instance."""
+CERT_FIELDS = (  # the certificate values, not its alpha
+    "host_value", "host_opt", "kernel_value", "kernel_opt", "lhs", "rhs", "ok"
+)
+
+
+def lift_lines(item, inst, certify: bool, bench_run) -> List[str]:
+    """Lifted greedy kernel solutions and, when certifying, the certificate."""
+    from lkcds.domination import ContractViolation, connect, greedy_rdom
+    from lkcds.kernel import certify_ratio, lift
+
+    kg, r = inst.graph, item.params.r
+    try:
+        seeds = greedy_rdom(kg, r, targets=inst.annotated)
+        lines = [repr(lift(item.graph, inst, connect(kg, seeds, kg.n).connected))]
+    except (ContractViolation, ValueError) as exc:
+        lines = [f"{type(exc).__name__}: {exc}"]
+    if certify:
+        cert = certify_ratio(item.graph, inst, bench_run.kernel_solution(inst))
+        lines.append(repr([getattr(cert, f) for f in CERT_FIELDS]))
+    return lines
+
+
+def instance_lines(item, certify: bool, bench_run) -> Tuple[List[str], ...]:
+    """The kernel-side, the closure-side and the lift-side lines of one instance."""
     from lkcds.closure import verify_closure
     from lkcds.cores import Rejection, find_core
     from lkcds.kernel import kernelize, serialize_kernel
@@ -96,12 +128,13 @@ def instance_lines(item, certify: bool) -> Tuple[List[str], List[str]]:
     if certify and item.graph.n <= HOST_ORACLE_N:
         kernel.append(repr(exact_cds(item.graph, r, k)))
     if isinstance(out, Rejection):
-        return kernel + [f"rejected: {out.reason}"], []
+        return kernel + [f"rejected: {out.reason}"], [], []
     kernel.append(serialize_kernel(out))
     if certify:
         kernel.append(repr(exact_acds(out.graph, out.annotated, r, k)))
+    lifts = [f"{item.name} {item.params}", *lift_lines(item, out, certify, bench_run)]
     if out.closure is None:
-        return kernel, []
+        return kernel, [], lifts
     report = verify_closure(item.graph, out.closure)
     closure = [
         f"{item.name} {item.params}",
@@ -109,7 +142,7 @@ def instance_lines(item, certify: bool) -> Tuple[List[str], List[str]]:
         repr(sorted(out.closure.kept.items())),
         repr((report.ok, report.problems)),
     ]
-    return kernel, closure
+    return kernel, closure, lifts
 
 
 def feed(digest, lines: List[str]) -> None:
@@ -271,13 +304,15 @@ def main(argv: List[str]) -> int:
     checkout = Path(argv[0]).resolve()
     seeds = [int(s) for s in argv[1:]] or [1, 2, 3]
     workloads = load_workloads(checkout)
+    bench_run = load_bench_module(checkout, "run")
     tag = ",".join(map(str, seeds))
     for name, workload in workloads.WORKLOADS.items():
-        digests = {"kernel": hashlib.sha256(), "closure": hashlib.sha256()}
+        digests = {part: hashlib.sha256() for part in ("kernel", "closure", "lift")}
         count = 0
         for seed in seeds:
             for item in workload.build(seed):
-                parts = instance_lines(item, workload.verdict == "certify")
+                certify = workload.verdict == "certify"
+                parts = instance_lines(item, certify, bench_run)
                 for digest, lines in zip(digests.values(), parts):
                     feed(digest, lines)
                 count += 1
