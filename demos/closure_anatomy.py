@@ -58,8 +58,8 @@ def main():
         if len(k) == 2 and all(i < clo.class_count for i in k)
         and all(cls.classes[i].profile.entries for i in k)
     )
-    gadget = build_translation(g, blockers, r, pair, cls)
-    chk = check_translation(g, blockers, r, pair, cls)
+    gadget = build_translation(g, cls, pair)
+    chk = check_translation(g, cls, pair)
     print(f"translating classes {pair}: access cost {gadget.added_cost}")
     print(f"  host tree value {chk.host_value}, gadget root value "
           f"{chk.analysis_value}, identity "

@@ -68,7 +68,7 @@ from .orders import (
     heuristic_order,
     wreach_report,
 )
-from .projections import ProjectionProfile, classify, profile, profile_coverage
+from .projections import ProjectionProfile, classify, profile
 from .steiner import SteinerResult, steiner_exact, steiner_size
 
 __version__ = "0.1.0"
@@ -128,7 +128,6 @@ __all__ = [
     "parse_kernel",
     "parse_setcover",
     "profile",
-    "profile_coverage",
     "r_subdivision",
     "replay_split",
     "random_setcover",

@@ -168,8 +168,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _core_outcome(g: Graph, args: argparse.Namespace) -> CoreOutcome:
-    outcome = find_core(g, args.k, args.r, mode=args.core_mode)
+def _core_outcome(g: Graph, k: int, r: int, mode: str) -> CoreOutcome:
+    outcome = find_core(g, k, r, mode=mode)
     if isinstance(outcome, Rejection):
         raise _CliError(f"rejected: {outcome.reason}", EXIT_REJECTED)
     stitched = connected_core(g, outcome)
@@ -179,15 +179,22 @@ def _core_outcome(g: Graph, args: argparse.Namespace) -> CoreOutcome:
 
 
 def cmd_core(args: argparse.Namespace) -> int:
-    core = _core_outcome(_load_graph(args.input, args.format), args)
+    g = _load_graph(args.input, args.format)
+    core = _core_outcome(g, args.k, args.r, args.core_mode)
     print(" ".join(str(v) for v in core.vertices))
     _note(f"|Z|={len(core.vertices)} certified={core.certified}")
     return EXIT_OK
 
 
 def cmd_profile_stats(args: argparse.Namespace) -> int:
+    if args.z is not None and args.core_mode is not None:
+        raise _CliError("--core-mode is read only with --k, not with --z")
     g = _load_graph(args.input, args.format)
-    blockers = _parse_ids(args.z) if args.k is None else _core_outcome(g, args).vertices
+    if args.z is not None:
+        blockers = _parse_ids(args.z)
+    else:
+        mode = args.core_mode or "heuristic"
+        blockers = _core_outcome(g, args.k, args.r, mode).vertices
     cls = classify(g, blockers, args.r)
     print(f"blockers {len(cls.blockers)}")
     print(f"classes {len(cls)}")
@@ -197,8 +204,10 @@ def cmd_profile_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_wcol_report(args: argparse.Namespace) -> int:
+    if args.seed is not None and args.order != "random":
+        raise _CliError("--seed is read only with --order random")
     g = _load_graph(args.input, args.format)
-    og = heuristic_order(g, kind=args.order, seed=args.seed)
+    og = heuristic_order(g, kind=args.order, seed=args.seed or 0)
     rep = wreach_report(og, args.s)
     print(f"wcol {args.s} {rep.value}")
     print(f"witness {rep.witness}")
@@ -296,7 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--z", default=None, help="blocker vertices")
     source.add_argument("--k", type=int, default=None, help="budget of a core to use")
-    p.add_argument("--core-mode", choices=CORE_MODES, default="heuristic")
+    p.add_argument(
+        "--core-mode", choices=CORE_MODES, help="core mode for --k (default heuristic)"
+    )
     p.set_defaults(func=cmd_profile_stats)
 
     p = sub.add_parser("wcol-report", help="weak coloring number of an order")
@@ -305,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--order", choices=("degeneracy", "bfs", "random"), default="degeneracy"
     )
-    p.add_argument("--seed", type=int, default=0, help="seed of the random order")
+    p.add_argument("--seed", type=int, help="seed of the random order (default 0)")
     p.set_defaults(func=cmd_wcol_report)
 
     p = sub.add_parser("closure-stats", help="size accounting for the closure step")

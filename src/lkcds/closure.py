@@ -284,33 +284,29 @@ class TranslationGraph:
 
 
 def build_translation(
-    g: Graph,
-    blockers: Iterable[int],
-    r: int,
-    class_subset: Sequence[int],
-    classification: Optional[ProfileClassification] = None,
+    g: Graph, classification: ProfileClassification, class_subset: Sequence[int]
 ) -> TranslationGraph:
     """Attach a subdivided access tree per class and expose one root each.
 
-    For a class with common nearest projection distance ell, the root
-    hangs (2r+1) * ell vertices away from the class members, so an exact
-    tree through the roots decomposes into a host tree plus fixed access
-    costs.  Classes with empty projections have no access point and are
-    rejected.
+    The blockers and r are those of the classification.  For a class with
+    common nearest projection distance ell, the root hangs (2r+1) * ell
+    vertices away from the class members, so an exact tree through the
+    roots decomposes into a host tree plus fixed access costs.  Classes
+    with empty projections have no access point and are rejected.
     """
-    xs = tuple(sorted(set(blockers)))
-    cls = classification if classification is not None else classify(g, xs, r)
+    r = classification.r
+    xset = set(classification.blockers)
     edges: List[Tuple[int, int]] = list(g.edges())
     nxt = g.n
     roots: List[int] = []
     costs: List[int] = []
     for idx in class_subset:
-        pc = cls.classes[idx]
+        pc = classification.classes[idx]
         if not pc.profile.entries:
             raise ValueError(f"class {idx} has an empty projection")
         ell = min(d for _, d in pc.profile.entries)
         anchor = min(x for x, d in pc.profile.entries if d == ell)
-        flood = bfs_layers(g, [anchor], depth_cap=r, forbidden=set(xs))
+        flood = bfs_layers(g, [anchor], depth_cap=r, forbidden=xset)
         for m in pc.members:
             assert flood.dist.get(m) == ell, "members disagree on access distance"
         tree_vertices, tree_edges = _walk_paths(flood, anchor, pc.members)
@@ -346,11 +342,7 @@ class TranslationCheck:
 
 
 def check_translation(
-    g: Graph,
-    blockers: Iterable[int],
-    r: int,
-    class_subset: Sequence[int],
-    classification: Optional[ProfileClassification] = None,
+    g: Graph, classification: ProfileClassification, class_subset: Sequence[int]
 ) -> TranslationCheck:
     """Confirm that root Steiner values shift host values by the access cost.
 
@@ -360,10 +352,8 @@ def check_translation(
     """
     if len(class_subset) < 2:
         raise ValueError("the shift identity needs at least two classes")
-    xs = tuple(sorted(set(blockers)))
-    cls = classification if classification is not None else classify(g, xs, r)
-    tg = build_translation(g, xs, r, class_subset, cls)
-    host = steiner_size(g, [cls.classes[i].members for i in class_subset])
+    tg = build_translation(g, classification, class_subset)
+    host = steiner_size(g, [classification.classes[i].members for i in class_subset])
     analysis = steiner_size(tg.graph, [[v] for v in tg.roots])
     if host is None or analysis is None:
         ok = host == analysis

@@ -127,9 +127,7 @@ def kernelize(
     core = find_core(g, params.k, params.r, core_mode)
     if isinstance(core, Rejection):
         return core
-    stitched = connected_core(g, core)
-    if isinstance(stitched, Rejection):
-        return stitched
+    stitched = connected_core(g, core)  # g is connected, so no rejection
     closure = build_closure(g, stitched.vertices, params.r, params.t_eff)
     return KernelInstance(
         graph=closure.graph,

@@ -40,7 +40,7 @@ class OrderedGraph:
             raise ValueError("radius must be nonnegative")
         got = self._wreach.get(s)
         if got is None:
-            got = _wreach_sets(self.graph, self.seq, s)
+            got = tuple(tuple(sorted(w)) for w in _wreach_sets(self.graph, self.seq, s))
             self._wreach[s] = got
         return got
 
@@ -48,21 +48,19 @@ class OrderedGraph:
         return max((len(w) for w in self.wreach(s)), default=0)
 
 
-def _wreach_sets(
-    g: Graph, seq: Sequence[int], s: int
-) -> Tuple[Tuple[int, ...], ...]:
-    # from the back of the order, so `later` holds the vertices after u
+def _wreach_sets(g: Graph, seq: Sequence[int], s: int) -> List[List[int]]:
+    # from the back of the order, so `later` holds the vertices after u;
+    # each set lists its members from right to left in the order
     sets: List[List[int]] = [[] for _ in range(g.n)]
     later = 0
     for u in reversed(seq):
-        reach = shell = 1 << u
-        for _ in range(s):
-            shell = g.neighborhood(shell) & later & ~reach
-            reach |= shell
+        reach = 0
+        for layer in itertools.islice(g.layers(1 << u, later), s + 1):
+            reach |= layer
         later |= 1 << u
         for v in iter_bits(reach):
             sets[v].append(u)
-    return tuple(tuple(sorted(se)) for se in sets)
+    return sets
 
 
 @dataclass(frozen=True)
@@ -133,7 +131,7 @@ def exact_wcol(g: Graph, s: int) -> Tuple[int, Tuple[int, ...]]:
     best_value: Optional[int] = None
     best_order: Tuple[int, ...] = tuple(range(g.n))
     for perm in itertools.permutations(range(g.n)):
-        value = max((len(w) for w in _wreach_sets(g, perm, s)), default=0)
+        value = max(map(len, _wreach_sets(g, perm, s)), default=0)
         if best_value is None or value < best_value:
             best_value = value
             best_order = perm

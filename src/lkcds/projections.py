@@ -110,26 +110,3 @@ def classify(g: Graph, blockers: Iterable[int], r: int) -> ProfileClassification
     )
     return ProfileClassification(xs, r, classes)
 
-
-def profile_coverage(
-    g: Graph, prof: ProjectionProfile, blockers: Iterable[int]
-) -> Tuple[int, ...]:
-    """Blocker vertices within distance r of the profiled vertex.
-
-    Uses only the profile: for each target z the true distance equals
-    min over projection entries (x, d) of d + dist(x, z), by splitting any
-    shortest path at its first blocker hit.  Hence equal profiles cover
-    equal target sets.
-    """
-    targets = sorted(set(blockers))
-    covered = []
-    rows = {x: g.dist_row(x) for x, _ in prof.entries}
-    for z in targets:
-        best = None
-        for x, d in prof.entries:
-            dz = rows[x][z]
-            if dz >= 0 and (best is None or d + dz < best):
-                best = d + dz
-        if best is not None and best <= prof.r:
-            covered.append(z)
-    return tuple(covered)

@@ -154,7 +154,7 @@ def test_criterion_05_translation_identity():
                 continue
             if not set(classes) <= usable:
                 continue
-            chk = check_translation(g, xs, r, classes, cls)
+            chk = check_translation(g, cls, classes)
             assert chk.ok, (g.n, xs, r, key, chk)
             checked += 1
     verdict(5, f"access-cost identity held on {checked} kept bundles", checked > 0)

@@ -285,6 +285,25 @@ def test_profile_stats_takes_exactly_one_of_z_and_k(capsys, c6_file):
     assert code == 0 and out.startswith("blockers ")
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["profile-stats", "--r", "1", "--z", "0", "--core-mode", "exact"],
+         "--core-mode"),
+        (["wcol-report", "--s", "2", "--order", "bfs", "--seed", "5"], "--seed"),
+    ],
+)
+def test_flags_read_only_with_another_flag_are_refused(capsys, c6_file, argv, flag):
+    code, out, err = run(capsys, argv[:1] + ["--input", c6_file] + argv[1:])
+    assert (code, out) == (2, "")
+    assert flag in err
+
+
+def test_random_order_seed_defaults_to_zero(capsys, c6_file):
+    base = ["wcol-report", "--input", c6_file, "--s", "2", "--order", "random"]
+    assert run(capsys, base) == run(capsys, base + ["--seed", "0"])
+
+
 def test_alpha_epsilon_are_exclusive(capsys, c6_file):
     code, _, err = run(
         capsys,

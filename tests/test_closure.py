@@ -287,7 +287,7 @@ def test_translation_costs():
     blockers = [3]
     cls = classify(p7, blockers, 2)
     nonempty = [i for i, c in enumerate(cls.classes) if c.profile.entries]
-    tg = build_translation(p7, blockers, 2, nonempty, cls)
+    tg = build_translation(p7, cls, nonempty)
     assert len(tg.roots) == len(nonempty)
     assert tg.added_cost == sum(tg.class_costs)
     for slot, i in enumerate(nonempty):
@@ -302,7 +302,7 @@ def test_translation_rejects_empty_projection():
     empty = [i for i, c in enumerate(cls.classes) if not c.profile.entries]
     assert empty
     with pytest.raises(ValueError):
-        build_translation(p5, [0], 1, empty, cls)
+        build_translation(p5, cls, empty)
 
 
 def test_translation_shift_identity_small():
@@ -317,7 +317,7 @@ def test_translation_shift_identity_small():
         nonempty = [i for i, c in enumerate(cls.classes) if c.profile.entries]
         for size in (2, 3):
             for subset in combinations(nonempty, size):
-                chk = check_translation(g, xs, r, list(subset), cls)
+                chk = check_translation(g, cls, list(subset))
                 assert chk.ok, (subset, chk)
 
 
@@ -326,4 +326,4 @@ def test_translation_check_refuses_singletons():
     cls = classify(g, [0], 1)
     nonempty = [i for i, c in enumerate(cls.classes) if c.profile.entries]
     with pytest.raises(ValueError):
-        check_translation(g, [0], 1, nonempty[:1], cls)
+        check_translation(g, cls, nonempty[:1])

@@ -318,31 +318,19 @@ def main(argv: List[str]) -> int:
                 count += 1
         for part, digest in digests.items():
             print(f"{name} {part} seeds={tag} instances={count} sha256={digest.hexdigest()}")
-    digest = hashlib.sha256()
-    for seed in seeds:
-        feed(digest, cover_lines(seed))
-    queries = len(seeds) * COVER_QUERIES
-    print(f"cover seeds={tag} queries={queries} sha256={digest.hexdigest()}")
-    digest = hashlib.sha256()
-    for seed in seeds:
-        feed(digest, steiner_lines(seed))
-    queries = len(seeds) * STEINER_QUERIES
-    print(f"steiner seeds={tag} queries={queries} sha256={digest.hexdigest()}")
-    digest = hashlib.sha256()
-    for seed in seeds:
-        feed(digest, graph_lines(seed))
-    queries = len(seeds) * GRAPH_QUERIES
-    print(f"graphs seeds={tag} queries={queries} sha256={digest.hexdigest()}")
-    digest = hashlib.sha256()
-    for seed in seeds:
-        feed(digest, bundle_lines(seed))
-    hosts = len(seeds) * BUNDLE_HOSTS
-    print(f"bundles seeds={tag} hosts={hosts} sha256={digest.hexdigest()}")
-    digest = hashlib.sha256()
-    for seed in seeds:
-        feed(digest, connect_lines(seed, workloads))
-    hosts = len(seeds) * CONNECT_HOSTS
-    print(f"connect seeds={tag} hosts={hosts} sha256={digest.hexdigest()}")
+    checks = (  # label, unit, units per seed, the lines of one seed
+        ("cover", "queries", COVER_QUERIES, cover_lines),
+        ("steiner", "queries", STEINER_QUERIES, steiner_lines),
+        ("graphs", "queries", GRAPH_QUERIES, graph_lines),
+        ("bundles", "hosts", BUNDLE_HOSTS, bundle_lines),
+        ("connect", "hosts", CONNECT_HOSTS, lambda s: connect_lines(s, workloads)),
+    )
+    for label, unit, per_seed, lines_of in checks:
+        digest = hashlib.sha256()
+        for seed in seeds:
+            feed(digest, lines_of(seed))
+        count = len(seeds) * per_seed
+        print(f"{label} seeds={tag} {unit}={count} sha256={digest.hexdigest()}")
     return 0
 
 
