@@ -31,7 +31,7 @@ def main():
     print(f"host: 8-cycle, blockers {blockers}, r={r}")
     print(f"{len(cls)} profile classes among the free vertices:")
     for i, c in enumerate(cls.classes):
-        pairs = ", ".join(f"x{x}@{d}" for x, d in c.profile.entries)
+        pairs = ", ".join(f"x{x}@{d}" for x, d in c.profile)
         print(f"  class {i}: members {c.members}  profile [{pairs or 'empty'}]")
     print()
 
@@ -56,7 +56,7 @@ def main():
     pair = next(
         list(k) for k in sorted(clo.kept)
         if len(k) == 2 and all(i < clo.class_count for i in k)
-        and all(cls.classes[i].profile.entries for i in k)
+        and all(cls.classes[i].profile for i in k)
     )
     gadget = build_translation(g, cls, pair)
     chk = check_translation(g, cls, pair)

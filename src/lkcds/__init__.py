@@ -68,7 +68,7 @@ from .orders import (
     heuristic_order,
     wreach_report,
 )
-from .projections import ProjectionProfile, classify, profile
+from .projections import classify, profile
 from .steiner import SteinerResult, steiner_exact, steiner_size
 
 __version__ = "0.1.0"
@@ -86,7 +86,6 @@ __all__ = [
     "KernelParams",
     "LiftResult",
     "OrderedGraph",
-    "ProjectionProfile",
     "RatioCertificate",
     "Rejection",
     "ReplaySplit",

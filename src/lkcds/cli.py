@@ -199,7 +199,7 @@ def cmd_profile_stats(args: argparse.Namespace) -> int:
     print(f"blockers {len(cls.blockers)}")
     print(f"classes {len(cls)}")
     for i, c in enumerate(cls.classes):
-        print(f"class {i} size {len(c.members)} entries {len(c.profile.entries)}")
+        print(f"class {i} size {len(c.members)} entries {len(c.profile)}")
     return EXIT_OK
 
 

@@ -222,17 +222,13 @@ def verify_closure(g: Graph, closure: ClosureResult) -> ClosureReport:
         item1.append("blocker relabeling is inconsistent")
 
     if not item1:
-        new2old = dict(enumerate(closure.vertex_map))
         cls_host = classify(g, xs, closure.r)
         for u in closure.terminals:
             want = cls_host.classes[cls_host.class_of[u]].profile
-            got = profile(
-                closure.graph, old2new[u], closure.blockers_new, closure.r
-            ).relabel(new2old)
+            got = profile(closure.graph, old2new[u], closure.blockers_new, closure.r)
+            got = tuple(sorted((closure.vertex_map[x], d) for x, d in got))
             if want != got:
-                item2.append(
-                    f"profile of vertex {u} changed: {want.entries} -> {got.entries}"
-                )
+                item2.append(f"profile of vertex {u} changed: {want} -> {got}")
         reps = set(cls_host.representatives)
         missing = reps.difference(closure.terminals)
         if missing:
@@ -302,10 +298,10 @@ def build_translation(
     costs: List[int] = []
     for idx in class_subset:
         pc = classification.classes[idx]
-        if not pc.profile.entries:
+        if not pc.profile:
             raise ValueError(f"class {idx} has an empty projection")
-        ell = min(d for _, d in pc.profile.entries)
-        anchor = min(x for x, d in pc.profile.entries if d == ell)
+        ell = min(d for _, d in pc.profile)
+        anchor = min(x for x, d in pc.profile if d == ell)
         flood = bfs_layers(g, [anchor], depth_cap=r, forbidden=xset)
         for m in pc.members:
             assert flood.dist.get(m) == ell, "members disagree on access distance"

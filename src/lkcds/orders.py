@@ -11,10 +11,10 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .domination import ContractViolation
-from .graphs import Graph, bfs_layers, iter_bits
+from .graphs import Graph, bfs_layers, iter_bits, vertex_mask
 
 
 class OrderedGraph:
@@ -48,18 +48,24 @@ class OrderedGraph:
         return max((len(w) for w in self.wreach(s)), default=0)
 
 
+def _reach(g: Graph, u: int, later: int, s: int) -> int:
+    # the vertices within s steps of u through the `later` mask, which are
+    # exactly those that weakly s-reach u when `later` holds the vertices after u
+    reach = 0
+    for layer in itertools.islice(g.layers(1 << u, later), s + 1):
+        reach |= layer
+    return reach
+
+
 def _wreach_sets(g: Graph, seq: Sequence[int], s: int) -> List[List[int]]:
     # from the back of the order, so `later` holds the vertices after u;
     # each set lists its members from right to left in the order
     sets: List[List[int]] = [[] for _ in range(g.n)]
     later = 0
     for u in reversed(seq):
-        reach = 0
-        for layer in itertools.islice(g.layers(1 << u, later), s + 1):
-            reach |= layer
-        later |= 1 << u
-        for v in iter_bits(reach):
+        for v in iter_bits(_reach(g, u, later, s)):
             sets[v].append(u)
+        later |= 1 << u
     return sets
 
 
@@ -81,9 +87,7 @@ def wreach_report(og: OrderedGraph, s: int) -> WReachReport:
     return WReachReport(s, value, witness, sizes)
 
 
-def heuristic_order(
-    g: Graph, kind: str = "degeneracy", seed: Optional[int] = None
-) -> OrderedGraph:
+def heuristic_order(g: Graph, kind: str = "degeneracy", seed: int = 0) -> OrderedGraph:
     """Cheap wcol-friendly orders.
 
     degeneracy: reverse of min-degree removal, so core vertices come first.
@@ -125,17 +129,30 @@ _EXACT_LIMIT = 8
 
 
 def exact_wcol(g: Graph, s: int) -> Tuple[int, Tuple[int, ...]]:
-    """Optimum weak s-coloring number by scanning all orders; tiny graphs only."""
+    """Optimum weak s-coloring number and the first optimal order; tiny graphs only.
+
+    Orders grow left to right in lexicographic order.  The vertices after a
+    placed u are the unplaced ones, so the sets u joins are known at once,
+    and a prefix whose largest set already reaches the best value is cut.
+    """
     if g.n > _EXACT_LIMIT:
         raise ValueError(f"exact search is limited to {_EXACT_LIMIT} vertices")
-    best_value: Optional[int] = None
-    best_order: Tuple[int, ...] = tuple(range(g.n))
-    for perm in itertools.permutations(range(g.n)):
-        value = max(map(len, _wreach_sets(g, perm, s)), default=0)
-        if best_value is None or value < best_value:
-            best_value = value
-            best_order = perm
-    return (best_value if best_value is not None else 0, best_order)
+    best = (g.n + 1, tuple(range(g.n)))  # no set holds more than n vertices
+
+    def extend(prefix: Tuple[int, ...], unplaced: int, sizes: List[int]) -> None:
+        nonlocal best
+        if not unplaced:
+            best = (max(sizes, default=0), prefix)
+        for u in iter_bits(unplaced):
+            later = unplaced & ~(1 << u)
+            grown = list(sizes)
+            for v in iter_bits(_reach(g, u, later, s)):
+                grown[v] += 1
+            if max(grown) < best[0]:
+                extend(prefix + (u,), later, grown)
+
+    extend((), (1 << g.n) - 1, [0] * g.n)
+    return best
 
 
 def check_separation(
@@ -163,6 +180,7 @@ def check_separation(
         raise ValueError("path must start inside the blocker set")
     if p[-1] != y:
         raise ValueError("path must end at y")
+    vertex_mask(og.graph, p, "path vertex")
     for a, b in zip(p, p[1:]):
         if b not in og.graph.adj[a]:
             raise ValueError(f"{a} and {b} are not adjacent")

@@ -10,47 +10,26 @@ closure construction exploits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from .graphs import Graph, bfs_layers, vertex_mask
 
-
-@dataclass(frozen=True)
-class ProjectionProfile:
-    """Sorted (x, distance) pairs with distance <= r, interior avoiding X."""
-
-    r: int
-    entries: Tuple[Tuple[int, int], ...]
-
-    @property
-    def projection(self) -> Tuple[int, ...]:
-        return tuple(x for x, _ in self.entries)
-
-    def distance_to(self, x: int) -> Optional[int]:
-        for y, d in self.entries:
-            if y == x:
-                return d
-        return None
-
-    def relabel(self, mapping: Dict[int, int]) -> "ProjectionProfile":
-        return ProjectionProfile(
-            self.r, tuple(sorted((mapping[x], d) for x, d in self.entries))
-        )
+# sorted (x, distance) pairs with distance <= r, interior avoiding X
+Profile = Tuple[Tuple[int, int], ...]
 
 
-def profile(g: Graph, u: int, blockers: Iterable[int], r: int) -> ProjectionProfile:
+def profile(g: Graph, u: int, blockers: Iterable[int], r: int) -> Profile:
     """Profile of a single vertex, computed by flooding outward from u."""
     xs = set(blockers)
     if u in xs:
         raise ValueError("profiled vertex must lie outside the blocker set")
     res = bfs_layers(g, [u], depth_cap=r, forbidden=xs)
-    entries = sorted((v, d) for v, d in res.dist.items() if v in xs and d <= r)
-    return ProjectionProfile(r, tuple(entries))
+    return tuple(sorted((v, d) for v, d in res.dist.items() if v in xs))
 
 
 @dataclass(frozen=True)
 class ProfileClass:
-    profile: ProjectionProfile
+    profile: Profile
     members: Tuple[int, ...]
 
     @property
@@ -61,7 +40,7 @@ class ProfileClass:
 class ProfileClassification:
     """Partition of the free vertices by projection profile.
 
-    Classes are ordered by their profile entry tuples, members ascending,
+    Classes are ordered by their profiles, members ascending,
     and the representative of a class is its smallest member.
     """
 
@@ -98,15 +77,13 @@ def classify(g: Graph, blockers: Iterable[int], r: int) -> ProfileClassification
     for x in xs:
         res = bfs_layers(g, [x], depth_cap=r, forbidden=xset)
         for v, d in res.dist.items():
-            if v in pairs and 0 < d <= r:
+            if v in pairs:
                 pairs[v].append((x, d))
-    by_profile: Dict[ProjectionProfile, List[int]] = {}
-    for u in free_ids:
-        prof = ProjectionProfile(r, tuple(sorted(pairs[u])))
-        by_profile.setdefault(prof, []).append(u)
+    by_profile: Dict[Profile, List[int]] = {}
+    for u in free_ids:  # ascending, so each member list is too
+        by_profile.setdefault(tuple(sorted(pairs[u])), []).append(u)
     classes = tuple(
-        ProfileClass(prof, tuple(sorted(members)))
-        for prof, members in sorted(by_profile.items(), key=lambda kv: kv[0].entries)
+        ProfileClass(prof, tuple(members)) for prof, members in sorted(by_profile.items())
     )
     return ProfileClassification(xs, r, classes)
 

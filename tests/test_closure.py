@@ -138,8 +138,8 @@ def test_closure_profiles_preserved_exactly():
     for term in clo.terminals:
         host_prof = profile(g, term, blockers, 2)
         new_prof = profile(clo.graph, old2new[term], clo.blockers_new, 2)
-        mapped = new_prof.relabel({i: h for i, h in enumerate(clo.vertex_map)})
-        assert mapped.entries == host_prof.entries
+        mapped = tuple(sorted((clo.vertex_map[x], d) for x, d in new_prof))
+        assert mapped == host_prof
 
 
 def test_closure_stats_accounting():
@@ -286,12 +286,12 @@ def test_translation_costs():
     p7 = path_graph(7)
     blockers = [3]
     cls = classify(p7, blockers, 2)
-    nonempty = [i for i, c in enumerate(cls.classes) if c.profile.entries]
+    nonempty = [i for i, c in enumerate(cls.classes) if c.profile]
     tg = build_translation(p7, cls, nonempty)
     assert len(tg.roots) == len(nonempty)
     assert tg.added_cost == sum(tg.class_costs)
     for slot, i in enumerate(nonempty):
-        ell = min(d for _, d in cls.classes[i].profile.entries)
+        ell = min(d for _, d in cls.classes[i].profile)
         assert tg.class_costs[slot] == (2 * 2 + 1) * ell
 
 
@@ -299,7 +299,7 @@ def test_translation_rejects_empty_projection():
     # vertex 4 on P5 with blocker 0 and r=1 sees nothing
     p5 = path_graph(5)
     cls = classify(p5, [0], 1)
-    empty = [i for i, c in enumerate(cls.classes) if not c.profile.entries]
+    empty = [i for i, c in enumerate(cls.classes) if not c.profile]
     assert empty
     with pytest.raises(ValueError):
         build_translation(p5, cls, empty)
@@ -314,7 +314,7 @@ def test_translation_shift_identity_small():
     ]
     for g, xs, r in cases:
         cls = classify(g, xs, r)
-        nonempty = [i for i, c in enumerate(cls.classes) if c.profile.entries]
+        nonempty = [i for i, c in enumerate(cls.classes) if c.profile]
         for size in (2, 3):
             for subset in combinations(nonempty, size):
                 chk = check_translation(g, cls, list(subset))
@@ -324,6 +324,6 @@ def test_translation_shift_identity_small():
 def test_translation_check_refuses_singletons():
     g = cycle_graph(8)
     cls = classify(g, [0], 1)
-    nonempty = [i for i, c in enumerate(cls.classes) if c.profile.entries]
+    nonempty = [i for i, c in enumerate(cls.classes) if c.profile]
     with pytest.raises(ValueError):
         check_translation(g, cls, nonempty[:1])

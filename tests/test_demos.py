@@ -12,10 +12,7 @@ import lkcds
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 
-# order_measurements.py is left out: it takes several seconds on its own
-@pytest.mark.parametrize(
-    "script", ["closure_anatomy.py", "hardness_boundary.py", "kernelize_walkthrough.py"]
-)
+@pytest.mark.parametrize("script", sorted(p.name for p in DEMOS.glob("*.py")))
 def test_demo_runs(script):
     # the child interpreter must find the same lkcds as this one
     src = str(Path(lkcds.__file__).resolve().parent.parent)

@@ -1,5 +1,7 @@
 """Vertex orders, weak reachability, and the separation certificate."""
 
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -94,6 +96,23 @@ def test_exact_wcol_on_known_graphs():
         exact_wcol(path_graph(9), 1)
 
 
+@given(st.data())
+@settings(max_examples=60)
+def test_exact_wcol_matches_a_permutation_scan(data):
+    # the reference scans every order and keeps the first strictly better one
+    n = data.draw(st.integers(0, 6))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    bits = data.draw(st.integers(0, (1 << len(pairs)) - 1))
+    g = Graph.from_edges(n, [e for i, e in enumerate(pairs) if bits >> i & 1])
+    s = data.draw(st.integers(0, 3))
+    best = None
+    for perm in permutations(range(n)):
+        value = OrderedGraph(g, perm).wcol(s)
+        if best is None or value < best[0]:
+            best = (value, perm)
+    assert exact_wcol(g, s) == best
+
+
 @given(st.integers(0, 2_000))
 @settings(max_examples=30)
 def test_heuristics_never_beat_exact(seed):
@@ -102,6 +121,11 @@ def test_heuristics_never_beat_exact(seed):
     for kind in ("degeneracy", "bfs", "random"):
         og = heuristic_order(g, kind=kind, seed=0)
         assert og.wcol(2) >= best
+
+
+def test_random_order_is_reproducible_by_default():
+    g = random_connected(12, 3, 5)
+    assert heuristic_order(g, "random").seq == heuristic_order(g, "random", seed=0).seq
 
 
 def test_wreach_report_witness():
@@ -129,6 +153,11 @@ def test_check_separation_validates_input():
         check_separation(og, [0], 4, [0, 1, 2], 2)  # wrong endpoint
     with pytest.raises(ValueError):
         check_separation(og, [0], 1, [0, 2, 1], 2)  # not a path
+    # -1 would alias vertex 5, which is adjacent to 4
+    with pytest.raises(ValueError, match="path vertex -1 out of range"):
+        check_separation(og, [-1], 4, [-1, 4], 2)
+    with pytest.raises(ValueError, match="path vertex 9 out of range"):
+        check_separation(og, [9], 4, [9, 4], 2)
 
 
 @given(st.integers(0, 3_000))

@@ -6,23 +6,23 @@ from hypothesis import strategies as st
 
 from conftest import cycle_graph, grid_graph, path_graph, random_connected
 from lkcds.oracles import split_avoiding_distances
-from lkcds.projections import ProjectionProfile, classify, profile
+from lkcds.projections import classify, profile
 
 
 def test_profile_on_path():
     p5 = path_graph(5)
     prof = profile(p5, 2, [0, 4], 2)
-    assert prof.entries == ((0, 2), (4, 2))
-    assert prof.projection == (0, 4)
-    assert prof.distance_to(0) == 2
-    assert prof.distance_to(3) is None
+    assert prof == ((0, 2), (4, 2))
+    assert tuple(x for x, _ in prof) == (0, 4)
+    assert dict(prof).get(0) == 2
+    assert dict(prof).get(3) is None
 
 
 def test_profile_interior_must_avoid_blockers():
     # 1 sees 0 directly but 4 only through the blocker 2, so 4 drops out
     p5 = path_graph(5)
     prof = profile(p5, 1, [0, 2], 2)
-    assert prof.entries == ((0, 1), (2, 1))
+    assert prof == ((0, 1), (2, 1))
 
 
 def test_profile_rejects_blocked_vertex():
@@ -66,7 +66,7 @@ def test_flood_direction_agrees_with_split_oracle(seed):
         for x in blockers:
             d = dist.get(x)
             want = d if d is not None and d <= r else None
-            assert prof.distance_to(x) == want
+            assert dict(prof).get(x) == want
 
 
 @given(st.integers(0, 3_000))
@@ -86,9 +86,3 @@ def test_equal_profiles_cover_equal_targets(seed):
             for v in c.members
         }
         assert len(covered) == 1, (c.profile, covered)
-
-
-def test_relabel_remaps_entries():
-    prof = ProjectionProfile(2, ((3, 1), (7, 2)))
-    out = prof.relabel({3: 10, 7: 1})
-    assert out.entries == ((1, 2), (10, 1))

@@ -38,7 +38,10 @@ reaches, are searched.  A `connect` line hashes `connect` on
 ladder-scale hosts, sparse random graphs of 100 to 300 vertices
 relabelled as the `ladder` workload builds them: the heuristic core at
 r = 1 and 2 stitched with stretch 2r, and the greedy r-dominating set at
-r = 1 and 2 stitched with stretch n.
+r = 1 and 2 stitched with stretch n.  A `demos` line, printed once
+whatever the seeds, hashes the name, exit code and stdout of every
+`<checkout>/demos/*.py`, each run in a child interpreter with
+`<checkout>/src` on `PYTHONPATH`.
 
 Two checkouts that print the same `kernel` lines produce identical cores,
 byte-identical kernels and identical oracle answers on those instances;
@@ -52,6 +55,8 @@ The `graphs` line moves when a distance, ball, component, order, weak
 reachability set or stitching result changes, the `bundles` line when a
 kept tree or a closure count at a cap of 5 to 8 changes, and the
 `connect` line when a stitching result on hosts of ladder size changes.
+The `demos` line moves when a demo is added, removed or prints anything
+different.
 Standard library only.
 """
 
@@ -59,7 +64,9 @@ from __future__ import annotations
 
 import hashlib
 import importlib.util
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -297,6 +304,18 @@ def connect_lines(seed: int, workloads) -> List[str]:
     return lines
 
 
+def demo_lines(checkout: Path) -> List[str]:
+    """Name, exit code and stdout of each demo, run against the checkout's src."""
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+    lines = []
+    for script in sorted((checkout / "demos").glob("*.py")):
+        proc = subprocess.run(
+            [sys.executable, str(script)], capture_output=True, text=True, env=env
+        )
+        lines += [f"{script.name} exit {proc.returncode}", proc.stdout]
+    return lines
+
+
 def main(argv: List[str]) -> int:
     if not argv:
         print("usage: python3 tools/kernel_digest.py <checkout> [seeds...]", file=sys.stderr)
@@ -331,6 +350,10 @@ def main(argv: List[str]) -> int:
             feed(digest, lines_of(seed))
         count = len(seeds) * per_seed
         print(f"{label} seeds={tag} {unit}={count} sha256={digest.hexdigest()}")
+    lines = demo_lines(checkout)
+    digest = hashlib.sha256()
+    feed(digest, lines)
+    print(f"demos scripts={len(lines) // 2} sha256={digest.hexdigest()}")
     return 0
 
 
