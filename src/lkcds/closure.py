@@ -17,6 +17,7 @@ from .domination import Rational, piece_cap
 from .graphs import (
     BFSResult,
     Graph,
+    Tree,
     bfs_layers,
     graph_on_vertices,
     iter_bits,
@@ -24,7 +25,7 @@ from .graphs import (
     tree_problem,
 )
 from .projections import ProfileClassification, classify, profile
-from .steiner import SteinerLattice, SteinerTree, steiner_size
+from .steiner import SteinerLattice, steiner_size
 
 
 def _walk_paths(
@@ -65,7 +66,7 @@ class ClosureResult:
     cap: int
     groups: Tuple[Tuple[int, ...], ...]  # host ids; classes first, then blockers
     class_count: int
-    kept: Dict[Tuple[int, ...], SteinerTree]
+    kept: Dict[Tuple[int, ...], Tree]
     terminals: Tuple[int, ...]  # host ids of protected free vertices
     stats: Dict[str, int] = field(default_factory=dict)
 
@@ -104,7 +105,7 @@ def build_closure(
         for v in grp:
             group_of[v] = i
     lattice = SteinerLattice(g, [mask_of(grp) for grp in groups], cap)
-    kept: Dict[Tuple[int, ...], SteinerTree] = {}
+    kept: Dict[Tuple[int, ...], Tree] = {}
     compat = []
     for i in range(len(groups)):
         row = lattice.row(1 << i, keep=cap > 1)

@@ -17,6 +17,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Un
 
 from .graphs import (
     Graph,
+    Tree,
     bfs_layers,
     induced_components,
     iter_bits,
@@ -199,19 +200,9 @@ def connect(g: Graph, seeds: Iterable[int], stretch: int) -> ConnectResult:
 
 
 @dataclass(frozen=True)
-class SubtreePiece:
-    vertices: Tuple[int, ...]
-    edges: Tuple[Tuple[int, int], ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.vertices)
-
-
-@dataclass(frozen=True)
 class CoveringFamily:
     t: Fraction
-    pieces: Tuple[SubtreePiece, ...]
+    pieces: Tuple[Tree, ...]
 
     @property
     def total_size(self) -> int:
@@ -230,8 +221,8 @@ class _Residue:
             self.edges.extend(it.edges)
             self.edges.append((min(root, it.root), max(root, it.root)))
 
-    def piece(self) -> SubtreePiece:
-        return SubtreePiece(tuple(sorted(self.vertices)), tuple(sorted(self.edges)))
+    def piece(self) -> Tree:
+        return Tree(tuple(sorted(self.vertices)), tuple(sorted(self.edges)))
 
 
 def piece_cap(t: Rational) -> Tuple[Fraction, int]:
@@ -262,10 +253,10 @@ def covering_family(g: Graph, t: Rational) -> CoveringFamily:
         raise ValueError("graph must be nonempty")
     if not g.is_connected():
         raise ValueError("covering families need a connected graph")
-    pieces: List[SubtreePiece] = []
+    pieces: List[Tree] = []
 
     if tf <= 1:
-        pieces = [SubtreePiece((v,), ()) for v in range(g.n)]
+        pieces = [Tree((v,), ()) for v in range(g.n)]
         return _checked_family(g, tf, pieces)
 
     need = math.ceil(tf)  # minimum consumption per non-final piece
@@ -309,7 +300,7 @@ def covering_family(g: Graph, t: Rational) -> CoveringFamily:
 
 
 def _checked_family(
-    g: Graph, tf: Fraction, pieces: List[SubtreePiece]
+    g: Graph, tf: Fraction, pieces: List[Tree]
 ) -> CoveringFamily:
     fam = CoveringFamily(tf, tuple(pieces))
     problem = check_covering_family(g, fam)

@@ -8,6 +8,7 @@ because nearly everything downstream manipulates vertex subsets as integers.
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 
@@ -212,6 +213,8 @@ def bfs_layers(
     reachability notion for paths whose interior avoids a blocker set while
     either endpoint may belong to it.
     """
+    if depth_cap is not None and depth_cap < 0:
+        raise ValueError("radius must be nonnegative")
     srcs = sorted(set(sources))
     if not srcs:
         raise ValueError("bfs_layers needs at least one source")
@@ -239,19 +242,22 @@ def bfs_layers(
     return BFSResult(dist, parent)
 
 
-def _flood(g: Graph, start: int, within: int) -> int:
-    # the component of the `start` bit in the subgraph induced by `within`
-    comp = 0
-    for layer in g.layers(start, within):
-        comp |= layer
-    return comp
+def flood(g: Graph, start: int, within: int = -1, depth: Optional[int] = None) -> int:
+    """The OR of layers 0 to `depth` (nonnegative; callers check it) of
+    `g.layers(start, within)`, or of every layer when no depth is given."""
+    reach = 0
+    for d, layer in enumerate(g.layers(start, within)):
+        reach |= layer
+        if d == depth:
+            break
+    return reach
 
 
 def induced_components(g: Graph, m: int) -> Tuple[int, ...]:
     """Components induced by a bitmask, ordered by smallest member."""
     comps = []
     while m:
-        comp = _flood(g, m & -m, m)
+        comp = flood(g, m & -m, m)
         comps.append(comp)
         m &= ~comp
     return tuple(comps)
@@ -259,7 +265,19 @@ def induced_components(g: Graph, m: int) -> Tuple[int, ...]:
 
 def mask_connected(g: Graph, m: int) -> bool:
     """Whether the vertices of a bitmask induce a connected subgraph."""
-    return m != 0 and _flood(g, m & -m, m) == m
+    return m != 0 and flood(g, m & -m, m) == m
+
+
+@dataclass(frozen=True)
+class Tree:
+    """A tree of a host graph: sorted vertices, and sorted edges (u, v) with u < v."""
+
+    vertices: Tuple[int, ...]
+    edges: Tuple[Tuple[int, int], ...]
+
+    @property
+    def size(self) -> int:
+        return len(self.vertices)
 
 
 def tree_problem(
@@ -302,15 +320,11 @@ def tree_problem(
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Tuple[Graph, Tuple[int, ...]]:
     """Induced subgraph plus the parent id of each new vertex."""
-    parents = tuple(sorted(set(vertices)))
-    vertex_mask(g, parents, "vertex")
-    index = {v: i for i, v in enumerate(parents)}
-    edges = [
-        (index[u], index[v])
-        for u, v in g.edges()
-        if u in index and v in index
-    ]
-    return Graph.from_edges(len(parents), edges), parents
+    inside = set(vertices)
+    vertex_mask(g, sorted(inside), "vertex")  # names the least vertex outside g
+    return graph_on_vertices(
+        inside, [(u, v) for u, v in g.edges() if u in inside and v in inside]
+    )
 
 
 def graph_on_vertices(

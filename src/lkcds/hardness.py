@@ -32,7 +32,6 @@ class HardnessInstance:
     graph: Graph
     pre_graph: Graph
     roles: Dict[int, str]
-    setcover: SetCoverInstance
     r: int
     k_out: int
     offset: int
@@ -75,7 +74,6 @@ def hardness_instance(sc: SetCoverInstance, r: int) -> HardnessInstance:
         graph=g,
         pre_graph=pre,
         roles=roles,
-        setcover=sc,
         r=r,
         k_out=sc.k + 1,
         offset=1,

@@ -49,12 +49,14 @@ class KernelParams:
     alpha: Fraction
 
     def __post_init__(self):
+        if isinstance(self.alpha, float):
+            raise TypeError("alpha must be an int, str or Fraction, not float")
+        if not isinstance(self.alpha, Fraction):
+            object.__setattr__(self, "alpha", Fraction(self.alpha))
         if self.k < 0:
             raise ValueError("budget k must be nonnegative")
         if self.r < 1:
             raise ValueError("radius r must be at least 1")
-        if not isinstance(self.alpha, Fraction):
-            object.__setattr__(self, "alpha", Fraction(self.alpha))
         if self.alpha <= 1:
             raise ValueError("approximation factor must exceed 1")
 
@@ -78,8 +80,9 @@ def params_from(
     """Build parameters from either the factor alpha or its excess epsilon."""
     if (alpha is None) == (epsilon is None):
         raise ValueError("give exactly one of alpha and epsilon")
-    a = Fraction(alpha) if alpha is not None else 1 + Fraction(epsilon)
-    return KernelParams(k, r, a)
+    if isinstance(epsilon, float):  # KernelParams refuses a float alpha
+        raise TypeError("epsilon must be an int, str or Fraction, not float")
+    return KernelParams(k, r, alpha if alpha is not None else 1 + Fraction(epsilon))
 
 
 @dataclass(eq=False)

@@ -8,13 +8,12 @@ paths.  Orders are kept as explicit sequences so reports stay reproducible.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .domination import ContractViolation
-from .graphs import Graph, bfs_layers, iter_bits, vertex_mask
+from .graphs import Graph, bfs_layers, flood, iter_bits, vertex_mask
 
 
 class OrderedGraph:
@@ -44,26 +43,15 @@ class OrderedGraph:
             self._wreach[s] = got
         return got
 
-    def wcol(self, s: int) -> int:
-        return max((len(w) for w in self.wreach(s)), default=0)
-
-
-def _reach(g: Graph, u: int, later: int, s: int) -> int:
-    # the vertices within s steps of u through the `later` mask, which are
-    # exactly those that weakly s-reach u when `later` holds the vertices after u
-    reach = 0
-    for layer in itertools.islice(g.layers(1 << u, later), s + 1):
-        reach |= layer
-    return reach
-
 
 def _wreach_sets(g: Graph, seq: Sequence[int], s: int) -> List[List[int]]:
-    # from the back of the order, so `later` holds the vertices after u;
+    # from the back of the order, so `later` holds the vertices after u and
+    # the s-step flood from u through it finds exactly the sets that hold u;
     # each set lists its members from right to left in the order
     sets: List[List[int]] = [[] for _ in range(g.n)]
     later = 0
     for u in reversed(seq):
-        for v in iter_bits(_reach(g, u, later, s)):
+        for v in iter_bits(flood(g, 1 << u, later, s)):
             sets[v].append(u)
         later |= 1 << u
     return sets
@@ -135,6 +123,8 @@ def exact_wcol(g: Graph, s: int) -> Tuple[int, Tuple[int, ...]]:
     placed u are the unplaced ones, so the sets u joins are known at once,
     and a prefix whose largest set already reaches the best value is cut.
     """
+    if s < 0:
+        raise ValueError("radius must be nonnegative")
     if g.n > _EXACT_LIMIT:
         raise ValueError(f"exact search is limited to {_EXACT_LIMIT} vertices")
     best = (g.n + 1, tuple(range(g.n)))  # no set holds more than n vertices
@@ -146,7 +136,7 @@ def exact_wcol(g: Graph, s: int) -> Tuple[int, Tuple[int, ...]]:
         for u in iter_bits(unplaced):
             later = unplaced & ~(1 << u)
             grown = list(sizes)
-            for v in iter_bits(_reach(g, u, later, s)):
+            for v in iter_bits(flood(g, 1 << u, later, s)):
                 grown[v] += 1
             if max(grown) < best[0]:
                 extend(prefix + (u,), later, grown)

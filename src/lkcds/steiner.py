@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .domination import ContractViolation
-from .graphs import Graph, iter_bits, tree_problem, vertex_mask
+from .graphs import Graph, Tree, iter_bits, tree_problem, vertex_mask
 from .oracles import FOUND, INFEASIBLE, NONE_WITHIN_BUDGET
 
 GROUP_LIMIT = 8
@@ -39,19 +39,9 @@ Row = Tuple[int, ...]  # vertex masks by level; a short row repeats its last lev
 
 
 @dataclass(frozen=True)
-class SteinerTree:
-    vertices: Tuple[int, ...]
-    edges: Tuple[Tuple[int, int], ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.vertices)
-
-
-@dataclass(frozen=True)
 class SteinerResult:
     status: str
-    tree: Optional[SteinerTree] = None
+    tree: Optional[Tree] = None
 
     @property
     def value(self) -> Optional[int]:
@@ -138,7 +128,7 @@ class SteinerLattice:
             part = (part - 1) & rest
         return sides
 
-    def tree(self, bundle: int, row: Row) -> SteinerTree:
+    def tree(self, bundle: int, row: Row) -> Tree:
         """The tree the tie-breaks pick from the bundle's nonempty row.
 
         Checks its own result: a tree of the graph, of value + 1 vertices,
@@ -165,7 +155,7 @@ class SteinerLattice:
                 w = (near & -near).bit_length() - 1
                 edges.add((v, w) if v < w else (w, v))
                 todo.append((b, lv, w, d - 1))
-        tree = SteinerTree(tuple(iter_bits(span)), tuple(sorted(edges)))
+        tree = Tree(tuple(iter_bits(span)), tuple(sorted(edges)))
         problem = tree_problem(self.g, tree.vertices, tree.edges)
         if problem is not None:
             raise ContractViolation(f"reconstructed tree {problem}")

@@ -14,10 +14,9 @@ from hypothesis import settings
 
 from lkcds.closure import ClosureResult, build_closure
 from lkcds.cores import Rejection
-from lkcds.graphs import Graph, mask_of, r_subdivision
+from lkcds.graphs import Graph, Tree, mask_of, r_subdivision
 from lkcds.kernel import KernelInstance, KernelParams, kernelize, params_from
 from lkcds.oracles import FOUND, INFEASIBLE, NONE_WITHIN_BUDGET
-from lkcds.steiner import SteinerTree
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
@@ -251,7 +250,7 @@ def tampered_path5_closure() -> ClosureResult:
     clo = build_closure(path_graph(5), [2], 1, 2)
     assert clo.kept[(0, 1, 2)].vertices == (0, 1, 2)
     kept = dict(clo.kept)
-    kept[(0, 1, 2)] = SteinerTree((0, 1, 2), ((0, 1), (0, 1)))
+    kept[(0, 1, 2)] = Tree((0, 1, 2), ((0, 1), (0, 1)))
     return replace(clo, kept=kept)
 
 

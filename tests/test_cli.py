@@ -233,6 +233,11 @@ def test_bad_values_exit_2_without_traceback(capsys, tmp_path, c6_file):
     )
     assert code == 2
     assert err == "error: blocker 9 out of range\n"
+    code, _, err = run(
+        capsys, ["profile-stats", "--input", c6_file, "--r", "-1", "--z", "0"]
+    )
+    assert code == 2
+    assert err == "error: radius must be nonnegative\n"
     kern = tmp_path / "kern.txt"
     code, _, _ = run(
         capsys,

@@ -28,10 +28,10 @@ from lkcds.closure import (
     verify_closure,
 )
 from lkcds.domination import greedy_rdom
-from lkcds.graphs import Graph, induced_subgraph
+from lkcds.graphs import Graph, Tree, induced_subgraph
 from lkcds.oracles import FOUND, brute_steiner
 from lkcds.projections import classify, profile
-from lkcds.steiner import SteinerTree, steiner_size
+from lkcds.steiner import steiner_size
 
 
 def test_avoiding_path_tree_on_cycle():
@@ -90,7 +90,7 @@ def test_verify_closure_reports_a_changed_profile():
         (
             # a real host tree for bundle (0, 1), one vertex larger than needed
             lambda clo: replace(
-                clo, kept={**clo.kept, (0, 1): SteinerTree((0, 1, 2), ((0, 1), (1, 2)))}
+                clo, kept={**clo.kept, (0, 1): Tree((0, 1, 2), ((0, 1), (1, 2)))}
             ),
             ("item3: bundle (0, 1): host tree has 3 vertices but the closure needs 2",),
         ),
@@ -264,6 +264,11 @@ def test_closure_rejects_bad_blockers():
         build_closure(path_graph(4), [7], 1, 1)
     with pytest.raises(ValueError):
         build_closure(path_graph(4), [0], 1, Fraction(1, 4))
+
+
+def test_closure_refuses_a_negative_radius():
+    with pytest.raises(ValueError, match="^radius must be nonnegative$"):
+        build_closure(path_graph(4), [1], -1, 2)
 
 
 @given(st.integers(0, 2_000))

@@ -27,7 +27,7 @@ from lkcds.domination import (
     dominates,
     greedy_rdom,
 )
-from lkcds.graphs import Graph, bfs_layers, induced_components, iter_bits, mask_of
+from lkcds.graphs import Graph, Tree, bfs_layers, induced_components, iter_bits, mask_of
 from lkcds.oracles import exact_ds
 
 
@@ -327,7 +327,7 @@ def test_covering_family_rejects_bad_input():
 
 
 def test_check_covering_family_catches_tampering():
-    from lkcds.domination import CoveringFamily, SubtreePiece
+    from lkcds.domination import CoveringFamily
 
     g = path_graph(6)
     fam = covering_family(g, 2)
@@ -336,7 +336,7 @@ def test_check_covering_family_catches_tampering():
     assert check_covering_family(g, broken) is not None
     # oversize piece
     fat = CoveringFamily(
-        Fraction(1), (SubtreePiece(tuple(range(6)), tuple((i, i + 1) for i in range(5))),)
+        Fraction(1), (Tree(tuple(range(6)), tuple((i, i + 1) for i in range(5))),)
     )
     assert check_covering_family(g, fat) is not None
 

@@ -13,6 +13,7 @@ from lkcds.graphs import (
     Graph,
     GraphFormatError,
     bfs_layers,
+    flood,
     graph_on_vertices,
     induced_components,
     induced_subgraph,
@@ -94,7 +95,7 @@ def plain_bfs_order(g):
 @given(st.integers(0, 14), st.sampled_from((0.1, 0.2, 0.4)), st.data())
 @settings(max_examples=150)
 def test_mask_primitives_match_the_queue_bfs(n, density, data):
-    # the mask routines (neighborhood, layers and what is built on them)
+    # the mask routines (neighborhood, layers, flood and what is built on them)
     # against bfs_layers, the one queue BFS, on sparse and often
     # disconnected graphs
     rng = random.Random(data.draw(st.integers(0, 10_000)))
@@ -117,9 +118,9 @@ def test_mask_primitives_match_the_queue_bfs(n, density, data):
         ]
         assert g.dist_row(v) == tuple(dist.get(u, -1) for u in range(n))
     for r in range(4):
-        assert g.balls(r) == tuple(
-            mask_of(bfs_layers(g, [v], depth_cap=r).dist) for v in range(n)
-        )
+        want = tuple(mask_of(bfs_layers(g, [v], depth_cap=r).dist) for v in range(n))
+        assert g.balls(r) == want
+        assert tuple(flood(g, 1 << v, depth=r) for v in range(n)) == want
     for _ in range(4):
         m = data.draw(st.integers(0, full))
         sub, parents = induced_subgraph(g, iter_bits(m))
@@ -139,6 +140,9 @@ def test_mask_primitives_match_the_queue_bfs(n, density, data):
                 mask_of(parents[i] for i, d in dist.items() if d == j)
                 for j in range(depth + 1)
             ]
+            for r in range(4):
+                reached = bfs_layers(sub, [0], depth_cap=r).dist
+                assert flood(g, 1 << start, m, r) == mask_of(parents[i] for i in reached)
     assert list(heuristic_order(g, "bfs").seq) == plain_bfs_order(g)
 
 
@@ -169,6 +173,11 @@ def test_tree_problem_names_each_fault():
     assert tree_problem(g, (0, 1, 2), ((0, 1), (0, 2))) == "uses a non-edge (0, 2)"
     assert tree_problem(g, (0, 1, 3), ((0, 1), (1, 2))) == "has a dangling edge (1, 2)"
     assert tree_problem(g, (0, 1, 2), ((0, 1), (0, 1))) == "is disconnected"
+
+
+def test_bfs_layers_refuses_a_negative_depth():
+    with pytest.raises(ValueError, match="^radius must be nonnegative$"):
+        bfs_layers(path_graph(3), [0], depth_cap=-1)
 
 
 def test_bfs_layers_blocked_vertices_are_reached_not_expanded():

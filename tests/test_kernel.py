@@ -75,6 +75,19 @@ def test_params_validation():
     assert params_from(2, 1, epsilon=6).alpha == Fraction(7)
 
 
+def test_float_factors_are_refused():
+    # a float such as 7.1 is not 71/10, and no float may reach a certified bound
+    with pytest.raises(TypeError):
+        KernelParams(2, 1, 7.1)
+    with pytest.raises(TypeError):
+        params_from(2, 1, alpha=7.5)
+    with pytest.raises(TypeError):
+        params_from(2, 1, epsilon=0.1)
+    assert params_from(2, 1, alpha="71/10").alpha == Fraction(71, 10)
+    assert params_from(2, 1, epsilon="1/10").alpha == Fraction(11, 10)
+    assert KernelParams(2, 1, 7).alpha == params_from(2, 1, alpha=Fraction(7)).alpha
+
+
 def test_kernelize_rejects_disconnected():
     g = Graph.from_edges(4, [(0, 1), (2, 3)])
     out = kernelize(g, kparams())

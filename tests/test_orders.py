@@ -36,7 +36,7 @@ def test_wreach_identity_order_on_path():
     assert sets[0] == (0,)
     assert sets[2] == (0, 1, 2)
     assert sets[4] == (2, 3, 4)
-    assert og.wcol(2) == 3
+    assert wreach_report(og, 2).value == 3
 
 
 def test_wreach_zero_is_self_only():
@@ -96,6 +96,12 @@ def test_exact_wcol_on_known_graphs():
         exact_wcol(path_graph(9), 1)
 
 
+@pytest.mark.parametrize("s", [-1, -2])
+def test_exact_wcol_refuses_a_negative_radius(s):
+    with pytest.raises(ValueError, match="^radius must be nonnegative$"):
+        exact_wcol(path_graph(4), s)
+
+
 @given(st.data())
 @settings(max_examples=60)
 def test_exact_wcol_matches_a_permutation_scan(data):
@@ -107,7 +113,7 @@ def test_exact_wcol_matches_a_permutation_scan(data):
     s = data.draw(st.integers(0, 3))
     best = None
     for perm in permutations(range(n)):
-        value = OrderedGraph(g, perm).wcol(s)
+        value = wreach_report(OrderedGraph(g, perm), s).value
         if best is None or value < best[0]:
             best = (value, perm)
     assert exact_wcol(g, s) == best
@@ -120,7 +126,7 @@ def test_heuristics_never_beat_exact(seed):
     best, _ = exact_wcol(g, 2)
     for kind in ("degeneracy", "bfs", "random"):
         og = heuristic_order(g, kind=kind, seed=0)
-        assert og.wcol(2) >= best
+        assert wreach_report(og, 2).value >= best
 
 
 def test_random_order_is_reproducible_by_default():

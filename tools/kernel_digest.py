@@ -57,6 +57,10 @@ kept tree or a closure count at a cap of 5 to 8 changes, and the
 `connect` line when a stitching result on hosts of ladder size changes.
 The `demos` line moves when a demo is added, removed or prints anything
 different.
+
+Every tree, a kept tree of a closure or the tree of a `steiner_exact`
+result, is hashed as its `(vertices, edges)` tuple rather than as the
+`repr` of its record, so renaming the record class moves no line.
 Standard library only.
 """
 
@@ -70,7 +74,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 
 def load_bench_module(checkout: Path, name: str):
@@ -146,10 +150,20 @@ def instance_lines(item, certify: bool, bench_run) -> Tuple[List[str], ...]:
     closure = [
         f"{item.name} {item.params}",
         repr(sorted(out.closure.stats.items())),
-        repr(sorted(out.closure.kept.items())),
+        kept_repr(out.closure.kept),
         repr((report.ok, report.problems)),
     ]
     return kernel, closure, lifts
+
+
+def tree_tuple(tree) -> Optional[Tuple]:
+    """A tree record as its (vertices, edges) tuple, None for no tree."""
+    return None if tree is None else (tree.vertices, tree.edges)
+
+
+def kept_repr(kept) -> str:
+    """The kept trees of a closure by bundle key, each as (vertices, edges)."""
+    return repr([(key, tree_tuple(tree)) for key, tree in sorted(kept.items())])
 
 
 def feed(digest, lines: List[str]) -> None:
@@ -216,7 +230,8 @@ def steiner_lines(seed: int) -> List[str]:
             if slot >= 0:
                 groups[slot].append(v)
         for cap in STEINER_CAPS:
-            lines.append(repr(steiner_exact(g, groups, size_cap=cap)))
+            res = steiner_exact(g, groups, size_cap=cap)
+            lines.append(repr((res.status, tree_tuple(res.tree))))
     return lines
 
 
@@ -273,7 +288,7 @@ def bundle_lines(seed: int) -> List[str]:
         r, t = rng.randint(1, 2), rng.choice(BUNDLE_TS)
         clo = build_closure(g, blockers, r, t)
         lines.append(repr(sorted(clo.stats.items())))
-        lines.append(repr(sorted(clo.kept.items())))
+        lines.append(kept_repr(clo.kept))
     return lines
 
 
