@@ -69,7 +69,7 @@ from .orders import (
     wreach_report,
 )
 from .projections import classify, profile
-from .steiner import SteinerResult, steiner_exact, steiner_size
+from .steiner import steiner_exact, steiner_size
 
 __version__ = "0.1.0"
 
@@ -91,7 +91,6 @@ __all__ = [
     "ReplaySplit",
     "SetCoverInstance",
     "SolveResult",
-    "SteinerResult",
     "TranslationCheck",
     "TranslationGraph",
     "bfs_layers",

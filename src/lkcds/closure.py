@@ -95,7 +95,7 @@ def build_closure(
         raise ValueError("t is too small for any tree to fit")
     xs = tuple(sorted(set(blockers)))
     xset = set(xs)
-    cls = classify(g, xs, r)  # refuses a blocker outside g
+    cls = classify(g, xs, r)  # refuses a negative r and a blocker outside g
     groups: List[Tuple[int, ...]] = [c.members for c in cls.classes]
     class_count = len(groups)
     groups.extend((x,) for x in xs)

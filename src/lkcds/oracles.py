@@ -149,17 +149,15 @@ def exact_ds(
     return _min_cover(g.balls(r), (1 << g.n) - 1, k, budget_nodes)
 
 
-def connected_vertex_sets(
-    g: Graph, max_size: int, within: Optional[int] = None
-) -> Iterator[int]:
+def connected_vertex_sets(g: Graph, max_size: int) -> Iterator[int]:
     """All nonempty connected vertex sets of size <= max_size, as bitmasks.
 
     Enumeration is exhaustive and duplicate free: each set is grown from its
     least vertex through vertices above it only.  Order is deterministic but
-    not size sorted.  `within` restricts the universe to a mask.
+    not size sorted.
     """
     masks = g.neighbor_masks()
-    pool = (1 << g.n) - 1 if within is None else within
+    full = (1 << g.n) - 1
 
     def grow(cur: int, size: int, cand: int, banned: int, above: int) -> Iterator[int]:
         yield cur
@@ -176,8 +174,8 @@ def connected_vertex_sets(
 
     if max_size < 1:
         return
-    for v in iter_bits(pool):
-        above = pool & ~((2 << v) - 1)
+    for v in range(g.n):
+        above = full & -(2 << v)
         yield from grow(1 << v, 1, masks[v] & above, 0, above)
 
 

@@ -69,6 +69,8 @@ def classify(g: Graph, blockers: Iterable[int], r: int) -> ProfileClassification
     The flood direction is opposite to the one `profile` uses; paths with
     X-free interiors reverse cleanly, so both give the same distances.
     """
+    if r < 0:
+        raise ValueError("radius must be nonnegative")
     xs = tuple(sorted(set(blockers)))
     vertex_mask(g, xs, "blocker")
     xset = set(xs)

@@ -7,10 +7,11 @@ plus one.  A bundle's row holds one vertex mask per level: level d is the
 set of vertices v that lie on a tree of at most d edges meeting every group
 of the bundle.  Level d is level d - 1, its neighbour shell, and the OR
 over the splits of the bundle into two sub-bundles A and B of the masks
-A[i] & B[d - i].  A row ends at cap - 1 edges, or, without a cap, once it
-stops growing and holds every vertex a split can add.  A `SteinerLattice`
-keeps the rows it is asked to keep, so one lattice per closure computes
-each bundle's row once and shares it with every larger bundle.
+A[i] & B[d - i].  A row ends at cap - 1 edges, or earlier once it stops
+growing and holds every vertex a split can add.  A `SteinerLattice` keeps
+the rows it is asked to keep, so one lattice per closure computes each
+bundle's row once and shares it with every larger bundle; `steiner_exact`
+caps its own lattice at n vertices, which no tree exceeds.
 
 Trees are rebuilt by fixed tie-breaks.  Start from the least vertex at the
 least level.  There take the first split, in descending submask order over
@@ -26,26 +27,14 @@ that bundle alone.  Group count is capped because the work grows as
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .domination import ContractViolation
 from .graphs import Graph, Tree, iter_bits, tree_problem, vertex_mask
-from .oracles import FOUND, INFEASIBLE, NONE_WITHIN_BUDGET
 
 GROUP_LIMIT = 8
 
 Row = Tuple[int, ...]  # vertex masks by level; a short row repeats its last level
-
-
-@dataclass(frozen=True)
-class SteinerResult:
-    status: str
-    tree: Optional[Tree] = None
-
-    @property
-    def value(self) -> Optional[int]:
-        return None if self.tree is None else self.tree.size
 
 
 class SteinerLattice:
@@ -58,12 +47,12 @@ class SteinerLattice:
     bundle that contains it.
     """
 
-    def __init__(self, g: Graph, groups: Sequence[int], size_cap: Optional[int]):
+    def __init__(self, g: Graph, groups: Sequence[int], cap: int):
         self.g = g
         self.groups = groups
         self.nbr = g.neighbor_masks()
         # a tree has at most n - 1 edges
-        self.top = g.n - 1 if size_cap is None else min(size_cap, g.n) - 1
+        self.top = min(cap, g.n) - 1
         self.rows: Dict[int, Row] = {}
 
     def row(self, bundle: int, keep: bool) -> Row:
@@ -185,18 +174,13 @@ class SteinerLattice:
         return []
 
 
-def steiner_exact(
-    g: Graph, groups: Sequence[Iterable[int]], size_cap: Optional[int] = None
-) -> SteinerResult:
-    """Minimum-vertex tree meeting every group, with full reconstruction.
+def steiner_exact(g: Graph, groups: Sequence[Iterable[int]]) -> Optional[Tree]:
+    """Minimum-vertex tree meeting every group, or None when none exists.
 
     Groups are read as vertex sets: nonempty, pairwise disjoint, at most
-    GROUP_LIMIT of them.  A tree of more than `size_cap` vertices does not
-    count; when only such trees exist the status is NONE_WITHIN_BUDGET,
-    and INFEASIBLE when no tree exists at all.
-
-    One query of a fresh `SteinerLattice`: every proper sub-bundle's row in
-    increasing mask order, then the whole bundle's row and its tree.
+    GROUP_LIMIT of them.  One query of a fresh `SteinerLattice` capped at
+    n vertices: every proper sub-bundle's row in increasing mask order,
+    then the whole bundle's row and its tree.
     """
     groups = tuple(tuple(sorted(set(grp))) for grp in groups)
     if not groups:
@@ -211,22 +195,16 @@ def steiner_exact(
             if v in seen:
                 raise ValueError(f"vertex {v} appears in two groups")
             seen.add(v)
-    if size_cap is not None and size_cap < 1:
-        raise ValueError("size cap must be at least 1")
     group_masks = [vertex_mask(g, grp, "group vertex") for grp in groups]
-    lattice = SteinerLattice(g, group_masks, size_cap)
+    lattice = SteinerLattice(g, group_masks, g.n)
     full = (1 << len(groups)) - 1
     for bundle in range(1, full):
         lattice.row(bundle, keep=True)
     row = lattice.row(full, keep=False)
-    if not row:
-        feasible = any(
-            all(c & gm for gm in group_masks) for c in g.component_masks()
-        )
-        return SteinerResult(NONE_WITHIN_BUDGET if feasible else INFEASIBLE)
-    return SteinerResult(FOUND, lattice.tree(full, row))
+    return lattice.tree(full, row) if row else None
 
 
 def steiner_size(g: Graph, groups: Sequence[Iterable[int]]) -> Optional[int]:
     """Vertex count of an optimum tree, or None when no tree exists."""
-    return steiner_exact(g, groups).value
+    tree = steiner_exact(g, groups)
+    return None if tree is None else tree.size

@@ -219,14 +219,14 @@ def test_kept_bundles_match_brute_force(case):
 
 @st.composite
 def lattice_cases(draw):
-    """A random graph of at most 12 vertices, possibly disconnected, with
-    blockers, a radius and a t whose cap is 2, 3 or 4."""
-    n = draw(st.integers(1, 12))
+    """A random graph of at most 10 vertices, often disconnected, with up
+    to 3 blockers, a radius and a t whose cap is 2 to 6."""
+    n = draw(st.integers(1, 10))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     g = Graph.from_edges(n, [e for e in pairs if draw(st.integers(0, 9)) < 3])
-    blockers = draw(st.lists(st.integers(0, n - 1), max_size=4, unique=True))
+    blockers = draw(st.lists(st.integers(0, n - 1), max_size=3, unique=True))
     r = draw(st.integers(1, 2))
-    t = draw(st.sampled_from([1, Fraction(3, 2), 2]))
+    t = draw(st.sampled_from([1, Fraction(3, 2), 2, Fraction(5, 2), 3]))
     return g, blockers, r, t
 
 

@@ -51,6 +51,13 @@ def test_classify_matches_per_vertex_profiles():
     assert sum(len(c.members) for c in cls.classes) == g.n - len(blockers)
 
 
+def test_classify_refuses_a_negative_radius():
+    # without blockers there is no flood, so classify checks r itself
+    for blockers in ([], [0]):
+        with pytest.raises(ValueError, match="^radius must be nonnegative$"):
+            classify(cycle_graph(6), blockers, -1)
+
+
 @given(st.integers(0, 3_000))
 @settings(max_examples=80)
 def test_flood_direction_agrees_with_split_oracle(seed):

@@ -1,4 +1,11 @@
-"""Group Steiner trees measured in vertices, against brute force."""
+"""Group Steiner trees measured in vertices, against brute force.
+
+`steiner_exact` searches uncapped; the capped lattice is checked through
+the kept trees of `build_closure`, the search that runs it, where every
+blocker is a group of its own.
+"""
+
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -11,33 +18,37 @@ from conftest import (
     random_connected,
     whole_graph_dp,
 )
+from lkcds.closure import build_closure
 from lkcds.graphs import Graph
-from lkcds.oracles import FOUND, INFEASIBLE, NONE_WITHIN_BUDGET, brute_steiner
+from lkcds.oracles import FOUND, INFEASIBLE, brute_steiner
 from lkcds.steiner import steiner_exact, steiner_size
+
+
+def blocker_bundle(clo):
+    # the key of the bundle of every blocker group, which follow the classes
+    return tuple(range(clo.class_count, len(clo.groups)))
 
 
 def test_query_validation():
     g = grid_graph(3, 3)
-    for groups, cap, message in [
-        ([], None, "at least one group"),
-        ([[0], []], None, "nonempty"),
-        ([[0], [0, 1]], None, "vertex 0 appears in two groups"),
-        ([[i] for i in range(9)], None, "9 groups exceed the limit 8"),
-        ([[0], [1]], 0, "size cap must be at least 1"),
-        ([[0], [9]], None, "group vertex 9 out of range"),
+    for groups, message in [
+        ([], "at least one group"),
+        ([[0], []], "nonempty"),
+        ([[0], [0, 1]], "vertex 0 appears in two groups"),
+        ([[i] for i in range(9)], "9 groups exceed the limit 8"),
+        ([[0], [9]], "group vertex 9 out of range"),
     ]:
         with pytest.raises(ValueError, match=message):
-            steiner_exact(g, groups, size_cap=cap)
+            steiner_exact(g, groups)
     # groups are vertex sets: member order and repeats do not matter
-    plain = steiner_exact(g, [[1, 2], [6]], size_cap=4)
-    assert plain.status == FOUND
-    assert steiner_exact(g, [(2, 1, 2), [6, 6]], size_cap=4) == plain
+    plain = steiner_exact(g, [[1, 2], [6]])
+    assert plain is not None
+    assert steiner_exact(g, [(2, 1, 2), [6, 6]]) == plain
 
 
 def test_frozen_cycle_values():
     c6 = cycle_graph(6)
-    res = steiner_exact(c6, [[0], [2], [4]])
-    assert res.status == FOUND and res.value == 5
+    assert steiner_exact(c6, [[0], [2], [4]]).size == 5
     assert steiner_size(c6, [[0], [1]]) == 2
     assert steiner_size(c6, [[0, 3], [1, 4]]) == 2
     assert steiner_size(c6, [[0], [3]]) == 4
@@ -45,16 +56,15 @@ def test_frozen_cycle_values():
 
 def test_single_group_is_one_vertex():
     g = grid_graph(3, 3)
-    res = steiner_exact(g, [[4, 8]])
-    assert res.value == 1
-    assert res.tree.vertices == (4,)
+    tree = steiner_exact(g, [[4, 8]])
+    assert tree.size == 1
+    assert tree.vertices == (4,)
 
 
 def test_tree_is_consistent():
     g = grid_graph(3, 4)
-    res = steiner_exact(g, [[0], [3], [8]])
-    assert res.status == FOUND
-    tree = res.tree
+    tree = steiner_exact(g, [[0], [3], [8]])
+    assert tree is not None
     assert len(tree.edges) == len(tree.vertices) - 1
     vs = set(tree.vertices)
     for a, b in tree.edges:
@@ -63,13 +73,19 @@ def test_tree_is_consistent():
 
 
 def test_cap_and_infeasible_statuses():
+    # the ends of path-5 need 5 vertices: no tree within cap 4, the
+    # uncapped one within cap 5
     p5 = path_graph(5)
-    assert steiner_exact(p5, [[0], [4]], size_cap=4).status == NONE_WITHIN_BUDGET
-    assert steiner_exact(p5, [[0], [4]], size_cap=5).status == FOUND
+    under = build_closure(p5, [0, 4], 1, 2)
+    at = build_closure(p5, [0, 4], 1, Fraction(5, 2))
+    assert (under.cap, at.cap) == (4, 5)
+    assert blocker_bundle(under) not in under.kept
+    assert at.kept[blocker_bundle(at)] == steiner_exact(p5, [[0], [4]])
     disc = Graph.from_edges(4, [(0, 1), (2, 3)])
-    assert steiner_exact(disc, [[0], [3]]).status == INFEASIBLE
-    # a cap never masks infeasibility
-    assert steiner_exact(disc, [[0], [3]], size_cap=1).status == INFEASIBLE
+    assert steiner_exact(disc, [[0], [3]]) is None
+    # no cap, however large, keeps a tree across components
+    wide = build_closure(disc, [0, 3], 1, 3)
+    assert wide.cap > disc.n and blocker_bundle(wide) not in wide.kept
 
 
 def test_group_choice_allows_cheaper_tree():
@@ -84,23 +100,26 @@ def test_group_choice_allows_cheaper_tree():
 def test_matches_brute_force_value(seed):
     g = random_connected(9, 3, seed)
     groups = [[0, 1], [4], [7, 8]]
-    res = steiner_exact(g, groups)
+    tree = steiner_exact(g, groups)
     br = brute_steiner(g, [set(grp) for grp in groups], g.n)
-    assert res.status == FOUND and br.found
-    assert res.value == br.value
+    assert tree is not None and br.found
+    assert tree.size == br.value
 
 
 @given(st.integers(0, 4_000))
 @settings(max_examples=40)
 def test_cap_matches_uncapped_value(seed):
+    # the blockers' bundle keeps the uncapped tree at the cap of its size
+    # and has no tree one below
     g = random_connected(8, 2, seed)
-    groups = [[0], [5], [7]]
-    free = steiner_exact(g, groups)
-    assert free.status == FOUND
-    at = steiner_exact(g, groups, size_cap=free.value)
-    below = steiner_exact(g, groups, size_cap=free.value - 1)
-    assert at.status == FOUND and at.value == free.value
-    assert below.status == NONE_WITHIN_BUDGET
+    blockers = [0, 5, 7]
+    free = steiner_exact(g, [[x] for x in blockers])
+    assert free is not None
+    at = build_closure(g, blockers, 1, Fraction(free.size, 2))
+    below = build_closure(g, blockers, 1, Fraction(free.size - 1, 2))
+    assert (at.cap, below.cap) == (free.size, free.size - 1)
+    assert at.kept[blocker_bundle(at)] == free
+    assert blocker_bundle(below) not in below.kept
 
 
 def test_deterministic_reconstruction():
@@ -108,12 +127,12 @@ def test_deterministic_reconstruction():
     groups = [[0], [2], [6]]
     first = steiner_exact(g, groups)
     second = steiner_exact(g, groups)
-    assert first.tree == second.tree
+    assert first == second
 
 
 @st.composite
 def group_systems(draw):
-    """A random graph, possibly disconnected, 1-5 disjoint groups and a cap."""
+    """A random graph, possibly disconnected, and 1-5 disjoint groups."""
     n = draw(st.integers(1, 9))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = [e for e in pairs if draw(st.integers(0, 9)) < 3]
@@ -125,26 +144,16 @@ def group_systems(draw):
         slot = draw(st.integers(-1, gc - 1))  # -1: in no group
         if slot >= 0:
             groups[slot].append(v)
-    cap = draw(st.sampled_from([None, 1, 2, 3, 4, n, n + 3]))
-    return g, groups, cap
+    return g, groups
 
 
 @given(group_systems())
 @settings(max_examples=400)
 def test_matches_whole_graph_dp(case):
-    g, groups, cap = case
-    res = steiner_exact(g, groups, size_cap=cap)
-    status, vertices, edges = whole_graph_dp(g, groups, cap)
-    assert res.status == status
-    if status == FOUND:
-        assert (res.tree.vertices, res.tree.edges) == (vertices, edges)
-
-
-@given(group_systems())
-@settings(max_examples=200)
-def test_capped_status_matches_brute_force(case):
-    g, groups, cap = case
-    res = steiner_exact(g, groups, size_cap=cap)
-    br = brute_steiner(g, groups, cap)
-    assert res.status == br.status
-    assert res.value == br.value
+    g, groups = case
+    tree = steiner_exact(g, groups)
+    status, vertices, edges = whole_graph_dp(g, groups, None)
+    assert status == (INFEASIBLE if tree is None else FOUND)
+    if tree is not None:
+        assert (tree.vertices, tree.edges) == (vertices, edges)
+    assert steiner_size(g, groups) == brute_steiner(g, groups).value

@@ -23,9 +23,11 @@ prints three lines, each with the instance count and a sha256:
 A `cover` line hashes the set-cover oracles alone: `exact_ds`,
 `exact_setcover` and `cover_exists` on seeded random graphs and set
 systems, with no budget and with node budgets small enough to run out.
-A `steiner` line hashes the status and the tree of `steiner_exact` on
-seeded random group systems of up to 8 groups, some on disconnected
-hosts, uncapped and with every size cap from 1 to 5.  A `graphs` line
+A `steiner` line hashes, on seeded random group systems of up to 8
+groups, some on disconnected hosts, the uncapped `steiner_size` and, for
+every cap from 1 to 5, the tree (or None) that a `SteinerLattice` of that
+cap rebuilds for the whole bundle after keeping the row of every proper
+sub-bundle, as `build_closure` keeps them.  A `graphs` line
 hashes the graph primitives the other lines reach only in part, on
 seeded random graphs of 0 to 16 vertices, often disconnected: the
 `dist_row` of every vertex, `balls` at radius 0 to 3, `component_masks`,
@@ -58,9 +60,9 @@ kept tree or a closure count at a cap of 5 to 8 changes, and the
 The `demos` line moves when a demo is added, removed or prints anything
 different.
 
-Every tree, a kept tree of a closure or the tree of a `steiner_exact`
-result, is hashed as its `(vertices, edges)` tuple rather than as the
-`repr` of its record, so renaming the record class moves no line.
+Every tree, a kept tree of a closure or the tree of a capped lattice, is
+hashed as its `(vertices, edges)` tuple rather than as the `repr` of its
+record, so renaming the record class moves no line.
 Standard library only.
 """
 
@@ -206,13 +208,27 @@ def cover_lines(seed: int) -> List[str]:
 
 
 STEINER_QUERIES = 200  # random group systems per seed
-STEINER_CAPS = (None, 1, 2, 3, 4, 5)
+STEINER_CAPS = (1, 2, 3, 4, 5)
+
+
+def capped_tree(g, groups, cap: int):
+    """The tree a lattice capped at `cap` rebuilds for the whole bundle
+    after keeping the row of every proper sub-bundle, or None."""
+    from lkcds.graphs import mask_of
+    from lkcds.steiner import SteinerLattice
+
+    lattice = SteinerLattice(g, [mask_of(grp) for grp in groups], cap)
+    full = (1 << len(groups)) - 1
+    for bundle in range(1, full):
+        lattice.row(bundle, keep=True)
+    row = lattice.row(full, keep=False)
+    return lattice.tree(full, row) if row else None
 
 
 def steiner_lines(seed: int) -> List[str]:
-    """`steiner_exact` statuses and trees on seeded random group systems."""
+    """Uncapped Steiner values and capped lattice trees on seeded random group systems."""
     from lkcds.graphs import Graph
-    from lkcds.steiner import steiner_exact
+    from lkcds.steiner import steiner_size
 
     rng = random.Random(seed)
     lines = []
@@ -229,9 +245,9 @@ def steiner_lines(seed: int) -> List[str]:
             slot = rng.randint(-1, gc - 1)  # -1: in no group
             if slot >= 0:
                 groups[slot].append(v)
+        lines.append(repr(steiner_size(g, groups)))
         for cap in STEINER_CAPS:
-            res = steiner_exact(g, groups, size_cap=cap)
-            lines.append(repr((res.status, tree_tuple(res.tree))))
+            lines.append(repr(tree_tuple(capped_tree(g, groups, cap))))
     return lines
 
 
