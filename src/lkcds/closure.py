@@ -64,7 +64,8 @@ class ClosureResult:
     blockers_new: Tuple[int, ...]
     r: int
     cap: int
-    groups: Tuple[Tuple[int, ...], ...]  # host ids; classes first, then blockers
+    # host ids; classes first, then one per blocker when cap >= 3
+    groups: Tuple[Tuple[int, ...], ...]
     class_count: int
     kept: Dict[Tuple[int, ...], Tree]
     terminals: Tuple[int, ...]  # host ids of protected free vertices
@@ -76,19 +77,31 @@ def build_closure(
 ) -> ClosureResult:
     """Closure of g around the blockers, keeping bundles of at most cap groups.
 
-    The groups are the profile classes of the free vertices, then one group
-    per blocker; every vertex lies in exactly one.  All bundles are visited
-    by size in one `SteinerLattice`, so each bundle's row is computed once
-    and read by every larger bundle, and the optimum tree of every bundle
-    that has one within the cap is kept.  Each group's own row comes first;
-    its last level is the group's radius cap - 1 ball, and two groups are
-    compatible when that ball meets the other group, that is, when some
-    members lie within cap - 1 of each other.  A tree of at most cap
-    vertices can only meet pairwise compatible groups, so larger bundles
-    are the sets of at most cap pairwise compatible groups.  A bundle with
-    a sub-bundle that has no such tree has none either, and its row is not
-    built.  Rows of cap groups are read by no larger bundle and are not
-    stored.
+    The groups are the profile classes of the free vertices and, when
+    cap >= 3, one group per blocker after them; no vertex lies in two.  All
+    bundles are visited by size in one `SteinerLattice`, so each bundle's
+    row is computed once and read by every larger bundle, and the optimum
+    tree of every bundle that has one within the cap is kept.  Each
+    group's own row comes first; its last level is the group's radius
+    cap - 1 ball, and two groups are compatible when that ball meets the
+    other group, that is, when some members lie within cap - 1 of each
+    other.  A tree of at most cap vertices can only meet pairwise
+    compatible groups, so larger bundles are the sets of at most cap
+    pairwise compatible groups.  A bundle with a sub-bundle that has no
+    such tree has none either, and its row is not built.  Rows of cap
+    groups are read by no larger bundle and are not stored.
+
+    Below cap 3 the blocker groups would add nothing to the closure graph,
+    for r >= 1, the radius every kernel runs at:
+    - A tree has at most 2 vertices, and each lies in a group of its bundle.
+    - So a tree of blockers alone is a blocker or an edge between two
+      blockers, and the closure keeps every blocker and every such edge.
+    - A tree of a class c and a blocker x is an edge from a member of c to
+      x, so (x, 1) is in the profile of c, and every member of c is
+      adjacent to x.  The tie-breaks then pick the edge from c's least
+      member m0 to x.  m0 is a terminal, as the tree of c alone is m0, and
+      `avoiding_path_tree(m0)` keeps that same edge.
+    At r = 0 profiles are empty, and such an edge is kept only at cap >= 3.
     """
     _, cap = piece_cap(t)
     if cap < 1:
@@ -98,12 +111,15 @@ def build_closure(
     cls = classify(g, xs, r)  # refuses a negative r and a blocker outside g
     groups: List[Tuple[int, ...]] = [c.members for c in cls.classes]
     class_count = len(groups)
-    groups.extend((x,) for x in xs)
+    if cap >= 3:
+        groups.extend((x,) for x in xs)
 
+    grouped = 0  # below cap 3 a blocker lies in no group, not in group 0
     group_of = [0] * g.n
     for i, grp in enumerate(groups):
         for v in grp:
             group_of[v] = i
+            grouped |= 1 << v
     lattice = SteinerLattice(g, [mask_of(grp) for grp in groups], cap)
     kept: Dict[Tuple[int, ...], Tree] = {}
     compat = []
@@ -111,7 +127,7 @@ def build_closure(
         row = lattice.row(1 << i, keep=cap > 1)
         kept[(i,)] = lattice.tree(1 << i, row)
         near = 0
-        for v in iter_bits(row[-1]):
+        for v in iter_bits(row[-1] & grouped):
             near |= 1 << group_of[v]
         compat.append(near & ~(1 << i))
     pairs = len(groups) * (len(groups) - 1) // 2

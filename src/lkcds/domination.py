@@ -89,9 +89,14 @@ def connect(g: Graph, seeds: Iterable[int], stretch: int) -> ConnectResult:
     the least key (d, u, v) over seed vertices u and v, where u lies in an
     earlier component than v and d is their host distance; the path is the
     lexicographically least shortest one, `bfs_layers(g, [u]).path_to(v)`, and
-    its interior vertices become seeds.  A merge needing more than `stretch`
-    interior vertices, or a total beyond stretch * (components - 1), violates
-    the contract this routine is used under and raises.
+    its interior vertices become seeds.  The path is read off v's own BFS
+    layers: from u, step i takes the least neighbour in v's layer d - 1 - i.
+    A walk that steps into those layers in turn is a shortest path from u to
+    v, and every such vertex continues to v, so the least choice at each
+    step, first step first, is the lexicographically least path.  A merge
+    needing more than `stretch` interior vertices, or a total beyond
+    stretch * (components - 1), violates the contract this routine is used
+    under and raises.
 
     Host distances never change, so the rounds share one pass over seed
     pairs in key order.  Every seed keeps its own BFS (`Graph.layers`),
@@ -117,11 +122,14 @@ def connect(g: Graph, seeds: Iterable[int], stretch: int) -> ConnectResult:
     for i, c in enumerate(members):
         for v in iter_bits(c):
             comp[v] = i
-    # each seed's BFS layers, read one per radius; other slots stay unused
+    # each seed's BFS layers, read one per radius, and those read so far;
+    # other slots stay unused
     floods: List[Iterator[int]] = [iter(())] * g.n
+    rings: List[List[int]] = [[] for _ in range(g.n)]
     for v in seed_tuple:
         floods[v] = g.layers(1 << v)
-        next(floods[v])
+        rings[v] = [next(floods[v])]
+    nbr = g.neighbor_masks()
     radius = 0
     heap: List[Tuple[int, int, int]] = []
     added: List[int] = []
@@ -134,6 +142,7 @@ def connect(g: Graph, seeds: Iterable[int], stretch: int) -> ConnectResult:
                 grown = 0
                 for s in iter_bits(current):
                     layer = next(floods[s], 0)
+                    rings[s].append(layer)
                     grown |= layer
                     # the heap was empty and entries come in key order,
                     # so the list is a heap
@@ -156,8 +165,12 @@ def connect(g: Graph, seeds: Iterable[int], stretch: int) -> ConnectResult:
                 f"merge from {u} to {v} needs {d - 1} interior vertices, "
                 f"allowed {stretch}"
             )
-        # capped at depth d, the BFS still reaches v by the same parents
-        path = bfs_layers(g, [u], depth_cap=d).path_to(v)
+        # every seed has read its layers up to the radius, and d <= radius
+        path = [u]
+        for layer in reversed(rings[v][1:d]):
+            near = nbr[path[-1]] & layer
+            path.append((near & -near).bit_length() - 1)
+        path.append(v)
         interior = path[1:-1]
         for w in interior:
             if not (current >> w) & 1:
@@ -185,6 +198,7 @@ def connect(g: Graph, seeds: Iterable[int], stretch: int) -> ConnectResult:
             comp[x] = keep
             floods[x] = g.layers(1 << x)
             for dist, layer in zip(range(radius + 1), floods[x]):
+                rings[x].append(layer)
                 for b in iter_bits(layer & current & ~merged):
                     heapq.heappush(heap, (dist, x, b))
                     heapq.heappush(heap, (dist, b, x))

@@ -259,6 +259,57 @@ def test_shared_lattice_matches_whole_graph_dp(case):
     )
 
 
+@st.composite
+def cap2_cases(draw):
+    """A random graph of at most 10 vertices, often disconnected, a blocker
+    set that may be empty or the whole host, and a radius."""
+    n = draw(st.integers(1, 10))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    g = Graph.from_edges(n, [e for e in pairs if draw(st.integers(0, 9)) < 3])
+    blockers = draw(
+        st.one_of(
+            st.just(list(range(n))),
+            st.lists(st.integers(0, n - 1), max_size=n, unique=True),
+        )
+    )
+    r = draw(st.integers(1, 2))
+    return g, blockers, r
+
+
+@given(cap2_cases())
+@settings(max_examples=150)
+def test_cap2_closure_keeps_blocker_bundles_without_blocker_groups(case):
+    # at cap 2 the groups are the classes alone, yet every bundle of at most
+    # 2 classes and single blockers with a host tree of at most 2 vertices
+    # has one of the same size in the closure; at cap 3 the blockers return
+    g, blockers, r = case
+    clo = build_closure(g, blockers, r, 1)
+    assert set(blockers).isdisjoint(v for grp in clo.groups for v in grp)
+    groups = list(clo.groups) + [(x,) for x in clo.blockers_old]
+    old2new = {old: new for new, old in enumerate(clo.vertex_map)}
+    for size in (1, 2):
+        for key in combinations(range(len(groups)), size):
+            host = brute_steiner(g, [groups[i] for i in key], 2)
+            if host.found:
+                mapped = [[old2new[v] for v in groups[i] if v in old2new] for i in key]
+                assert steiner_size(clo.graph, mapped) == host.value, key
+    wide = build_closure(g, blockers, r, Fraction(3, 2))
+    assert len(wide.groups) == wide.class_count + len(set(blockers))
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_closure_around_the_whole_host_is_the_host(r):
+    hosts = [
+        ("grid-3x4", grid_graph(3, 4)),
+        ("tree-9", random_tree(9, 4)),
+        ("two-edges-and-a-point", Graph.from_edges(5, [(0, 1), (2, 3)])),
+    ]
+    for name, g in hosts:
+        clo = build_closure(g, range(g.n), r, 1)
+        assert clo.groups == () and clo.kept == {}, name
+        assert clo.graph == g and clo.vertex_map == tuple(range(g.n)), name
+
+
 def test_closure_rejects_bad_blockers():
     with pytest.raises(ValueError):
         build_closure(path_graph(4), [7], 1, 1)

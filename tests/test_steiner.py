@@ -2,7 +2,7 @@
 
 `steiner_exact` searches uncapped; the capped lattice is checked through
 the kept trees of `build_closure`, the search that runs it, where every
-blocker is a group of its own.
+blocker is a group of its own at caps of 3 and more.
 """
 
 from fractions import Fraction

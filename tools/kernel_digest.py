@@ -50,9 +50,12 @@ byte-identical kernels and identical oracle answers on those instances;
 the `closure` lines add the closures and the verifier verdicts, which a
 change to the bundle search or to the stats may move while every kernel
 stays the same, and the `lift` lines the lifted solutions and the
-certificates.  The `cover` line moves when a change to the set-cover
-search changes an answer or where a budget runs out, and the `steiner`
-line when a change to the Steiner search changes a status or a tree.
+certificates.  A change to the closure's rule that keeps its graph, such
+as which groups enter the bundle search, may move the `closure` lines
+but never a `kernel` or `lift` line.  The `cover` line moves when a
+change to the set-cover search changes an answer or where a budget runs
+out, and the `steiner` line when a change to the Steiner search changes
+a status or a tree.
 The `graphs` line moves when a distance, ball, component, order, weak
 reachability set or stitching result changes, the `bundles` line when a
 kept tree or a closure count at a cap of 5 to 8 changes, and the
