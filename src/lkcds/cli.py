@@ -15,7 +15,7 @@ from typing import Callable, List, Optional, Sequence, TypeVar
 from . import closure as _closure
 from .cores import CORE_MODES, CoreOutcome, Rejection, connected_core, find_core
 from .domination import ContractViolation
-from .graphs import Graph, parse_graph, serialize_graph
+from .graphs import Graph, GraphFormatError, parse_graph, serialize_graph
 from .hardness import hardness_instance
 from .kernel import (
     kernelize,
@@ -146,6 +146,8 @@ def cmd_lift(args: argparse.Namespace) -> int:
     sol = _parse_ids(args.solution) if args.solution else []
     try:
         res = lift(host, inst, sol)
+    except GraphFormatError as exc:  # the kernel's [map] leaves the host
+        raise _CliError(f"{args.kernel}: {exc}") from exc
     except ContractViolation as exc:
         raise _CliError(f"lift rejected the data: {exc}", EXIT_VERIFY) from exc
     print("lifted", " ".join(str(v) for v in res.solution))
@@ -335,9 +337,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (ValueError, ZeroDivisionError) as exc:
-        # library routines reject bad parameters with ValueError; a bad
-        # fraction such as --alpha 1/0 raises ZeroDivisionError
+    except ValueError as exc:
+        # library routines reject bad parameters with ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

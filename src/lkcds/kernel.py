@@ -42,6 +42,15 @@ FORMAT_TAG = "lkcds/1"
 SECTIONS = ("graph", "Z", "map", "params", "provenance")
 
 
+def _fraction(name: str, value: Union[int, str, Fraction]) -> Fraction:
+    # Fraction("7/0") raises ZeroDivisionError, which names neither the
+    # quantity nor the value
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"{name} {value} has a zero denominator") from None
+
+
 @dataclass(frozen=True)
 class KernelParams:
     k: int
@@ -52,7 +61,8 @@ class KernelParams:
         if isinstance(self.alpha, float):
             raise TypeError("alpha must be an int, str or Fraction, not float")
         if not isinstance(self.alpha, Fraction):
-            object.__setattr__(self, "alpha", Fraction(self.alpha))
+            alpha = _fraction("approximation factor", self.alpha)
+            object.__setattr__(self, "alpha", alpha)
         if self.k < 0:
             raise ValueError("budget k must be nonnegative")
         if self.r < 1:
@@ -82,7 +92,9 @@ def params_from(
         raise ValueError("give exactly one of alpha and epsilon")
     if isinstance(epsilon, float):  # KernelParams refuses a float alpha
         raise TypeError("epsilon must be an int, str or Fraction, not float")
-    return KernelParams(k, r, alpha if alpha is not None else 1 + Fraction(epsilon))
+    if alpha is None:
+        alpha = 1 + _fraction("approximation slack", epsilon)
+    return KernelParams(k, r, alpha)
 
 
 @dataclass(eq=False)
@@ -166,11 +178,19 @@ class LiftResult:
 def lift(g: Graph, inst: KernelInstance, solution: Iterable[int]) -> LiftResult:
     """Translate a kernel solution back to the host graph.
 
-    Invalid kernel solutions are refused, a vertex outside the kernel by
-    name.  Valid ones map through the vertex relabeling; within budget the
-    result provably dominates the host, and beyond budget it is repaired to
-    stay a valid solution, which cannot change its capped value.
+    A kernel whose vertex map leaves the host is refused first, whatever
+    the solution.  Invalid kernel solutions are refused, a vertex outside
+    the kernel by name.  Valid ones map through the vertex relabeling;
+    within budget the result provably dominates the host, and beyond budget
+    it is repaired to stay a valid solution, which cannot change its capped
+    value.
     """
+    for v, host_v in enumerate(inst.vertex_map):
+        if not 0 <= host_v < g.n:
+            raise GraphFormatError(
+                f"[map] sends kernel vertex {v} to {host_v}, outside the host's "
+                f"vertices 0..{g.n - 1}"
+            )
     sol = tuple(sorted(set(solution)))
     for v in sol:
         if not 0 <= v < inst.graph.n:
@@ -321,16 +341,23 @@ def serialize_kernel(inst: KernelInstance) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _section_fields(sections: Dict[str, List[str]], name: str) -> Dict[str, str]:
-    # the "<key> <value>" lines of one section; a repeated key is refused
+def _section_fields(
+    sections: Dict[str, List[str]], name: str, keys: Tuple[str, ...]
+) -> Dict[str, str]:
+    # the "<key> <value>" lines of one section: each of `keys` exactly once
     fields: Dict[str, str] = {}
     for ln in sections[name]:
         if not ln.strip():
             continue
         key, _, value = ln.partition(" ")
+        if key not in keys:
+            raise GraphFormatError(f"[{name}] holds the unknown key {key!r}")
         if key in fields:
             raise GraphFormatError(f"[{name}] repeats the key {key!r}")
         fields[key] = value
+    for key in keys:
+        if key not in fields:
+            raise GraphFormatError(f"[{name}] lacks the key {key!r}")
     return fields
 
 
@@ -390,20 +417,20 @@ def parse_kernel(text: str) -> KernelInstance:
         raise GraphFormatError("vertex map does not label every kernel vertex")
     if len(set(vm.values())) != len(vm):
         raise GraphFormatError("vertex map sends two kernel vertices to one host vertex")
-    fields = _section_fields(sections, "params")
-    prov = _section_fields(sections, "provenance")
     try:
-        params = KernelParams(
-            int(fields["k"]), int(fields["r"]), Fraction(fields["alpha"])
-        )
-    except (KeyError, ValueError) as exc:
+        fields = _section_fields(sections, "params", ("k", "r", "alpha", "mode"))
+        params = KernelParams(int(fields["k"]), int(fields["r"]), fields["alpha"])
+    except ValueError as exc:
         raise GraphFormatError(f"bad parameter block: {exc}") from None
-    mode = fields.get("mode", "closure")
+    mode = fields["mode"]
     if mode not in ("closure", "trivial"):
         raise GraphFormatError(f"unknown kernel mode {mode!r}")
+    # a shortcut kernel records the host solution it replays
+    prov = _section_fields(
+        sections, "provenance", ("core", "solution") if mode == "trivial" else ("core",)
+    )
     vertex_map = tuple(vm[i] for i in range(graph.n))
-    solution = prov.get("solution", "").split()
-    if mode == "trivial" and solution != [str(v) for v in vertex_map]:
+    if mode == "trivial" and prov["solution"].split() != [str(v) for v in vertex_map]:
         raise GraphFormatError("solution line disagrees with the vertex map")
     return KernelInstance(
         graph=graph,
@@ -411,5 +438,5 @@ def parse_kernel(text: str) -> KernelInstance:
         params=params,
         vertex_map=vertex_map,
         mode=mode,
-        core=prov.get("core", "unknown"),
+        core=prov["core"],
     )

@@ -2,8 +2,10 @@
 
 Each test prints a single verdict line so the suite reads as a checklist.
 The suite fixture spans 248 instances (31 graphs x 2 radii x 2 factors x
-2 budgets); criteria that need exact optima stay within the capped
-search, so the whole gate runs in well under the ten minute budget.
+2 budgets), built by `build_suite` in `bench/workloads.py`: the same
+instances the benchmark's `suite` workload times.  Criteria that need
+exact optima stay within the capped search, so the whole gate runs in
+well under the ten minute budget.
 """
 
 from __future__ import annotations
@@ -14,14 +16,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from conftest import (
-    SUITE_GRAPHS,
-    cycle_graph,
-    grid_graph,
-    path_graph,
-    random_connected,
-    spider_graph,
-)
+from conftest import SUITE_GRAPHS
 from lkcds.closure import build_closure, check_translation, verify_closure
 from lkcds.cores import Rejection, connected_core, find_core
 from lkcds.domination import (
@@ -45,6 +40,13 @@ from lkcds.oracles import (
 from lkcds.orders import check_separation, heuristic_order
 from lkcds.projections import classify, profile
 from lkcds.steiner import steiner_exact
+from workloads import (
+    cycle_graph,
+    grid_graph,
+    path_graph,
+    random_connected,
+    spider_graph,
+)
 
 
 def verdict(num: int, label: str, ok: bool) -> None:

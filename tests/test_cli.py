@@ -138,8 +138,15 @@ def test_lift_refuses_a_bent_kernel_without_traceback(capsys, tmp_path, c6_file)
         ("[map]\n0 0\n", "[map]\n0 7\n0 0\n", "[map] repeats the kernel vertex 0"),
         ("[Z]\n0 1", "[Z]\n0 0 1", "[Z] repeats the vertex 0"),
         ("[params]\n", "[extra]\n[params]\n", "unknown section [extra]"),
+        ("alpha 7\n", "alpha 1/0\n",
+         "bad parameter block: approximation factor 1/0 has a zero denominator"),
+        ("mode closure\n", "", "bad parameter block: [params] lacks the key 'mode'"),
+        ("[params]\n", "[params]\nbeta 2\n",
+         "bad parameter block: [params] holds the unknown key 'beta'"),
+        ("\n5 5\n", "\n5 9\n",
+         "[map] sends kernel vertex 5 to 9, outside the host's vertices 0..5"),
     ],
-    ids=["map", "Z", "section"],
+    ids=["map", "Z", "section", "alpha-zero", "no-mode", "unknown-key", "map-host"],
 )
 def test_lift_refuses_a_kernel_file_it_would_merge(
     capsys, tmp_path, c6_file, old, new, message
@@ -218,6 +225,7 @@ def test_bad_values_exit_2_without_traceback(capsys, tmp_path, c6_file):
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err
     for argv in (
+        ["kernelize", "--input", c6_file, "--k", "2", "--r", "1", "--alpha", "7/0"],
         ["core", "--input", c6_file, "--k", "-1", "--r", "1"],
         ["solve", "--input", c6_file, "--k", "-1", "--r", "1"],
         ["solve", "--input", c6_file, "--k", "3", "--r", "1", "--budget-nodes", "-3"],

@@ -9,17 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (
-    SUITE_GRAPHS,
-    cycle_graph,
-    grid_graph,
-    path_graph,
-    random_connected,
-    random_tree,
-    spider_graph,
-    tampered_path5_closure,
-    whole_graph_dp,
-)
+from conftest import SUITE_GRAPHS, tampered_path5_closure, whole_graph_dp
 from lkcds.closure import (
     avoiding_path_tree,
     build_closure,
@@ -32,6 +22,14 @@ from lkcds.graphs import Graph, Tree, induced_subgraph
 from lkcds.oracles import FOUND, brute_steiner
 from lkcds.projections import classify, profile
 from lkcds.steiner import steiner_size
+from workloads import (
+    cycle_graph,
+    grid_graph,
+    path_graph,
+    random_connected,
+    random_tree,
+    spider_graph,
+)
 
 
 def test_avoiding_path_tree_on_cycle():

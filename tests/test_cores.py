@@ -4,12 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (
-    grid_graph,
-    path_graph,
-    random_connected,
-    star_graph,
-)
 from lkcds.cores import (
     DISCONNECTED,
     DominationCore,
@@ -22,6 +16,7 @@ from lkcds.cores import (
 from lkcds.domination import dominates
 from lkcds.graphs import Graph, bfs_layers, induced_subgraph, mask_connected, mask_of
 from lkcds.oracles import FOUND, cover_exists, exact_ds
+from workloads import grid_graph, path_graph, random_connected, star_graph
 
 
 def test_heuristic_prunes_star_hub():

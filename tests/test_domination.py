@@ -8,15 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (
-    cycle_graph,
-    grid_graph,
-    path_graph,
-    random_connected,
-    random_tree,
-    spider_graph,
-    star_graph,
-)
 from lkcds.cores import find_core
 from lkcds.domination import (
     ConnectResult,
@@ -29,6 +20,16 @@ from lkcds.domination import (
 )
 from lkcds.graphs import Graph, Tree, bfs_layers, induced_components, iter_bits, mask_of
 from lkcds.oracles import exact_ds
+from workloads import (
+    cycle_graph,
+    grid_graph,
+    path_graph,
+    random_connected,
+    random_tree,
+    relabeled,
+    spider_graph,
+    star_graph,
+)
 
 
 def test_dominates_basic():
@@ -263,18 +264,12 @@ def test_connect_merges_from_a_new_interior_vertex(stretch, expected):
     assert getattr(got, "merge_paths", got) == expected
 
 
-def _relabeled(g, seed):
-    perm = list(range(g.n))
-    random.Random(seed).shuffle(perm)
-    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
-
-
 @pytest.mark.parametrize("n", [100, 200])
 def test_connect_matches_all_pairs_scan_at_ladder_scale(n):
     # ladder-like hosts: merges over distances 3 and 4 take the searches
     # past their first radii, and their interior vertices become seeds that
     # have to catch up
-    g = _relabeled(random_connected(n, n // 10, n + 1), n)
+    g = relabeled(random_connected(n, n // 10, n + 1), random.Random(n))
     runs = [(find_core(g, 1, r, mode="heuristic").vertices, 2 * r) for r in (1, 2)]
     runs += [(greedy_rdom(g, r), g.n) for r in (1, 2)]
     lengths = []

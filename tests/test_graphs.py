@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cycle_graph, grid_graph, path_graph, random_connected, star_graph
 from lkcds.graphs import (
     Graph,
     GraphFormatError,
@@ -28,6 +27,7 @@ from lkcds.graphs import (
     vertex_mask,
 )
 from lkcds.orders import heuristic_order
+from workloads import cycle_graph, grid_graph, path_graph, random_connected, star_graph
 
 
 def test_from_edges_normalizes():

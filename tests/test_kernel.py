@@ -6,14 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (
-    cycle_graph,
-    grid_graph,
-    path_graph,
-    random_connected,
-    spider_graph,
-    star_graph,
-)
 from lkcds.cores import Rejection
 from lkcds.domination import ContractViolation, check_covering_family, dominates
 from lkcds.graphs import Graph, GraphFormatError, induced_subgraph
@@ -31,6 +23,14 @@ from lkcds.kernel import (
     serialize_kernel,
 )
 from lkcds.oracles import exact_acds, exact_cds
+from workloads import (
+    cycle_graph,
+    grid_graph,
+    path_graph,
+    random_connected,
+    spider_graph,
+    star_graph,
+)
 
 
 def kparams(k=2, r=1, alpha=7):
@@ -72,6 +72,11 @@ def test_params_validation():
         KernelParams(-1, 1, Fraction(7))
     with pytest.raises(ValueError):
         KernelParams(2, 0, Fraction(7))
+    # a zero denominator is named, not left to Fraction's ZeroDivisionError
+    with pytest.raises(ValueError, match="approximation factor 7/0 has a zero denominator"):
+        KernelParams(2, 1, "7/0")
+    with pytest.raises(ValueError, match="approximation slack 6/0 has a zero denominator"):
+        params_from(2, 1, epsilon="6/0")
     assert params_from(2, 1, epsilon=6).alpha == Fraction(7)
 
 
@@ -285,10 +290,22 @@ def test_parse_kernel_errors():
                           ("provenance", "core exact")):
         with pytest.raises(GraphFormatError, match=rf"\[{section}\] repeats the key"):
             parse_kernel(text.replace(f"[{section}]\n", f"[{section}]\n{line}\n"))
-    assert parse_kernel(text + "k 5\n").params == inst.params
+    with pytest.raises(GraphFormatError, match=r"\[provenance\] holds the unknown key 'k'"):
+        parse_kernel(text + "k 5\n")
     with pytest.raises(GraphFormatError, match="bad parameter block"):
         parse_kernel(text.replace("\nk 2\n", "\n").replace(
             "[provenance]\n", "[provenance]\nk 2\n"))
+    # every key that serialize_kernel writes is required, and no other
+    assert "\nmode closure\n" in text
+    with pytest.raises(GraphFormatError, match=r"\[params\] lacks the key 'mode'"):
+        parse_kernel(text.replace("\nmode closure\n", "\n"))
+    with pytest.raises(GraphFormatError, match=r"\[params\] holds the unknown key 'beta'"):
+        parse_kernel(text.replace("[params]\n", "[params]\nbeta 2\n"))
+    with pytest.raises(GraphFormatError, match=r"\[provenance\] lacks the key 'core'"):
+        parse_kernel(text.replace("\ncore heuristic-sound\n", "\n"))
+    # only a shortcut kernel carries a solution line
+    with pytest.raises(GraphFormatError, match="unknown key 'solution'"):
+        parse_kernel(text + "solution 0\n")
     # a shortcut kernel's solution line must replay its vertex map
     trivial = serialize_kernel(kernelize(star_graph(7), kparams(2, 1, 14)))
     assert "solution 0\n" in trivial

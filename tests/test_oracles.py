@@ -6,7 +6,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import cycle_graph, grid_graph, path_graph, random_connected, star_graph
 from lkcds.graphs import Graph, GraphFormatError, iter_bits, mask_of
 from lkcds.hardness import random_setcover
 from lkcds.oracles import (
@@ -27,6 +26,14 @@ from lkcds.oracles import (
     parse_setcover,
     serialize_setcover,
     split_avoiding_distances,
+)
+from workloads import (
+    cycle_graph,
+    grid_graph,
+    path_graph,
+    planted_hosts,
+    random_connected,
+    star_graph,
 )
 
 
@@ -60,6 +67,15 @@ def test_acds_frozen_values():
     assert res.value == 1 and res.solution == (0,)
     res = exact_acds(p5, [], 1, 5)
     assert res.status == FOUND and res.solution == () and res.value == 0
+
+
+def test_planted_optima_hold():
+    # the planted workload's verdict takes these optima as ground truth
+    for name, g, r, opt in planted_hosts():
+        res = exact_cds(g, r, opt)
+        assert res.status == FOUND and len(res.solution) == opt, name
+        if opt > 1:
+            assert exact_cds(g, r, opt - 1).status == NONE_WITHIN_BUDGET, name
 
 
 def test_statuses():

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cycle_graph, grid_graph, path_graph, random_connected, star_graph
 from lkcds.domination import ContractViolation
 from lkcds.graphs import Graph
 from lkcds.orders import (
@@ -16,6 +15,7 @@ from lkcds.orders import (
     heuristic_order,
     wreach_report,
 )
+from workloads import cycle_graph, grid_graph, path_graph, random_connected, star_graph
 
 
 def test_ordered_graph_validates_permutation():

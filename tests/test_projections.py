@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cycle_graph, grid_graph, path_graph, random_connected
 from lkcds.oracles import split_avoiding_distances
 from lkcds.projections import classify, profile
+from workloads import cycle_graph, grid_graph, path_graph, random_connected
 
 
 def test_profile_on_path():

@@ -11,17 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (
-    cycle_graph,
-    grid_graph,
-    path_graph,
-    random_connected,
-    whole_graph_dp,
-)
+from conftest import whole_graph_dp
 from lkcds.closure import build_closure
 from lkcds.graphs import Graph
 from lkcds.oracles import FOUND, INFEASIBLE, brute_steiner
 from lkcds.steiner import steiner_exact, steiner_size
+from workloads import cycle_graph, grid_graph, path_graph, random_connected
 
 
 def blocker_bundle(clo):
