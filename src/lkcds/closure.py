@@ -53,7 +53,7 @@ def avoiding_path_tree(
     """
     xs = set(blockers)
     res = bfs_layers(g, [u], depth_cap=r, forbidden=xs)
-    return _walk_paths(res, u, [x for x in xs if x in res.dist])
+    return _walk_paths(res, u, [v for v in res.dist if v in xs])
 
 
 @dataclass(eq=False)

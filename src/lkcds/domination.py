@@ -13,7 +13,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .graphs import (
     Graph,
@@ -90,8 +90,8 @@ def connect(g: Graph, seeds: Iterable[int], stretch: int) -> ConnectResult:
     earlier component than v and d is their host distance; the path is the
     lexicographically least shortest one, `bfs_layers(g, [u]).path_to(v)`, and
     its interior vertices become seeds.  The path is read off v's own BFS
-    layers: from u, step i takes the least neighbour in v's layer d - 1 - i.
-    A walk that steps into those layers in turn is a shortest path from u to
+    rings: from u, step i takes the least neighbour in v's ring d - 1 - i.
+    A walk that steps into those rings in turn is a shortest path from u to
     v, and every such vertex continues to v, so the least choice at each
     step, first step first, is the lexicographically least path.  A merge
     needing more than `stretch` interior vertices, or a total beyond
@@ -99,15 +99,39 @@ def connect(g: Graph, seeds: Iterable[int], stretch: int) -> ConnectResult:
     under and raises.
 
     Host distances never change, so the rounds share one pass over seed
-    pairs in key order.  Every seed keeps its own BFS (`Graph.layers`),
-    and all of them advance together one radius at a time; a layer that
-    meets a seed of another component puts the pair on a heap in both
-    orientations.  A seed added by a merge first catches up to the
-    current radius.  Popped pairs that now share a component are
-    dropped, and pairs pointing from a later component to an earlier one
-    are held back until the round's merge, which may turn them round.
-    One call costs one depth-d BFS per seed, with d the largest merge
-    distance, plus a few heap operations per seed pair met.
+    pairs in key order.  A key is live while its ends lie in different
+    components, the first end's component first.  Every seed keeps its
+    own BFS as masks, the vertices seen and one ring per radius, and all
+    of them advance together one radius at a time.  A ring pushes the
+    least seed it meets of each other component: any other seed of that
+    component gives a larger key, and components only merge.  A seed
+    added by a merge first catches up to the current radius, pushing
+    every boundary seed it meets in both orientations.  Popped pairs
+    that now share a component are dropped, and pairs pointing from a
+    later component to an earlier one are held back until the round's
+    merge, which may turn them round.  A merge relabels the seeds of all
+    but the largest component it joins.
+
+    Only boundary seeds, those with a neighbour outside the seed set,
+    flood, and only pairs of them are pushed.  No interior seed ends the
+    least live key:
+    - Take seeds s and b in different components at distance d, s
+      interior, and a shortest path s = p_0, ..., p_d = b.  Let p_j be
+      its last vertex in s's component, and p_i the first seed after p_j.
+    - j >= 1, as p_1 is a seed next to s.  The vertex after p_j and the
+      one before p_i are not seeds, so both are boundary seeds.  They
+      lie in different components at distance at most i - j < d, so one
+      orientation of them is a live key below (d, s, b).  An interior b
+      is the mirror case.
+    - So both ends of the least live key are boundary seeds.  The seed
+      set only grows, so a seed that becomes interior stays interior,
+      and its rings are never read again: not to find pairs, and not to
+      read a path, which uses the far end's rings.
+    By the same argument no seed lies inside a merge path: it would be
+    closer than d to u or to v, in another component than that end.  So
+    every interior vertex of a merge path is added.
+    One call costs one depth-d BFS per boundary seed, with d the largest
+    merge distance, plus a few heap operations per seed pair met.
     """
     seed_tuple = tuple(sorted(set(seeds)))
     if not seed_tuple:
@@ -122,14 +146,17 @@ def connect(g: Graph, seeds: Iterable[int], stretch: int) -> ConnectResult:
     for i, c in enumerate(members):
         for v in iter_bits(c):
             comp[v] = i
-    # each seed's BFS layers, read one per radius, and those read so far;
-    # other slots stay unused
-    floods: List[Iterator[int]] = [iter(())] * g.n
-    rings: List[List[int]] = [[] for _ in range(g.n)]
-    for v in seed_tuple:
-        floods[v] = g.layers(1 << v)
-        rings[v] = [next(floods[v])]
     nbr = g.neighbor_masks()
+    # each boundary seed's BFS: the vertices seen so far, and its rings up
+    # to the radius; other slots stay unused
+    seen = [0] * g.n
+    rings: List[List[int]] = [[] for _ in range(g.n)]
+    boundary = 0
+    for v in seed_tuple:
+        if nbr[v] & ~current:
+            boundary |= 1 << v
+            seen[v] = 1 << v
+            rings[v] = [1 << v]
     radius = 0
     heap: List[Tuple[int, int, int]] = []
     added: List[int] = []
@@ -140,14 +167,18 @@ def connect(g: Graph, seeds: Iterable[int], stretch: int) -> ConnectResult:
             if not heap:
                 radius += 1
                 grown = 0
-                for s in iter_bits(current):
-                    layer = next(floods[s], 0)
-                    rings[s].append(layer)
-                    grown |= layer
+                for s in iter_bits(boundary):
+                    ring = g.neighborhood(rings[s][-1]) & ~seen[s]
+                    seen[s] |= ring
+                    rings[s].append(ring)
+                    grown |= ring
                     # the heap was empty and entries come in key order,
                     # so the list is a heap
-                    for b in iter_bits(layer & current & ~members[comp[s]]):
+                    met = ring & boundary & ~members[comp[s]]
+                    while met:
+                        b = (met & -met).bit_length() - 1
                         heap.append((radius, s, b))
+                        met &= ~members[comp[b]]
                 if not (heap or grown):
                     raise ContractViolation(
                         "seed components lie in different graph parts"
@@ -165,23 +196,21 @@ def connect(g: Graph, seeds: Iterable[int], stretch: int) -> ConnectResult:
                 f"merge from {u} to {v} needs {d - 1} interior vertices, "
                 f"allowed {stretch}"
             )
-        # every seed has read its layers up to the radius, and d <= radius
+        # v is a boundary seed, so it has read its rings up to the radius,
+        # and d <= radius
         path = [u]
-        for layer in reversed(rings[v][1:d]):
-            near = nbr[path[-1]] & layer
-            path.append((near & -near).bit_length() - 1)
+        for ring in reversed(rings[v][1:d]):
+            step = nbr[path[-1]] & ring
+            path.append((step & -step).bit_length() - 1)
         path.append(v)
         interior = path[1:-1]
-        for w in interior:
-            if not (current >> w) & 1:
-                added.append(w)
-        inner = mask_of(interior)
-        fresh = inner & ~current
+        added.extend(interior)
         paths.append(tuple(path))
+        inner = mask_of(interior)
+        near = g.neighborhood(inner)
         # the path joins every component it touches; the others stay apart
-        reach = mask_of(path) | g.neighborhood(inner)
-        ids = {comp[x] for x in iter_bits(reach & current)}
-        keep = comp[u]
+        ids = {comp[x] for x in iter_bits(near & current)}
+        keep = max(ids, key=lambda i: members[i].bit_count())
         merged = inner
         for i in ids:
             merged |= members[i]
@@ -192,14 +221,24 @@ def connect(g: Graph, seeds: Iterable[int], stretch: int) -> ConnectResult:
         least[keep] = merged & -merged  # the new interior vertices count too
         live -= len(ids) - 1
         current |= inner
+        # the new seeds may make their seed neighbours interior
+        for x in iter_bits(boundary & near):
+            if not nbr[x] & ~current:
+                boundary ^= 1 << x
         for entry in held:
             heapq.heappush(heap, entry)
-        for x in iter_bits(fresh):
+        for x in interior:
             comp[x] = keep
-            floods[x] = g.layers(1 << x)
-            for dist, layer in zip(range(radius + 1), floods[x]):
-                rings[x].append(layer)
-                for b in iter_bits(layer & current & ~merged):
+            if not nbr[x] & ~current:
+                continue
+            boundary |= 1 << x
+            seen[x] = ring = 1 << x
+            rings[x] = [ring]
+            for dist in range(1, radius + 1):
+                ring = g.neighborhood(ring) & ~seen[x]
+                seen[x] |= ring
+                rings[x].append(ring)
+                for b in iter_bits(ring & boundary & ~merged):
                     heapq.heappush(heap, (dist, x, b))
                     heapq.heappush(heap, (dist, b, x))
     if len(added) > stretch * (p0 - 1):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Tuple
 
-from .graphs import Graph, bfs_layers, vertex_mask
+from .graphs import Graph, bfs_layers, iter_bits, vertex_mask
 
 # sorted (x, distance) pairs with distance <= r, interior avoiding X
 Profile = Tuple[Tuple[int, int], ...]
@@ -68,24 +68,29 @@ def classify(g: Graph, blockers: Iterable[int], r: int) -> ProfileClassification
 
     The flood direction is opposite to the one `profile` uses; paths with
     X-free interiors reverse cleanly, so both give the same distances.
+    Each flood is a layered mask search in which only free vertices
+    expand, so a blocker reached at depth > 0 stops it.  Blockers are
+    flooded in ascending order, so every vertex collects its pairs
+    already sorted.
     """
     if r < 0:
         raise ValueError("radius must be nonnegative")
     xs = tuple(sorted(set(blockers)))
-    vertex_mask(g, xs, "blocker")
-    xset = set(xs)
-    free_ids = [v for v in range(g.n) if v not in xset]
-    pairs: Dict[int, List[Tuple[int, int]]] = {u: [] for u in free_ids}
+    free = ((1 << g.n) - 1) & ~vertex_mask(g, xs, "blocker")
+    pairs: List[List[Tuple[int, int]]] = [[] for _ in range(g.n)]
     for x in xs:
-        res = bfs_layers(g, [x], depth_cap=r, forbidden=xset)
-        for v, d in res.dist.items():
-            if v in pairs:
+        seen = layer = 1 << x
+        for d in range(1, r + 1):
+            layer = g.neighborhood(layer) & free & ~seen
+            if not layer:
+                break
+            seen |= layer
+            for v in iter_bits(layer):
                 pairs[v].append((x, d))
     by_profile: Dict[Profile, List[int]] = {}
-    for u in free_ids:  # ascending, so each member list is too
-        by_profile.setdefault(tuple(sorted(pairs[u])), []).append(u)
+    for u in iter_bits(free):  # ascending, so each member list is too
+        by_profile.setdefault(tuple(pairs[u]), []).append(u)
     classes = tuple(
         ProfileClass(prof, tuple(members)) for prof, members in sorted(by_profile.items())
     )
     return ProfileClassification(xs, r, classes)
-

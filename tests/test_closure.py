@@ -1,6 +1,5 @@
 """Profile-preserving closure and the subdivided translation gadget."""
 
-import math
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -18,7 +17,7 @@ from lkcds.closure import (
     verify_closure,
 )
 from lkcds.domination import greedy_rdom
-from lkcds.graphs import Graph, Tree, induced_subgraph
+from lkcds.graphs import Graph, Tree
 from lkcds.oracles import FOUND, brute_steiner
 from lkcds.projections import classify, profile
 from lkcds.steiner import steiner_size

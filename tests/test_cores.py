@@ -13,7 +13,6 @@ from lkcds.cores import (
     core_verify,
     find_core,
 )
-from lkcds.domination import dominates
 from lkcds.graphs import Graph, bfs_layers, induced_subgraph, mask_connected, mask_of
 from lkcds.oracles import FOUND, cover_exists, exact_ds
 from workloads import grid_graph, path_graph, random_connected, star_graph

@@ -1,6 +1,5 @@
 """Domination predicates, greedy cover, stitching, and subtree covers."""
 
-import math
 import random
 from fractions import Fraction
 
@@ -18,7 +17,15 @@ from lkcds.domination import (
     dominates,
     greedy_rdom,
 )
-from lkcds.graphs import Graph, Tree, bfs_layers, induced_components, iter_bits, mask_of
+from lkcds.graphs import (
+    Graph,
+    Tree,
+    bfs_layers,
+    induced_components,
+    induced_subgraph,
+    iter_bits,
+    mask_of,
+)
 from lkcds.oracles import exact_ds
 from workloads import (
     cycle_graph,
@@ -137,7 +144,7 @@ def test_connect_total_interior_bound(seed):
     sub = set(res.connected)
     assert set(seeds) <= sub
     # result really is connected
-    gsub, _ = __import__("lkcds.graphs", fromlist=["induced_subgraph"]).induced_subgraph(g, sub)
+    gsub, _ = induced_subgraph(g, sub)
     assert gsub.is_connected()
 
 
@@ -213,6 +220,51 @@ def test_connect_matches_all_pairs_scan(n, extra, seed, drop, data):
     assert _outcome(connect, g, seeds, stretch) == _outcome(
         _all_pairs_connect, g, seeds, stretch
     )
+
+
+@given(
+    st.integers(4, 32),
+    st.integers(0, 10),
+    st.integers(0, 10_000),
+    st.integers(0, 8),
+    st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_connect_matches_all_pairs_scan_on_dense_seed_sets(n, extra, seed, drop, data):
+    # balls around a few centres hold many interior seeds, which stop
+    # flooding; the scattered seeds between the balls stay boundary seeds
+    host = random_connected(n, extra, seed)
+    edges = list(host.edges())
+    for _ in range(min(drop, len(edges))):
+        edges.pop(data.draw(st.integers(0, len(edges) - 1)))
+    g = Graph.from_edges(n, edges)
+    seeds = set(data.draw(st.lists(st.integers(0, n - 1), max_size=n // 4)))
+    for centre in data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4)):
+        seeds |= set(iter_bits(g.balls(data.draw(st.integers(1, 2)))[centre]))
+    stretch = data.draw(st.sampled_from((0, 1, 2, 4, n)))
+    assert _outcome(connect, g, seeds, stretch) == _outcome(
+        _all_pairs_connect, g, seeds, stretch
+    )
+
+
+@pytest.mark.parametrize(
+    "n, edges, seeds, expected",
+    [
+        # the merge 1-3-5 leaves seed 1 with one neighbour outside the
+        # seeds, 2, and the next merge runs through it
+        (8, [(0, 1), (1, 2), (1, 3), (2, 4), (3, 5), (4, 6), (4, 7)], [0, 1, 5, 7],
+         ((1, 3, 5), (1, 2, 4, 7))),
+        # the merge 2-0-5 adds seed 0 with one neighbour outside the seeds,
+        # 1, and the next merge starts from it
+        (7, [(0, 1), (0, 2), (0, 5), (1, 3), (1, 5), (2, 4), (4, 6), (5, 6)], [2, 3, 5, 6],
+         ((2, 0, 5), (0, 1, 3))),
+    ],
+)
+def test_connect_keeps_flooding_a_seed_with_one_outside_neighbour(n, edges, seeds, expected):
+    g = Graph.from_edges(n, edges)
+    res = connect(g, seeds, 2)
+    assert res.merge_paths == expected
+    assert res == _all_pairs_connect(g, seeds, 2)
 
 
 def test_connect_finds_an_odd_gap_seen_after_an_even_one():

@@ -2,11 +2,8 @@
 
 import pytest
 
-from lkcds.graphs import Graph
 from lkcds.hardness import (
     BACKWARD_ONLY,
-    IFF_VERIFIED,
-    HardnessInstance,
     hardness_instance,
     hardness_sweep,
     random_setcover,

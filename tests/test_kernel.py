@@ -7,12 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lkcds.cores import Rejection
-from lkcds.domination import ContractViolation, check_covering_family, dominates
+from lkcds.domination import check_covering_family, dominates
 from lkcds.graphs import Graph, GraphFormatError, induced_subgraph
 from lkcds.kernel import (
     KernelParams,
     capped_host_opt,
-    capped_kernel_opt,
     certify_ratio,
     kernel_solution_valid,
     kernelize,

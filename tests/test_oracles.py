@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lkcds.graphs import Graph, GraphFormatError, iter_bits, mask_of
+from lkcds.graphs import Graph, iter_bits, mask_of
 from lkcds.hardness import random_setcover
 from lkcds.oracles import (
     BUDGET_EXHAUSTED,

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lkcds.domination import ContractViolation
 from lkcds.graphs import Graph
 from lkcds.orders import (
     OrderedGraph,

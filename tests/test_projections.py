@@ -1,9 +1,12 @@
 """Distance profiles towards a blocker set and their equivalence classes."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lkcds.graphs import Graph
 from lkcds.oracles import split_avoiding_distances
 from lkcds.projections import classify, profile
 from workloads import cycle_graph, grid_graph, path_graph, random_connected
@@ -56,6 +59,46 @@ def test_classify_refuses_a_negative_radius():
     for blockers in ([], [0]):
         with pytest.raises(ValueError, match="^radius must be nonnegative$"):
             classify(cycle_graph(6), blockers, -1)
+
+
+@pytest.mark.parametrize("r", [0, 1, 3])
+def test_classify_edge_blocker_sets(r):
+    g = grid_graph(2, 3)
+    assert classify(g, range(g.n), r).classes == ()
+    (only,) = classify(g, [], r).classes
+    assert only.profile == () and only.members == tuple(range(g.n))
+
+
+@st.composite
+def hosts_with_blockers(draw):
+    n = draw(st.integers(1, 14))
+    # sparse draws leave most hosts disconnected
+    density = draw(st.sampled_from((0.05, 0.15, 0.3, 0.6)))
+    rng = random.Random(draw(st.integers(0, 10_000)))
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density]
+    blockers = draw(st.sets(st.integers(0, n - 1), max_size=n))
+    return Graph.from_edges(n, edges), sorted(blockers), draw(st.integers(0, 3))
+
+
+@given(hosts_with_blockers())
+@settings(max_examples=100, deadline=None)
+def test_classify_groups_free_vertices_by_profile(case):
+    # the classes are the free vertices grouped by their per-vertex
+    # profiles, which agree with the split-graph oracle's distances
+    g, blockers, r = case
+    free = [u for u in range(g.n) if u not in blockers]
+    by_profile = {}
+    for u in free:
+        prof = profile(g, u, blockers, r)
+        dist = split_avoiding_distances(g, blockers, u)
+        assert prof == tuple((x, dist[x]) for x in blockers if dist.get(x, r + 1) <= r)
+        by_profile.setdefault(prof, []).append(u)
+    cls = classify(g, blockers, r)
+    assert cls.blockers == tuple(blockers) and cls.r == r
+    assert [(c.profile, c.members) for c in cls.classes] == [
+        (prof, tuple(members)) for prof, members in sorted(by_profile.items())
+    ]
+    assert cls.class_of == {u: i for i, c in enumerate(cls.classes) for u in c.members}
 
 
 @given(st.integers(0, 3_000))

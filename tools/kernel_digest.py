@@ -36,11 +36,16 @@ the `heuristic_order` of each kind with its `wreach` sets at radius 0 to
 and the kept trees of `build_closure` on seeded random hosts of at most
 12 vertices, often disconnected, with 0 to 4 blockers, r = 1 and 2 and
 t = 5/2, 3 or 4, so that bundles of 5 to 8 groups, which no workload
-reaches, are searched.  A `connect` line hashes `connect` on
-ladder-scale hosts, sparse random graphs of 100 to 300 vertices
-relabelled as the `ladder` workload builds them: the heuristic core at
-r = 1 and 2 stitched with stretch 2r, and the greedy r-dominating set at
-r = 1 and 2 stitched with stretch n.  A `demos` line, printed once
+reaches, are searched.  A `profiles` line hashes the classes (profile
+and members) and the class map of `classify` on seeded random hosts of
+1 to 40 vertices, often disconnected, with blocker sets from empty to
+every vertex and r from 0 to 3.  It reads only `classify`, `classes`
+and `class_of`, which checkouts from before the line was added have
+too.  A `connect` line hashes `connect` on ladder-scale hosts, sparse
+random graphs of 100 to 300 vertices relabelled as the `ladder`
+workload builds them: the heuristic core at r = 1 and 2 stitched with
+stretch 2r, and the greedy r-dominating set at r = 1 and 2 stitched
+with stretch n.  A `demos` line, printed once
 whatever the seeds, hashes the name, exit code and stdout of every
 `<checkout>/demos/*.py`, each run in a child interpreter with
 `<checkout>/src` on `PYTHONPATH`.
@@ -58,7 +63,8 @@ out, and the `steiner` line when a change to the Steiner search changes
 a status or a tree.
 The `graphs` line moves when a distance, ball, component, order, weak
 reachability set or stitching result changes, the `bundles` line when a
-kept tree or a closure count at a cap of 5 to 8 changes, and the
+kept tree or a closure count at a cap of 5 to 8 changes, the
+`profiles` line when a profile class or a vertex's class changes, and the
 `connect` line when a stitching result on hosts of ladder size changes.
 The `demos` line moves when a demo is added, removed or prints anything
 different.
@@ -311,6 +317,28 @@ def bundle_lines(seed: int) -> List[str]:
     return lines
 
 
+PROFILE_HOSTS = 200  # random classification hosts per seed
+
+
+def profile_lines(seed: int) -> List[str]:
+    """`classify` classes and class map on seeded random hosts and blocker sets."""
+    from lkcds.graphs import Graph
+    from lkcds.projections import classify
+
+    rng = random.Random(seed)
+    lines = []
+    for _ in range(PROFILE_HOSTS):
+        n = rng.randint(1, 40)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        density = rng.choice((0.03, 0.08, 0.15, 0.3))
+        g = Graph.from_edges(n, [e for e in pairs if rng.random() < density])
+        blockers = rng.sample(range(n), rng.randint(0, n))
+        cls = classify(g, blockers, rng.randint(0, 3))
+        lines.append(repr([(c.profile, c.members) for c in cls.classes]))
+        lines.append(repr(sorted(cls.class_of.items())))
+    return lines
+
+
 CONNECT_HOSTS = 8  # ladder-scale hosts per seed
 
 
@@ -376,6 +404,7 @@ def main(argv: List[str]) -> int:
         ("steiner", "queries", STEINER_QUERIES, steiner_lines),
         ("graphs", "queries", GRAPH_QUERIES, graph_lines),
         ("bundles", "hosts", BUNDLE_HOSTS, bundle_lines),
+        ("profiles", "hosts", PROFILE_HOSTS, profile_lines),
         ("connect", "hosts", CONNECT_HOSTS, lambda s: connect_lines(s, workloads)),
     )
     for label, unit, per_seed, lines_of in checks:
