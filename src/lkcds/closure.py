@@ -1,11 +1,11 @@
 """Profile-preserving closure of a graph around a blocker set.
 
 The closure keeps the blocker set X, one exact Steiner tree for every
-small bundle of profile classes that admits one, and the avoidance-BFS
-paths that realize each kept tree vertex's projection distances.  Because
-the result is a subgraph of the host, distances can only grow, and the
-retained paths pin them back down to their original values; that is what
-the verifier checks.
+small bundle of profile classes that admits one, and the least avoiding
+paths, read off the blocker floods, that realize each kept tree vertex's
+projection distances.  Because the result is a subgraph of the host,
+distances can only grow, and the retained paths pin them back down to
+their original values; that is what the verifier checks.
 """
 
 from __future__ import annotations
@@ -15,12 +15,11 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .domination import Rational, piece_cap
 from .graphs import (
-    BFSResult,
     Graph,
     Tree,
-    bfs_layers,
     graph_on_vertices,
     iter_bits,
+    least_path,
     mask_of,
     tree_problem,
 )
@@ -28,32 +27,23 @@ from .projections import ProfileClassification, classify, profile
 from .steiner import SteinerLattice, steiner_size
 
 
-def _walk_paths(
-    res: BFSResult, start: int, targets: Iterable[int]
+def avoiding_path_tree(
+    g: Graph, cls: ProfileClassification, ends: Iterable[Tuple[int, int, int]]
 ) -> Tuple[Set[int], Set[Tuple[int, int]]]:
-    # vertices and edges, each edge low end first, of the search's paths
-    # from its start to every target
-    vs: Set[int] = {start}
+    """Vertices and edges, each edge low end first, of the listed paths.
+
+    Each end (u, x, d) names a free vertex u with (x, d) in its profile in
+    g; its path, the least shortest one from u to x whose interior avoids
+    the blockers, is read off x's flood by `least_path`.
+    """
+    nbr = g.neighbor_masks()
+    vs: Set[int] = set()
     es: Set[Tuple[int, int]] = set()
-    for x in targets:
-        path = res.path_to(x)
+    for u, x, d in ends:
+        path = least_path(nbr, u, cls.rings[x][:d])
         vs.update(path)
         es.update((min(a, b), max(a, b)) for a, b in zip(path, path[1:]))
     return vs, es
-
-
-def avoiding_path_tree(
-    g: Graph, u: int, blockers: Iterable[int], r: int
-) -> Tuple[Set[int], Set[Tuple[int, int]]]:
-    """Vertices and edges of BFS paths from u to its projection targets.
-
-    Runs the depth-r avoidance flood from u and walks back from every
-    reached blocker along the lexicographically least shortest avoiding
-    path.  The union realizes all of u's profile distances.
-    """
-    xs = set(blockers)
-    res = bfs_layers(g, [u], depth_cap=r, forbidden=xs)
-    return _walk_paths(res, u, [v for v in res.dist if v in xs])
 
 
 @dataclass(eq=False)
@@ -100,7 +90,7 @@ def build_closure(
       x, so (x, 1) is in the profile of c, and every member of c is
       adjacent to x.  The tie-breaks then pick the edge from c's least
       member m0 to x.  m0 is a terminal, as the tree of c alone is m0, and
-      `avoiding_path_tree(m0)` keeps that same edge.
+      its retained path to x is that same edge.
     At r = 0 profiles are empty, and such an edge is kept only at cap >= 3.
     """
     _, cap = piece_cap(t)
@@ -153,23 +143,18 @@ def build_closure(
     dropped = candidates - len(kept)
 
     terminals = tuple(
-        sorted(
-            {v for tree in kept.values() for v in tree.vertices if v not in xset}
-        )
+        sorted({v for tree in kept.values() for v in tree.vertices if v not in xset})
     )
 
-    vertices: Set[int] = set(xs)
-    edges: Set[Tuple[int, int]] = set()
+    ends = [
+        (u, x, d) for u in terminals for x, d in cls.classes[cls.class_of[u]].profile
+    ]
+    vertices, edges = avoiding_path_tree(g, cls, ends)
+    vertices.update(xs)
     for tree in kept.values():
         vertices.update(tree.vertices)
         edges.update(tree.edges)
-    for u in terminals:
-        vs, es = avoiding_path_tree(g, u, xset, r)
-        vertices.update(vs)
-        edges.update(es)
-    for u, v in g.edges():
-        if u in xset and v in xset:
-            edges.add((u, v))
+    edges.update((u, v) for u, v in g.edges() if u in xset and v in xset)
     gprime, vmap = graph_on_vertices(vertices, edges)
     old2new = {old: new for new, old in enumerate(vmap)}
     stats = {
@@ -241,13 +226,15 @@ def verify_closure(g: Graph, closure: ClosureResult) -> ClosureReport:
     if not item1:
         cls_host = classify(g, xs, closure.r)
         for u in closure.terminals:
+            if u not in old2new:
+                item2.append(f"terminal {u} is not a closure vertex")
+                continue
             want = cls_host.classes[cls_host.class_of[u]].profile
             got = profile(closure.graph, old2new[u], closure.blockers_new, closure.r)
             got = tuple(sorted((closure.vertex_map[x], d) for x, d in got))
             if want != got:
                 item2.append(f"profile of vertex {u} changed: {want} -> {got}")
-        reps = set(cls_host.representatives)
-        missing = reps.difference(closure.terminals)
+        missing = set(cls_host.representatives).difference(closure.terminals)
         if missing:
             item2.append(f"class representatives {sorted(missing)} were not protected")
 
@@ -302,13 +289,13 @@ def build_translation(
     """Attach a subdivided access tree per class and expose one root each.
 
     The blockers and r are those of the classification.  For a class with
-    common nearest projection distance ell, the root hangs (2r+1) * ell
-    vertices away from the class members, so an exact tree through the
-    roots decomposes into a host tree plus fixed access costs.  Classes
-    with empty projections have no access point and are rejected.
+    common nearest projection distance ell, the access tree joins the
+    members' least avoiding paths to the least blocker at that distance,
+    its root, which hangs (2r+1) * ell vertices away from the members, so
+    an exact tree through the roots decomposes into a host tree plus fixed
+    access costs.  Classes with empty projections are rejected.
     """
     r = classification.r
-    xset = set(classification.blockers)
     edges: List[Tuple[int, int]] = list(g.edges())
     nxt = g.n
     roots: List[int] = []
@@ -317,12 +304,10 @@ def build_translation(
         pc = classification.classes[idx]
         if not pc.profile:
             raise ValueError(f"class {idx} has an empty projection")
-        ell = min(d for _, d in pc.profile)
-        anchor = min(x for x, d in pc.profile if d == ell)
-        flood = bfs_layers(g, [anchor], depth_cap=r, forbidden=xset)
-        for m in pc.members:
-            assert flood.dist.get(m) == ell, "members disagree on access distance"
-        tree_vertices, tree_edges = _walk_paths(flood, anchor, pc.members)
+        ell, anchor = min((d, x) for x, d in pc.profile)
+        tree_vertices, tree_edges = avoiding_path_tree(
+            g, classification, [(m, anchor, ell) for m in pc.members]
+        )
         copy: Dict[int, int] = {}
         members = set(pc.members)
         for v in sorted(tree_vertices):

@@ -59,7 +59,7 @@ def _containment_prune(g: Graph, r: int) -> Set[int]:
     }
 
 
-def find_core(g: Graph, k: int, r: int, mode: str = "exact") -> CoreOutcome:
+def find_core(g: Graph, k: int, r: int, mode: str = "heuristic") -> CoreOutcome:
     if k < 0 or r < 1:
         raise ValueError("need k >= 0 and r >= 1")
     if g.n == 0:

@@ -21,6 +21,7 @@ from .graphs import (
     bfs_layers,
     induced_components,
     iter_bits,
+    least_path,
     mask_of,
     tree_problem,
     vertex_mask,
@@ -90,13 +91,9 @@ def connect(g: Graph, seeds: Iterable[int], stretch: int) -> ConnectResult:
     earlier component than v and d is their host distance; the path is the
     lexicographically least shortest one, `bfs_layers(g, [u]).path_to(v)`, and
     its interior vertices become seeds.  The path is read off v's own BFS
-    rings: from u, step i takes the least neighbour in v's ring d - 1 - i.
-    A walk that steps into those rings in turn is a shortest path from u to
-    v, and every such vertex continues to v, so the least choice at each
-    step, first step first, is the lexicographically least path.  A merge
-    needing more than `stretch` interior vertices, or a total beyond
-    stretch * (components - 1), violates the contract this routine is used
-    under and raises.
+    rings by `least_path`.  A merge needing more than `stretch` interior
+    vertices, or a total beyond stretch * (components - 1), violates the
+    contract this routine is used under and raises.
 
     Host distances never change, so the rounds share one pass over seed
     pairs in key order.  A key is live while its ends lie in different
@@ -198,11 +195,7 @@ def connect(g: Graph, seeds: Iterable[int], stretch: int) -> ConnectResult:
             )
         # v is a boundary seed, so it has read its rings up to the radius,
         # and d <= radius
-        path = [u]
-        for ring in reversed(rings[v][1:d]):
-            step = nbr[path[-1]] & ring
-            path.append((step & -step).bit_length() - 1)
-        path.append(v)
+        path = least_path(nbr, u, rings[v][:d])
         interior = path[1:-1]
         added.extend(interior)
         paths.append(tuple(path))

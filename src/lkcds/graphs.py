@@ -242,6 +242,23 @@ def bfs_layers(
     return BFSResult(dist, parent)
 
 
+def least_path(nbr: Sequence[int], u: int, rings: Sequence[int]) -> List[int]:
+    """The lexicographically least shortest path from u to t, given the
+    neighbour masks and t's BFS rings 0 to d - 1, with u in ring d.
+
+    Each step takes the least neighbour one ring nearer.  A shortest path
+    steps through the rings in turn and every ring vertex continues to t,
+    so the least choice, first step first, is the least path.  Rings of a
+    flood where only vertices outside X expand (t in X, u not) give the
+    least path whose interior avoids X, the twin `bfs_layers` route's.
+    """
+    path = [u]
+    for ring in reversed(rings):
+        step = nbr[path[-1]] & ring
+        path.append((step & -step).bit_length() - 1)
+    return path
+
+
 def flood(g: Graph, start: int, within: int = -1, depth: Optional[int] = None) -> int:
     """The OR of layers 0 to `depth` (nonnegative; callers check it) of
     `g.layers(start, within)`, or of every layer when no depth is given."""

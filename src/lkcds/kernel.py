@@ -112,7 +112,7 @@ KernelOutcome = Union[KernelInstance, Rejection]
 
 
 def kernelize(
-    g: Graph, params: KernelParams, core_mode: str = "exact"
+    g: Graph, params: KernelParams, core_mode: str = "heuristic"
 ) -> KernelOutcome:
     """Shrink an instance, or reject it with a certified reason.
 

@@ -37,6 +37,7 @@ class ProfileClass:
         return self.members[0]
 
 
+@dataclass(frozen=True, eq=False)
 class ProfileClassification:
     """Partition of the free vertices by projection profile.
 
@@ -44,16 +45,13 @@ class ProfileClassification:
     and the representative of a class is its smallest member.
     """
 
-    __slots__ = ("blockers", "r", "classes", "class_of")
-
-    def __init__(self, blockers: Tuple[int, ...], r: int, classes: Tuple[ProfileClass, ...]):
-        self.blockers = blockers
-        self.r = r
-        self.classes = classes
-        self.class_of: Dict[int, int] = {}
-        for i, cls in enumerate(classes):
-            for v in cls.members:
-                self.class_of[v] = i
+    blockers: Tuple[int, ...]
+    r: int
+    classes: Tuple[ProfileClass, ...]
+    class_of: Dict[int, int]  # free vertex -> index of its class
+    # blocker x -> its flood as masks: x, then its free layers up to r,
+    # where layer d holds the vertices with (x, d) in their profile
+    rings: Dict[int, List[int]]
 
     @property
     def representatives(self) -> Tuple[int, ...]:
@@ -78,13 +76,16 @@ def classify(g: Graph, blockers: Iterable[int], r: int) -> ProfileClassification
     xs = tuple(sorted(set(blockers)))
     free = ((1 << g.n) - 1) & ~vertex_mask(g, xs, "blocker")
     pairs: List[List[Tuple[int, int]]] = [[] for _ in range(g.n)]
+    rings: Dict[int, List[int]] = {}
     for x in xs:
         seen = layer = 1 << x
+        rings[x] = flood = [layer]
         for d in range(1, r + 1):
             layer = g.neighborhood(layer) & free & ~seen
             if not layer:
                 break
             seen |= layer
+            flood.append(layer)
             for v in iter_bits(layer):
                 pairs[v].append((x, d))
     by_profile: Dict[Profile, List[int]] = {}
@@ -93,4 +94,5 @@ def classify(g: Graph, blockers: Iterable[int], r: int) -> ProfileClassification
     classes = tuple(
         ProfileClass(prof, tuple(members)) for prof, members in sorted(by_profile.items())
     )
-    return ProfileClassification(xs, r, classes)
+    class_of = {v: i for i, c in enumerate(classes) for v in c.members}
+    return ProfileClassification(xs, r, classes, class_of, rings)

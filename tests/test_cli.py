@@ -241,6 +241,11 @@ def test_bad_values_exit_2_without_traceback(capsys, tmp_path, c6_file):
     )
     assert code == 2
     assert err == "error: blocker 9 out of range\n"
+    code, out, err = run(
+        capsys, ["profile-stats", "--input", c6_file, "--r", "1", "--z", "1,x"]
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: bad vertex list '1,x'\n"
     for z in ("0", ""):  # with no blockers there is no flood to refuse r
         code, _, err = run(
             capsys, ["profile-stats", "--input", c6_file, "--r", "-1", "--z", z]

@@ -33,11 +33,16 @@ from workloads import (
 
 def test_avoiding_path_tree_on_cycle():
     c6 = cycle_graph(6)
-    vs, es = avoiding_path_tree(c6, 2, [0, 4], 2)
-    # the flood from 2 reaches 0 via 1 and 4 via 3; both paths kept
-    assert set(vs) >= {0, 1, 2, 3, 4}
-    for a, b in es:
-        assert b in c6.adj[a]
+    # 2 reaches 0 via 1 and 4 via 3; both paths are kept
+    cls = classify(c6, [0, 4], 2)
+    vs, es = avoiding_path_tree(c6, cls, [(2, 0, 2), (2, 4, 2)])
+    assert vs == {0, 1, 2, 3, 4}
+    assert es == {(0, 1), (1, 2), (2, 3), (3, 4)}
+    # 3 reaches 0 through 2 or through 4; the least path steps to 2
+    cls = classify(c6, [0], 3)
+    vs, es = avoiding_path_tree(c6, cls, [(3, 0, 3)])
+    assert (vs, es) == ({0, 1, 2, 3}, {(0, 1), (1, 2), (2, 3)})
+    assert avoiding_path_tree(c6, cls, []) == (set(), set())
 
 
 def test_closure_is_subgraph_of_host():
@@ -83,6 +88,11 @@ def test_verify_closure_reports_a_changed_profile():
         (
             lambda clo: replace(clo, terminals=(0,)),
             ("item2: class representatives [1] were not protected",),
+        ),
+        (
+            # 3 is a free host vertex that the closure dropped
+            lambda clo: replace(clo, terminals=(0, 1, 3)),
+            ("item2: terminal 3 is not a closure vertex",),
         ),
         (
             # a real host tree for bundle (0, 1), one vertex larger than needed

@@ -1,6 +1,7 @@
 """Graph container, traversal, subdivision, and file formats."""
 
 import random
+import re
 from collections import deque
 from itertools import islice
 
@@ -301,6 +302,71 @@ def test_parse_dimacs_details():
     assert parse_graph(text, fmt=None) == g
     with pytest.raises(GraphFormatError):
         parse_graph("p gr 2 1\n0 1\n", fmt="dimacs")  # vertices are 1-based
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: Graph([[1]]), ValueError, "neighbor 1 of 0 out of range"),
+        (lambda: Graph([[0]]), ValueError, "self-loop at 0"),
+        (lambda: Graph([[1], []]), ValueError, "asymmetric adjacency 0->1"),
+        (
+            lambda: parse_graph("p 3\n"),
+            GraphFormatError,
+            "line 1: header needs 'p <n> <m>'",
+        ),
+        (lambda: parse_graph("0 -1\n"), GraphFormatError, "line 1: negative vertex id"),
+        (
+            lambda: parse_graph("p 2 1\n0 2\n"),
+            GraphFormatError,
+            "edge (0,2) exceeds n=2",
+        ),
+        (lambda: parse_graph("0 1\n1 0\n"), GraphFormatError, "duplicate edge (0, 1)"),
+        (
+            lambda: parse_graph("p gr 2 1\np gr 2 1\n", fmt="dimacs"),
+            GraphFormatError,
+            "line 2: duplicate header",
+        ),
+        (
+            lambda: parse_graph("p gr 2\n", fmt="dimacs"),
+            GraphFormatError,
+            "line 1: header needs 'p <desc> <n> <m>'",
+        ),
+        (
+            lambda: parse_graph("1 2\np gr 2 1\n", fmt="dimacs"),
+            GraphFormatError,
+            "line 1: edge before header",
+        ),
+        (
+            lambda: parse_graph("p gr 2 1\n1 2 3\n", fmt="dimacs"),
+            GraphFormatError,
+            "line 2: expected two endpoints",
+        ),
+        (
+            lambda: parse_graph("c no header\n", fmt="dimacs"),
+            GraphFormatError,
+            "missing 'p' header",
+        ),
+        (
+            lambda: parse_graph("p gr 2 2\n1 2\n", fmt="dimacs"),
+            GraphFormatError,
+            "header announces 2 edges but 1 were given",
+        ),
+        (
+            lambda: parse_graph("", fmt="xml"),
+            GraphFormatError,
+            "unknown graph format 'xml'",
+        ),
+        (
+            lambda: serialize_graph(path_graph(2), fmt="xml"),
+            GraphFormatError,
+            "unknown graph format 'xml'",
+        ),
+    ],
+)
+def test_malformed_graph_input_is_refused(build, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        build()
 
 
 def test_serialize_is_deterministic():

@@ -1,5 +1,6 @@
 """Kernelization pipeline: parameters, shrinking, lifting, certification, io."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -239,6 +240,24 @@ def test_serialize_parse_roundtrip_byte_identical():
         assert back.mode == inst.mode
         assert back.core == inst.core
         assert serialize_kernel(back) == text
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("lkcds/1\n", "lkcds/1\nstray\n", "content before first section: 'stray'"),
+        ("[provenance]\ncore heuristic-sound\n", "", "missing section [provenance]"),
+        ("mode closure\n", "mode fancy\n", "unknown kernel mode 'fancy'"),
+        ("\n5 5\n", "\n", "vertex map does not label every kernel vertex"),
+    ],
+    ids=["before-section", "no-section", "mode", "map-skips"],
+)
+def test_parse_kernel_refusals_name_the_fault(old, new, message):
+    inst = kernelize(cycle_graph(6), kparams(2, 1, 7), core_mode="heuristic")
+    text = serialize_kernel(inst)
+    assert text.count(old) == 1
+    with pytest.raises(GraphFormatError, match=f"^{re.escape(message)}$"):
+        parse_kernel(text.replace(old, new))
 
 
 def test_parse_kernel_errors():

@@ -1,6 +1,7 @@
 """Exact solvers, brute-force cross-checks, budgets, and set cover io."""
 
 import itertools
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -302,6 +303,19 @@ def test_setcover_parse_errors():
         parse_setcover("u 3 1 1\n0 7\n")  # element out of range
     with pytest.raises(ValueError):
         parse_setcover("u 3 2 1\n0\n")  # missing a set line
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("# only a comment\n", "missing 'u <universe> <num_sets> <k>' header"),
+        ("u 3 x 1\n0\n", "non-integer field in header"),
+        ("u 3 1 1\n0 x\n", "non-integer element in set line '0 x'"),
+    ],
+)
+def test_setcover_parse_refusals_name_the_fault(text, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        parse_setcover(text)
 
 
 def test_budget_is_deterministic():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lkcds.graphs import Graph
+from lkcds.graphs import Graph, bfs_layers, least_path
 from lkcds.oracles import split_avoiding_distances
 from lkcds.projections import classify, profile
 from workloads import cycle_graph, grid_graph, path_graph, random_connected
@@ -99,6 +99,23 @@ def test_classify_groups_free_vertices_by_profile(case):
         (prof, tuple(members)) for prof, members in sorted(by_profile.items())
     ]
     assert cls.class_of == {u: i for i, c in enumerate(cls.classes) for u in c.members}
+
+
+@given(hosts_with_blockers())
+@settings(max_examples=100, deadline=None)
+def test_least_path_off_a_blocker_flood_is_the_queue_bfs_path(case):
+    # every path the closure retains, read off a blocker's flood from the
+    # profiled vertex's end, is the twin queue BFS's path from that vertex
+    g, blockers, r = case
+    cls = classify(g, blockers, r)
+    assert sorted(cls.rings) == blockers
+    for x in blockers:
+        assert cls.rings[x][0] == 1 << x and len(cls.rings[x]) <= r + 1
+    nbr = g.neighbor_masks()
+    for u, i in cls.class_of.items():
+        res = bfs_layers(g, [u], depth_cap=r, forbidden=blockers)
+        for x, d in cls.classes[i].profile:
+            assert least_path(nbr, u, cls.rings[x][:d]) == res.path_to(x)
 
 
 @given(st.integers(0, 3_000))

@@ -41,14 +41,19 @@ and members) and the class map of `classify` on seeded random hosts of
 1 to 40 vertices, often disconnected, with blocker sets from empty to
 every vertex and r from 0 to 3.  It reads only `classify`, `classes`
 and `class_of`, which checkouts from before the line was added have
-too.  A `connect` line hashes `connect` on ladder-scale hosts, sparse
-random graphs of 100 to 300 vertices relabelled as the `ladder`
-workload builds them: the heuristic core at r = 1 and 2 stitched with
-stretch 2r, and the greedy r-dominating set at r = 1 and 2 stitched
-with stretch n.  A `demos` line, printed once
-whatever the seeds, hashes the name, exit code and stdout of every
-`<checkout>/demos/*.py`, each run in a child interpreter with
-`<checkout>/src` on `PYTHONPATH`.
+too.  A `closures` line hashes the edges, the vertex map and
+`blockers_new` of `build_closure` on seeded random hosts of 1 to 40
+vertices, often disconnected, with 5% to 90% of the vertices blocked,
+r from 1 to 3 and t = 1 or 3/2, so that it reads the retained paths at
+radii and blocker densities the workloads barely reach; it too reads
+only names that older checkouts have.  A `connect` line hashes
+`connect` on ladder-scale hosts, sparse random graphs of 100 to 300
+vertices relabelled as the `ladder` workload builds them: the heuristic
+core at r = 1 and 2 stitched with stretch 2r, and the greedy
+r-dominating set at r = 1 and 2 stitched with stretch n.  A `demos`
+line, printed once whatever the seeds, hashes the name, exit code and
+stdout of every `<checkout>/demos/*.py`, each run in a child
+interpreter with `<checkout>/src` on `PYTHONPATH`.
 
 Two checkouts that print the same `kernel` lines produce identical cores,
 byte-identical kernels and identical oracle answers on those instances;
@@ -64,8 +69,10 @@ a status or a tree.
 The `graphs` line moves when a distance, ball, component, order, weak
 reachability set or stitching result changes, the `bundles` line when a
 kept tree or a closure count at a cap of 5 to 8 changes, the
-`profiles` line when a profile class or a vertex's class changes, and the
-`connect` line when a stitching result on hosts of ladder size changes.
+`profiles` line when a profile class or a vertex's class changes, the
+`closures` line when a closure graph, its vertex map or its blocker ids
+change, and the `connect` line when a stitching result on hosts of
+ladder size changes.
 The `demos` line moves when a demo is added, removed or prints anything
 different.
 
@@ -339,6 +346,31 @@ def profile_lines(seed: int) -> List[str]:
     return lines
 
 
+CLOSURE_HOSTS = 300  # random closure hosts per seed
+CLOSURE_SHARES = (0.05, 0.15, 0.3, 0.6, 0.9)  # blocker share of the host
+CLOSURE_TS = (1, Fraction(3, 2))
+
+
+def closure_lines(seed: int) -> List[str]:
+    """`build_closure` graphs, vertex maps and blocker ids on seeded random hosts."""
+    from lkcds.closure import build_closure
+    from lkcds.graphs import Graph
+
+    rng = random.Random(seed)
+    lines = []
+    for _ in range(CLOSURE_HOSTS):
+        n = rng.randint(1, 40)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        density = rng.choice((0.03, 0.08, 0.15, 0.3))
+        g = Graph.from_edges(n, [e for e in pairs if rng.random() < density])
+        blockers = rng.sample(range(n), round(rng.choice(CLOSURE_SHARES) * n))
+        r, t = rng.randint(1, 3), rng.choice(CLOSURE_TS)
+        clo = build_closure(g, blockers, r, t)
+        lines.append(repr(list(clo.graph.edges())))
+        lines.append(repr((clo.vertex_map, clo.blockers_new)))
+    return lines
+
+
 CONNECT_HOSTS = 8  # ladder-scale hosts per seed
 
 
@@ -405,6 +437,7 @@ def main(argv: List[str]) -> int:
         ("graphs", "queries", GRAPH_QUERIES, graph_lines),
         ("bundles", "hosts", BUNDLE_HOSTS, bundle_lines),
         ("profiles", "hosts", PROFILE_HOSTS, profile_lines),
+        ("closures", "hosts", CLOSURE_HOSTS, closure_lines),
         ("connect", "hosts", CONNECT_HOSTS, lambda s: connect_lines(s, workloads)),
     )
     for label, unit, per_seed, lines_of in checks:
