@@ -229,6 +229,9 @@ def verify_closure(g: Graph, closure: ClosureResult) -> ClosureReport:
             if u not in old2new:
                 item2.append(f"terminal {u} is not a closure vertex")
                 continue
+            if u not in cls_host.class_of:
+                item2.append(f"terminal {u} is a blocker, not a free vertex")
+                continue
             want = cls_host.classes[cls_host.class_of[u]].profile
             got = profile(closure.graph, old2new[u], closure.blockers_new, closure.r)
             got = tuple(sorted((closure.vertex_map[x], d) for x, d in got))

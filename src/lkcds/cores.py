@@ -101,12 +101,21 @@ def core_verify(g: Graph, z: Iterable[int], k: int, r: int) -> bool:
 def connected_core(g: Graph, core: DominationCore) -> CoreOutcome:
     """Stitch a core into one piece, or reject a disconnected host.
 
-    On a connected host every vertex lies within 2r of a `find_core`
-    core.  The heuristic core keeps, for each vertex v, some w whose ball
-    lies inside v's, so within r of v.  If v were farther than 2r from the
-    exact core, a budget-k dominating set without its dominators within r
-    of v would still cover the core and miss v.  So each merge needs at
-    most 2r interior vertices, and `connect` raises if one needs more.
+    `connect` merges a closest pair of components each round, at stretch 2r.
+    On a heuristic core no merge needs more than 2r interior vertices.
+    Every vertex v lies within r of the core: v is dropped only for a w
+    whose ball lies inside v's (strictly, or equal with w < v), so a chain
+    of drops ends at a kept w whose ball lies inside v's, and w is within r
+    of v.  Seeds only grow, so every vertex stays within r of them.  Give
+    each vertex a nearest seed and walk a host path between seeds of two
+    components: each end is its own nearest seed, so on some edge (x, y) the
+    nearest seeds of x and y lie in different components, at most r + 1 + r
+    apart.  So the closest pair is at most 2r + 1 apart: at most 2r interior
+    vertices per merge, and at most 2r(components - 1) in all.  An exact
+    core only puts every vertex within 2r of itself (if v were farther, a
+    budget-k dominating set without its dominators within r of v would still
+    cover the core and miss v), which bounds a merge by 4r, not 2r.  There
+    the 2r bound is not proved: `connect`'s runtime check enforces it.
     """
     if not g.is_connected():
         return Rejection(DISCONNECTED)

@@ -1,10 +1,12 @@
 """Domination checks, component stitching, and subtree covering families.
 
-The two constructive routines here carry proof obligations: `connect` may
-add at most a fixed number of interior vertices per merge, and
-`covering_family` must hit all four of its advertised bounds.  Both raise
-ContractViolation instead of returning a structure that breaks its
-guarantee.
+Stitching is one labelled multi-source flood plus Kruskal over the edges
+whose ends lie nearest to different components, with each merge's
+interior flooded again as new seeds.  The two constructive routines here
+carry proof obligations: `connect` may add at most a fixed number of
+interior vertices per merge, and `covering_family` must hit all four of
+its advertised bounds.  Both raise ContractViolation instead of returning
+a structure that breaks its guarantee.
 """
 
 from __future__ import annotations
@@ -19,9 +21,7 @@ from .graphs import (
     Graph,
     Tree,
     bfs_layers,
-    induced_components,
     iter_bits,
-    least_path,
     mask_of,
     tree_problem,
     vertex_mask,
@@ -84,161 +84,137 @@ class ConnectResult:
 
 
 def connect(g: Graph, seeds: Iterable[int], stretch: int) -> ConnectResult:
-    """Stitch the components induced by `seeds` into one, greedily.
+    """Stitch the components induced by `seeds` into one, closest pair first.
 
-    Components are ordered by their smallest member.  Each round merges along
-    the least key (d, u, v) over seed vertices u and v, where u lies in an
-    earlier component than v and d is their host distance; the path is the
-    lexicographically least shortest one, `bfs_layers(g, [u]).path_to(v)`, and
-    its interior vertices become seeds.  The path is read off v's own BFS
-    rings by `least_path`.  A merge needing more than `stretch` interior
-    vertices, or a total beyond stretch * (components - 1), violates the
-    contract this routine is used under and raises.
+    One multi-source BFS, seeded in ascending order, gives every vertex its
+    distance to the seeds, a label (the seed whose search reached it first)
+    and a parent one step nearer that seed.  The components of the seed set
+    start from adjacent seeds and merge by relabelling the smaller one.  A
+    host edge (x, y), x < y, whose labels lie in different components is a
+    cut edge with key (dist[x] + 1 + dist[y], x, y), kept in a heap.  Each
+    round pops the least key, drops it if its labels now share a component,
+    and merges along the parent chains from the two ends to their labels,
+    read from the smaller label to the larger.  A merge needing more than
+    `stretch` interior vertices, or a total beyond
+    stretch * (components - 1), violates the contract this routine is used
+    under and raises.  The interior vertices become seeds at distance 0 and
+    join every component they touch.  A flood from them lowers distance,
+    label and parent wherever the new distance is strictly shorter, and
+    pushes the cut edges of every vertex it changed.  This is Mehlhorn's
+    one-flood construction (Information Processing Letters 27(3), 1988),
+    with each merge's interior seeded again.
 
-    Host distances never change, so the rounds share one pass over seed
-    pairs in key order.  A key is live while its ends lie in different
-    components, the first end's component first.  Every seed keeps its
-    own BFS as masks, the vertices seen and one ring per radius, and all
-    of them advance together one radius at a time.  A ring pushes the
-    least seed it meets of each other component: any other seed of that
-    component gives a larger key, and components only merge.  A seed
-    added by a merge first catches up to the current radius, pushing
-    every boundary seed it meets in both orientations.  Popped pairs
-    that now share a component are dropped, and pairs pointing from a
-    later component to an earlier one are held back until the round's
-    merge, which may turn them round.  A merge relabels the seeds of all
-    but the largest component it joins.
-
-    Only boundary seeds, those with a neighbour outside the seed set,
-    flood, and only pairs of them are pushed.  No interior seed ends the
-    least live key:
-    - Take seeds s and b in different components at distance d, s
-      interior, and a shortest path s = p_0, ..., p_d = b.  Let p_j be
-      its last vertex in s's component, and p_i the first seed after p_j.
-    - j >= 1, as p_1 is a seed next to s.  The vertex after p_j and the
-      one before p_i are not seeds, so both are boundary seeds.  They
-      lie in different components at distance at most i - j < d, so one
-      orientation of them is a live key below (d, s, b).  An interior b
-      is the mirror case.
-    - So both ends of the least live key are boundary seeds.  The seed
-      set only grows, so a seed that becomes interior stays interior,
-      and its rings are never read again: not to find pairs, and not to
-      read a path, which uses the far end's rings.
-    By the same argument no seed lies inside a merge path: it would be
-    closer than d to u or to v, in another component than that end.  So
-    every interior vertex of a merge path is added.
-    One call costs one depth-d BFS per boundary seed, with d the largest
-    merge distance, plus a few heap operations per seed pair met.
+    Every merge joins a closest pair of components.  Distances stay exact
+    distances to the current seeds, and a parent chain reaches its label in
+    dist steps: a vertex whose parent comes nearer comes nearer too.  So a
+    cut edge of length L closes a walk of length L between seeds of two
+    components, and the heap holds every cut edge under its current length.
+    A key goes out of date when an end comes nearer.  Then either its labels
+    already shared a component, or a copy with a smaller key was pushed,
+    which pops first and joins the two components or finds them joined; so a
+    key that pops live is current.  Conversely, let p_0, ..., p_d be a
+    shortest path between two components, d the least such distance.  Its
+    labels start in one and end in the other, so some edge p_i p_(i+1) is a
+    cut edge, of length at most i + 1 + (d - i - 1) = d.  So the least live
+    key is d, the merge path is a shortest path between seeds of two
+    components, and its interior, all at distance above 0, holds no seed.
+    Each merge joins at least two components, so there are at most
+    components - 1 of them.
     """
     seed_tuple = tuple(sorted(set(seeds)))
     if not seed_tuple:
         raise ValueError("cannot connect an empty set")
-    current = vertex_mask(g, seed_tuple, "vertex")
-    members = list(induced_components(g, current))  # seed mask per component id
-    p0 = live = len(members)
+    vertex_mask(g, seed_tuple, "vertex")
+    adj = g.adj
+    dist = [g.n + 1] * g.n  # above every distance until a flood comes by
+    label = list(range(g.n))
+    parent = list(range(g.n))
+    comp = list(range(g.n))  # component id per seed
+    members = {s: [s] for s in seed_tuple}
+
+    def join(a: int, b: int) -> None:
+        ca, cb = comp[a], comp[b]
+        if len(members[ca]) < len(members[cb]):
+            ca, cb = cb, ca
+        for x in members[cb]:
+            comp[x] = ca
+        members[ca] += members.pop(cb)
+
+    def plant(vs: Sequence[int]) -> None:
+        # the new seeds join every seed next to them
+        for v in vs:
+            dist[v], label[v] = 0, v
+        for v in vs:
+            for x in adj[v]:
+                if dist[x] == 0 and comp[x] != comp[v]:
+                    join(v, x)
+
+    def flood(vs: Sequence[int]) -> List[int]:
+        # every vertex brought nearer by the new seeds vs
+        changed = list(vs)
+        for x in changed:  # the loop reads what it appends
+            near = dist[x] + 1
+            for y in adj[x]:
+                if near < dist[y]:
+                    dist[y], label[y], parent[y] = near, label[x], x
+                    changed.append(y)
+        return changed
+
+    def chain(v: int) -> List[int]:
+        out = [v]
+        while dist[v]:
+            v = parent[v]
+            out.append(v)
+        return out
+
+    plant(seed_tuple)
+    p0 = len(members)
     if p0 == 1:
         return ConnectResult(seed_tuple, (), ())
-    least = [c & -c for c in members]  # the order of the components
-    comp = [0] * g.n  # component id per seed vertex
-    for i, c in enumerate(members):
-        for v in iter_bits(c):
-            comp[v] = i
-    nbr = g.neighbor_masks()
-    # each boundary seed's BFS: the vertices seen so far, and its rings up
-    # to the radius; other slots stay unused
-    seen = [0] * g.n
-    rings: List[List[int]] = [[] for _ in range(g.n)]
-    boundary = 0
-    for v in seed_tuple:
-        if nbr[v] & ~current:
-            boundary |= 1 << v
-            seen[v] = 1 << v
-            rings[v] = [1 << v]
-    radius = 0
-    heap: List[Tuple[int, int, int]] = []
+    heap = [
+        (dist[x] + 1 + dist[y], x, y)
+        for x in flood(seed_tuple)
+        for y in adj[x]
+        if x < y and comp[label[x]] != comp[label[y]]
+    ]
+    heapq.heapify(heap)
     added: List[int] = []
     paths: List[Tuple[int, ...]] = []
-    while live > 1:
-        held = []
-        while True:
-            if not heap:
-                radius += 1
-                grown = 0
-                for s in iter_bits(boundary):
-                    ring = g.neighborhood(rings[s][-1]) & ~seen[s]
-                    seen[s] |= ring
-                    rings[s].append(ring)
-                    grown |= ring
-                    # the heap was empty and entries come in key order,
-                    # so the list is a heap
-                    met = ring & boundary & ~members[comp[s]]
-                    while met:
-                        b = (met & -met).bit_length() - 1
-                        heap.append((radius, s, b))
-                        met &= ~members[comp[b]]
-                if not (heap or grown):
-                    raise ContractViolation(
-                        "seed components lie in different graph parts"
-                    )
-                continue
-            d, u, v = heapq.heappop(heap)
-            if comp[u] == comp[v]:
-                continue
-            if least[comp[u]] > least[comp[v]]:
-                held.append((d, u, v))
-                continue
-            break
+    while len(members) > 1:
+        if not heap:
+            raise ContractViolation("seed components lie in different graph parts")
+        d, x, y = heapq.heappop(heap)
+        if comp[label[x]] == comp[label[y]]:
+            continue
+        if label[x] > label[y]:
+            x, y = y, x
+        path = chain(x)[::-1] + chain(y)
         if d - 1 > stretch:
             raise ContractViolation(
-                f"merge from {u} to {v} needs {d - 1} interior vertices, "
-                f"allowed {stretch}"
+                f"merge from {path[0]} to {path[-1]} needs {d - 1} interior "
+                f"vertices, allowed {stretch}"
             )
-        # v is a boundary seed, so it has read its rings up to the radius,
-        # and d <= radius
-        path = least_path(nbr, u, rings[v][:d])
         interior = path[1:-1]
-        added.extend(interior)
+        added += interior
         paths.append(tuple(path))
-        inner = mask_of(interior)
-        near = g.neighborhood(inner)
-        # the path joins every component it touches; the others stay apart
-        ids = {comp[x] for x in iter_bits(near & current)}
-        keep = max(ids, key=lambda i: members[i].bit_count())
-        merged = inner
-        for i in ids:
-            merged |= members[i]
-            if i != keep:
-                for x in iter_bits(members[i]):
-                    comp[x] = keep
-        members[keep] = merged
-        least[keep] = merged & -merged  # the new interior vertices count too
-        live -= len(ids) - 1
-        current |= inner
-        # the new seeds may make their seed neighbours interior
-        for x in iter_bits(boundary & near):
-            if not nbr[x] & ~current:
-                boundary ^= 1 << x
-        for entry in held:
-            heapq.heappush(heap, entry)
-        for x in interior:
-            comp[x] = keep
-            if not nbr[x] & ~current:
-                continue
-            boundary |= 1 << x
-            seen[x] = ring = 1 << x
-            rings[x] = [ring]
-            for dist in range(1, radius + 1):
-                ring = g.neighborhood(ring) & ~seen[x]
-                seen[x] |= ring
-                rings[x].append(ring)
-                for b in iter_bits(ring & boundary & ~merged):
-                    heapq.heappush(heap, (dist, x, b))
-                    heapq.heappush(heap, (dist, b, x))
+        home = comp[path[0]]
+        for v in interior:
+            comp[v] = home
+        members[home] += interior
+        join(path[0], path[-1])
+        plant(interior)
+        for x in flood(interior):
+            cx = comp[label[x]]
+            for y in adj[x]:
+                if comp[label[y]] != cx:
+                    key = dist[x] + 1 + dist[y]
+                    heapq.heappush(heap, (key, x, y) if x < y else (key, y, x))
     if len(added) > stretch * (p0 - 1):
         raise ContractViolation(
             f"added {len(added)} vertices, allowed {stretch * (p0 - 1)}"
         )
-    return ConnectResult(tuple(iter_bits(current)), tuple(added), tuple(paths))
+    connected = tuple(sorted(seed_tuple + tuple(added)))
+    return ConnectResult(connected, tuple(added), tuple(paths))
 
 
 # ---------------------------------------------------------------------------

@@ -95,6 +95,11 @@ def test_verify_closure_reports_a_changed_profile():
             ("item2: terminal 3 is not a closure vertex",),
         ),
         (
+            # 2 is the blocker, which has no profile class
+            lambda clo: replace(clo, terminals=(0, 1, 2)),
+            ("item2: terminal 2 is a blocker, not a free vertex",),
+        ),
+        (
             # a real host tree for bundle (0, 1), one vertex larger than needed
             lambda clo: replace(
                 clo, kept={**clo.kept, (0, 1): Tree((0, 1, 2), ((0, 1), (1, 2)))}

@@ -13,7 +13,15 @@ from lkcds.cores import (
     core_verify,
     find_core,
 )
-from lkcds.graphs import Graph, bfs_layers, induced_subgraph, mask_connected, mask_of
+from lkcds.domination import connect
+from lkcds.graphs import (
+    Graph,
+    bfs_layers,
+    induced_components,
+    induced_subgraph,
+    mask_connected,
+    mask_of,
+)
 from lkcds.oracles import FOUND, cover_exists, exact_ds
 from workloads import grid_graph, path_graph, random_connected, star_graph
 
@@ -174,6 +182,23 @@ def test_connected_core_stitches_every_core(g, r, k, mode):
     assert isinstance(out, DominationCore)
     assert set(core.vertices) <= set(out.vertices)
     assert mask_connected(g, mask_of(out.vertices))
+
+
+@given(
+    st.integers(60, 300), st.integers(0, 40), st.integers(0, 10_000), st.sampled_from([1, 2])
+)
+@settings(max_examples=40, deadline=None)
+def test_stitching_a_heuristic_core_meets_the_2r_bounds(n, extra, seed, r):
+    # connect at stretch n, so that the bounds are checked here, not by
+    # connect's own contract
+    g = random_connected(n, extra, seed)
+    core = find_core(g, 1, r, mode="heuristic").vertices
+    p0 = len(induced_components(g, mask_of(core)))
+    res = connect(g, core, g.n)
+    assert set(core) <= set(res.connected)
+    assert mask_connected(g, mask_of(res.connected))
+    assert all(len(path) - 2 <= 2 * r for path in res.merge_paths)
+    assert len(res.added) <= 2 * r * (p0 - 1)
 
 
 def test_connected_core_rejects_disconnected_host():

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from lkcds.cores import find_core
 from lkcds.domination import (
-    ConnectResult,
     ContractViolation,
     check_covering_family,
     connect,
@@ -20,10 +19,10 @@ from lkcds.domination import (
 from lkcds.graphs import (
     Graph,
     Tree,
-    bfs_layers,
     induced_components,
     induced_subgraph,
     iter_bits,
+    mask_connected,
     mask_of,
 )
 from lkcds.oracles import exact_ds
@@ -148,49 +147,35 @@ def test_connect_total_interior_bound(seed):
     assert gsub.is_connected()
 
 
-def _all_pairs_connect(g, seeds, stretch):
-    # reference: each round scans every seed pair by dist_row for the least
-    # (d, u, v) with u in an earlier component than v
-    seed_tuple = tuple(sorted(set(seeds)))
-    if not seed_tuple:
-        raise ValueError("cannot connect an empty set")
-    for v in seed_tuple:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range")
-    current = mask_of(seed_tuple)
-    p0 = len(induced_components(g, current))
-    added, paths = [], []
-    while True:
-        comps = induced_components(g, current)
-        if len(comps) <= 1:
-            break
+def _replay(g, seeds, res):
+    # brute force, merge by merge: each path is a host path between seeds of
+    # two current components, as long as the least distance between two
+    # components that an all-pairs dist_row scan finds on the current seeds,
+    # and adds exactly its interior vertices
+    current = set(seeds)
+    added = []
+    for path in res.merge_paths:
+        assert len(set(path)) == len(path)
+        assert all(b in g.adj[a] for a, b in zip(path, path[1:]))
+        comps = induced_components(g, mask_of(current))
         comp_of = {v: i for i, c in enumerate(comps) for v in iter_bits(c)}
-        members = list(iter_bits(current))
-        best = None
-        for u in members:
-            row = g.dist_row(u)
-            for v in members:
-                if comp_of[u] < comp_of[v] and row[v] >= 0:
-                    key = (row[v], u, v)
-                    if best is None or key < best:
-                        best = key
-        if best is None:
-            raise ContractViolation("seed components lie in different graph parts")
-        d, u, v = best
-        if d - 1 > stretch:
-            raise ContractViolation(
-                f"merge from {u} to {v} needs {d - 1} interior vertices, "
-                f"allowed {stretch}"
-            )
-        path = bfs_layers(g, [u]).path_to(v)
-        added.extend(w for w in path[1:-1] if not (current >> w) & 1)
-        current |= mask_of(path[1:-1])
-        paths.append(tuple(path))
-    if len(added) > stretch * (p0 - 1):
-        raise ContractViolation(
-            f"added {len(added)} vertices, allowed {stretch * (p0 - 1)}"
+        u, v = path[0], path[-1]
+        assert u in current and v in current and comp_of[u] != comp_of[v]
+        least = min(
+            d
+            for a in current
+            for b, d in enumerate(g.dist_row(a))
+            if d > 0 and b in current and comp_of[a] != comp_of[b]
         )
-    return ConnectResult(tuple(iter_bits(current)), tuple(added), tuple(paths))
+        assert len(path) - 1 == least
+        interior = path[1:-1]
+        assert not current & set(interior)
+        added += interior
+        current |= set(interior)
+    assert res.added == tuple(added)
+    assert res.connected == tuple(sorted(current))
+    assert set(seeds) <= current
+    assert mask_connected(g, mask_of(current))
 
 
 def _outcome(fn, *args):
@@ -198,6 +183,33 @@ def _outcome(fn, *args):
         return fn(*args)
     except (ValueError, ContractViolation) as exc:
         return type(exc).__name__, str(exc)
+
+
+def _check_connect(g, seeds, stretch):
+    # connect(g, seeds, stretch) against connect(g, seeds, g.n): stretch
+    # changes nothing but raising at the first merge with more than
+    # `stretch` interior vertices; a seed set that spans two graph parts
+    # raises
+    got = _outcome(connect, g, seeds, stretch)
+    full = _outcome(connect, g, seeds, g.n)
+    parts = sum(1 for c in g.component_masks() if c & mask_of(seeds))
+    if parts > 1:
+        gap = ("ContractViolation", "seed components lie in different graph parts")
+        assert full == gap
+        assert got == gap or got[1].startswith("merge from")
+        return got
+    _replay(g, seeds, full)
+    want = full
+    for path in full.merge_paths:
+        if len(path) - 2 > stretch:
+            want = (
+                "ContractViolation",
+                f"merge from {path[0]} to {path[-1]} needs {len(path) - 2} "
+                f"interior vertices, allowed {stretch}",
+            )
+            break
+    assert got == want
+    return got
 
 
 @given(
@@ -217,9 +229,7 @@ def test_connect_matches_all_pairs_scan(n, extra, seed, drop, data):
     g = Graph.from_edges(n, edges)
     seeds = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
     stretch = data.draw(st.sampled_from((1, 2, 4, n)))
-    assert _outcome(connect, g, seeds, stretch) == _outcome(
-        _all_pairs_connect, g, seeds, stretch
-    )
+    _check_connect(g, seeds, stretch)
 
 
 @given(
@@ -231,8 +241,8 @@ def test_connect_matches_all_pairs_scan(n, extra, seed, drop, data):
 )
 @settings(max_examples=60, deadline=None)
 def test_connect_matches_all_pairs_scan_on_dense_seed_sets(n, extra, seed, drop, data):
-    # balls around a few centres hold many interior seeds, which stop
-    # flooding; the scattered seeds between the balls stay boundary seeds
+    # balls around a few centres hold many seeds with no neighbour outside
+    # the seed set, next to scattered single seeds
     host = random_connected(n, extra, seed)
     edges = list(host.edges())
     for _ in range(min(drop, len(edges))):
@@ -242,9 +252,7 @@ def test_connect_matches_all_pairs_scan_on_dense_seed_sets(n, extra, seed, drop,
     for centre in data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4)):
         seeds |= set(iter_bits(g.balls(data.draw(st.integers(1, 2)))[centre]))
     stretch = data.draw(st.sampled_from((0, 1, 2, 4, n)))
-    assert _outcome(connect, g, seeds, stretch) == _outcome(
-        _all_pairs_connect, g, seeds, stretch
-    )
+    _check_connect(g, seeds, stretch)
 
 
 @pytest.mark.parametrize(
@@ -254,8 +262,9 @@ def test_connect_matches_all_pairs_scan_on_dense_seed_sets(n, extra, seed, drop,
         # seeds, 2, and the next merge runs through it
         (8, [(0, 1), (1, 2), (1, 3), (2, 4), (3, 5), (4, 6), (4, 7)], [0, 1, 5, 7],
          ((1, 3, 5), (1, 2, 4, 7))),
-        # the merge 2-0-5 adds seed 0 with one neighbour outside the seeds,
-        # 1, and the next merge starts from it
+        # the merge 2-0-5 makes 0 a seed with one neighbour outside the
+        # seeds, 1, which the merge brought nearer; the next merge starts
+        # from it
         (7, [(0, 1), (0, 2), (0, 5), (1, 3), (1, 5), (2, 4), (4, 6), (5, 6)], [2, 3, 5, 6],
          ((2, 0, 5), (0, 1, 3))),
     ],
@@ -264,29 +273,28 @@ def test_connect_keeps_flooding_a_seed_with_one_outside_neighbour(n, edges, seed
     g = Graph.from_edges(n, edges)
     res = connect(g, seeds, 2)
     assert res.merge_paths == expected
-    assert res == _all_pairs_connect(g, seeds, 2)
+    _check_connect(g, seeds, 2)
 
 
 def test_connect_finds_an_odd_gap_seen_after_an_even_one():
-    # the path 0-3-5-4-1-7-6-2 with seeds 0, 1, 2: a search from all seeds
+    # the path 0-3-5-4-1-7-6-2 with seeds 0, 1, 2: the flood from all seeds
     # meets the gap 4 between 0 and 1 before the gap 3 between 1 and 2
     g = Graph.from_edges(8, [(0, 3), (3, 5), (5, 4), (4, 1), (1, 7), (7, 6), (6, 2)])
     res = connect(g, [0, 1, 2], 3)
     assert res.merge_paths == ((1, 7, 6, 2), (0, 3, 5, 4, 1))
-    assert res == _all_pairs_connect(g, [0, 1, 2], 3)
+    _check_connect(g, [0, 1, 2], 3)
 
 
 def test_connect_matches_all_pairs_scan_on_a_heuristic_core():
     g = random_connected(200, 20, 200)
     core = find_core(g, 1, 1, mode="heuristic").vertices
-    got = connect(g, core, 2)
-    assert got == _all_pairs_connect(g, core, 2)
+    got = _check_connect(g, core, 2)
     assert len(got.merge_paths) > 10
 
 
-def test_connect_orders_by_the_merged_least_member():
-    # the merge 6-3-9 makes 3 the least member of its component, so the
-    # next pair runs from 3 to 4, not from 4 to 3
+def test_connect_orients_each_path_from_its_smaller_end():
+    # the merge 6-3-9 makes 3 a seed; the next merge runs from it to 4, and
+    # the last from 1 to 14, each read from the smaller end
     g = Graph.from_edges(
         15,
         [(0, 1), (0, 8), (1, 2), (1, 4), (1, 7), (2, 3), (3, 5), (3, 6),
@@ -294,7 +302,7 @@ def test_connect_orders_by_the_merged_least_member():
     )
     res = connect(g, [14, 6, 9, 4], 2)
     assert res.merge_paths == ((6, 3, 9), (3, 2, 1, 4), (1, 7, 14))
-    assert res == _all_pairs_connect(g, [14, 6, 9, 4], 2)
+    _check_connect(g, [14, 6, 9, 4], 2)
 
 
 @pytest.mark.parametrize(
@@ -305,31 +313,37 @@ def test_connect_orders_by_the_merged_least_member():
     ],
 )
 def test_connect_merges_from_a_new_interior_vertex(stretch, expected):
-    # the interior vertex 0 of the first merge becomes the component's least
-    # member and the start of the second merge
+    # the interior vertex 0 of the first merge becomes a seed and the start
+    # of the second merge
     g = Graph.from_edges(
         9, [(0, 4), (0, 7), (0, 8), (1, 2), (1, 4), (3, 5), (3, 6), (4, 5), (5, 7), (6, 7)]
     )
     seeds = [7, 3, 2, 8, 6]
-    got = _outcome(connect, g, seeds, stretch)
-    assert got == _outcome(_all_pairs_connect, g, seeds, stretch)
+    got = _check_connect(g, seeds, stretch)
     assert getattr(got, "merge_paths", got) == expected
 
 
 @pytest.mark.parametrize("n", [100, 200])
 def test_connect_matches_all_pairs_scan_at_ladder_scale(n):
-    # ladder-like hosts: merges over distances 3 and 4 take the searches
-    # past their first radii, and their interior vertices become seeds that
-    # have to catch up
+    # ladder-like hosts: merges over distances 3 and 4, whose interior
+    # vertices become seeds and bring their surroundings nearer
     g = relabeled(random_connected(n, n // 10, n + 1), random.Random(n))
     runs = [(find_core(g, 1, r, mode="heuristic").vertices, 2 * r) for r in (1, 2)]
     runs += [(greedy_rdom(g, r), g.n) for r in (1, 2)]
     lengths = []
     for seeds, stretch in runs:
-        got = connect(g, seeds, stretch)
-        assert got == _all_pairs_connect(g, seeds, stretch)
+        got = _check_connect(g, seeds, stretch)
         lengths += [len(p) for p in got.merge_paths]
     assert max(lengths) >= 4
+
+
+def test_connect_refuses_a_disconnected_seed_spread():
+    # no merge is possible, so every stretch gives the same refusal
+    g = Graph.from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
+    gap = "^seed components lie in different graph parts$"
+    for stretch in (0, 1, g.n):
+        with pytest.raises(ContractViolation, match=gap):
+            connect(g, [0, 1, 4], stretch)
 
 
 def test_covering_family_singletons_when_t_small():
