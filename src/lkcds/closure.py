@@ -17,10 +17,10 @@ from .domination import Rational, piece_cap
 from .graphs import (
     Graph,
     Tree,
-    graph_on_vertices,
     iter_bits,
     least_path,
     mask_of,
+    subgraph,
     tree_problem,
 )
 from .projections import ProfileClassification, classify, profile
@@ -154,8 +154,8 @@ def build_closure(
     for tree in kept.values():
         vertices.update(tree.vertices)
         edges.update(tree.edges)
-    edges.update((u, v) for u, v in g.edges() if u in xset and v in xset)
-    gprime, vmap = graph_on_vertices(vertices, edges)
+    edges.update((x, y) for x in xs for y in g.adj[x] if x < y and y in xset)
+    gprime, vmap = subgraph(g, vertices, edges)
     old2new = {old: new for new, old in enumerate(vmap)}
     stats = {
         "host_vertices": g.n,

@@ -48,15 +48,22 @@ def _containment_prune(g: Graph, r: int) -> Set[int]:
     # ball and w < v: covering w then forces covering v, for any budget.
     # Dropping such vertices one at a time, from the top id down, until
     # none is left to drop ends at this same set.  Such a w lies in its own
-    # ball, so in v's: only the members of v's ball need a look.
+    # ball, so in v's: only the other members of v's ball need a look.
     balls = g.balls(r)
-    return {
-        v
-        for v, b in enumerate(balls)
-        if not any(
-            balls[w] & ~b == 0 and (balls[w] != b or w < v) for w in iter_bits(b)
-        )
-    }
+    keep = set()
+    for v, b in enumerate(balls):
+        out = ~b
+        rest = b & ~(1 << v)
+        while rest:
+            low = rest & -rest
+            w = low.bit_length() - 1
+            bw = balls[w]
+            if not bw & out and (bw != b or w < v):
+                break
+            rest ^= low
+        else:
+            keep.add(v)
+    return keep
 
 
 def find_core(g: Graph, k: int, r: int, mode: str = "heuristic") -> CoreOutcome:

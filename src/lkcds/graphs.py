@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 
 class GraphFormatError(ValueError):
@@ -61,17 +61,28 @@ class Graph:
                 if u == v:
                     raise ValueError(f"self-loop at {v}")
             rows.append(row)
-        self.adj = tuple(rows)
-        self.n = len(rows)
-        self.m = sum(len(r) for r in rows) // 2
-        for v, row in enumerate(self.adj):
+        for v, row in enumerate(rows):
             for u in row:
-                if v not in self.adj[u]:
+                if v not in rows[u]:
                     raise ValueError(f"asymmetric adjacency {v}->{u}")
+        self._set_rows(tuple(rows))
+
+    def _set_rows(self, rows: Tuple[Tuple[int, ...], ...]) -> None:
+        """Adopt rows that are already sorted, symmetric and loop-free."""
+        self.adj = rows
+        self.n = len(rows)
+        self.m = sum(map(len, rows)) // 2
         self._masks: Optional[Tuple[int, ...]] = None
         self._balls: Dict[int, Tuple[int, ...]] = {}
         self._dist: Dict[int, Tuple[int, ...]] = {}
         self._comps: Optional[Tuple[int, ...]] = None
+
+    @classmethod
+    def _of_rows(cls, rows: Tuple[Tuple[int, ...], ...]) -> "Graph":
+        """A graph on checked rows, without `__init__` checking them again."""
+        g = cls.__new__(cls)
+        g._set_rows(rows)
+        return g
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[Tuple[int, int]]) -> "Graph":
@@ -90,7 +101,7 @@ class Graph:
             seen.add(key)
             adj[u].append(v)
             adj[v].append(u)
-        return cls(adj)
+        return cls._of_rows(tuple(tuple(sorted(row)) for row in adj))
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -135,17 +146,20 @@ class Graph:
             raise ValueError("radius must be nonnegative")
         out = self._balls.get(r)
         if out is None:
-            inner: Tuple[int, ...] = (0,) * self.n
-            out = tuple(1 << v for v in range(self.n))
-            for _ in range(r):
-                # only the outermost shell can reach past the ball
-                grown = tuple(
-                    b | self.neighborhood(b & ~old) for b, old in zip(out, inner)
-                )
-                if grown == out:
+            balls = [1 << v for v in range(self.n)]
+            if r:
+                balls = [m | b for m, b in zip(self.neighbor_masks(), balls)]
+            for _ in range(r - 1):
+                # a ball one wider is the union of the neighbours' balls
+                grown = []
+                for b, row in zip(balls, self.adj):
+                    for u in row:
+                        b |= balls[u]
+                    grown.append(b)
+                if grown == balls:
                     break  # every ball holds its whole component
-                inner, out = out, grown
-            self._balls[r] = out
+                balls = grown
+            out = self._balls[r] = tuple(balls)
         return out
 
     def dist_row(self, v: int) -> Tuple[int, ...]:
@@ -339,9 +353,17 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Tuple[Graph, Tuple[in
     """Induced subgraph plus the parent id of each new vertex."""
     inside = set(vertices)
     vertex_mask(g, sorted(inside), "vertex")  # names the least vertex outside g
-    return graph_on_vertices(
-        inside, [(u, v) for u, v in g.edges() if u in inside and v in inside]
-    )
+    edges = {(u, v) for u in inside for v in g.adj[u] if u < v and v in inside}
+    return subgraph(g, inside, edges)
+
+
+def subgraph(
+    g: Graph, vertices: Iterable[int], edges: Set[Tuple[int, int]]
+) -> Tuple[Graph, Tuple[int, ...]]:
+    """The subgraph of g on vertices of g and edges of g (each low end first),
+    relabelled as `graph_on_vertices` does, read off g's own rows."""
+    parents = tuple(sorted(set(vertices)))
+    return _relabel(parents, [g.adj[v] for v in parents], edges), parents
 
 
 def graph_on_vertices(
@@ -350,17 +372,60 @@ def graph_on_vertices(
     """Relabel an explicit vertex and edge set to a compact graph.
 
     Edge endpoints must appear in the vertex set; new ids follow the sorted
-    order of the old ones.
+    order of the old ones.  An edge may be listed twice, either way round.
     """
     parents = tuple(sorted(set(vertices)))
+    keys = {(u, v) if u < v else (v, u) for u, v in edges}
+    nbrs: Dict[int, List[int]] = {}
+    # in key order each vertex meets its lower neighbours, then its higher
+    # ones, each run ascending, so every list comes out sorted
+    for u, v in sorted(keys):
+        nbrs.setdefault(u, []).append(v)
+        if u != v:
+            nbrs.setdefault(v, []).append(u)
+    return _relabel(parents, [nbrs.get(v, ()) for v in parents], keys), parents
+
+
+def _relabel(
+    parents: Tuple[int, ...],
+    rows: Sequence[Sequence[int]],
+    edges: Set[Tuple[int, int]],
+) -> Graph:
+    """The graph of the edges on the parents, vertex i standing for parents[i].
+
+    Parents ascend, each edge is listed once with its low end first, and
+    rows[i] lists ascending neighbours of parents[i], among them every
+    edge of parents[i].  Each row keeps the neighbours joined to it by an
+    edge, and the relabelling keeps their order, so rows come out sorted.
+    A kept edge counts twice, once in each row, and an edge that leaves
+    the parents, loops or is missing from the rows counts less, so the row lengths sum to twice the
+    edge count exactly when every edge is kept.  Otherwise the least edge
+    that leaves is named, or else the least loop or edge not in the rows.
+    """
     index = {v: i for i, v in enumerate(parents)}
-    relabeled = []
-    for u, v in set((min(e), max(e)) for e in edges):
-        if u not in index or v not in index:
-            raise ValueError(f"edge ({u},{v}) leaves the vertex set")
-        relabeled.append((index[u], index[v]))
-    relabeled.sort()
-    return Graph.from_edges(len(parents), relabeled), parents
+    adj = tuple(
+        [
+            tuple(
+                [
+                    index[u]
+                    for u in row
+                    if ((v, u) if v < u else (u, v)) in edges and u in index
+                ]
+            )
+            for v, row in zip(parents, rows)
+        ]
+    )
+    if sum(map(len, adj)) != 2 * len(edges):
+        bad = sorted(edges)
+        for u, v in bad:
+            if u not in index or v not in index:
+                raise ValueError(f"edge ({u},{v}) leaves the vertex set")
+        for u, v in bad:
+            if u == v:
+                raise ValueError(f"self-loop at {u}")
+            if u > v or v not in rows[index[u]]:
+                raise ValueError(f"edge ({u},{v}) is not a host edge, low end first")
+    return Graph._of_rows(adj)
 
 
 def r_subdivision(

@@ -77,9 +77,12 @@ def classify(g: Graph, blockers: Iterable[int], r: int) -> ProfileClassification
     free = ((1 << g.n) - 1) & ~vertex_mask(g, xs, "blocker")
     pairs: List[List[Tuple[int, int]]] = [[] for _ in range(g.n)]
     rings: Dict[int, List[int]] = {}
+    nbr = g.neighbor_masks()
     for x in xs:
         seen = layer = 1 << x
         rings[x] = flood = [layer]
+        if not nbr[x] & free:
+            continue  # only free vertices expand, so the flood ends at x
         for d in range(1, r + 1):
             layer = g.neighborhood(layer) & free & ~seen
             if not layer:

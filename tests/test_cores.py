@@ -102,6 +102,13 @@ def test_containment_prune_matches_rescan_loop(g, r):
     assert _containment_prune(g, r) == rescan_containment_prune(g, r)
 
 
+@pytest.mark.parametrize("n", [100, 200])
+@pytest.mark.parametrize("r", [1, 2])
+def test_containment_prune_matches_rescan_loop_at_ladder_scale(n, r):
+    g = random_connected(n, n // 10, 1)
+    assert _containment_prune(g, r) == rescan_containment_prune(g, r)
+
+
 def rescan_exact_core(g, k, r):
     """The exact core as a rescan loop: reject unless `exact_ds` finds a
     dominating set, then repeat the removal pass until it removes nothing."""

@@ -24,6 +24,7 @@ from lkcds.graphs import (
     r_subdivision,
     serialize_graph,
     sniff_format,
+    subgraph,
     tree_problem,
     vertex_mask,
 )
@@ -253,6 +254,83 @@ def test_graph_on_vertices_relabels():
     assert list(sub.edges()) == [(0, 1), (1, 2)]
 
 
+def relabel_then_from_edges(vertices, edges):
+    """The subgraph route that reads no host rows: dedupe the edges, relabel
+    them, sort, then `Graph.from_edges`.  It checks the edges in ascending
+    order and names a self-loop by its vertex in the input, as the
+    builders do, so each refusal names the same edge."""
+    parents = tuple(sorted(set(vertices)))
+    index = {v: i for i, v in enumerate(parents)}
+    keys = sorted({(min(e), max(e)) for e in edges})
+    for u, v in keys:
+        if u not in index or v not in index:
+            raise ValueError(f"edge ({u},{v}) leaves the vertex set")
+    for u, v in keys:
+        if u == v:
+            raise ValueError(f"self-loop at {u}")
+    relabeled = [(index[u], index[v]) for u, v in keys]
+    return Graph.from_edges(len(parents), relabeled), parents
+
+
+def built(build):
+    """The rows and parents a builder returns, or its refusal message."""
+    try:
+        sub, parents = build()
+    except ValueError as exc:
+        return str(exc)
+    return sub.adj, sub.m, parents
+
+
+def seeded_host(rnd):
+    """A graph on at most 20 vertices, possibly disconnected."""
+    n = rnd.randint(0, 20)
+    density = rnd.choice((0.1, 0.25, 0.5))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return Graph.from_edges(n, [e for e in pairs if rnd.random() < density])
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=200)
+def test_subgraph_builders_match_relabel_then_from_edges(seed):
+    rnd = random.Random(seed)
+    g = seeded_host(rnd)
+    inside = set(rnd.sample(range(g.n), rnd.randint(0, g.n)))
+    induced = [(u, v) for u, v in g.edges() if u in inside and v in inside]
+    want = built(lambda: relabel_then_from_edges(inside, induced))
+    assert built(lambda: induced_subgraph(g, inside)) == want
+
+    # a few stray pairs: self-loops, edges that leave the subset (some to
+    # ids past the host) and pairs inside that are no host edge; half the
+    # time all lie inside, so that no leaving edge hides a self-loop.
+    # subgraph reads rows only inside, so its leaving edges may end
+    # anywhere, but a pair inside that is no host edge breaks its contract
+    edges = [e for e in induced if rnd.random() < 0.7]
+    ids = rnd.choice((sorted(inside) or [0], range(g.n + 3)))
+    stray = [(rnd.choice(ids), rnd.choice(ids)) for _ in range(rnd.randint(0, 3))]
+    off = [(u, v) for u, v in stray if u == v or u not in inside or v not in inside]
+    keys = {(min(e), max(e)) for e in edges + off}
+    want = built(lambda: relabel_then_from_edges(inside, keys))
+    assert built(lambda: subgraph(g, inside, keys)) == want
+
+    listed = edges + [(v, u) for u, v in edges[::2]] + stray
+    rnd.shuffle(listed)
+    want = built(lambda: relabel_then_from_edges(inside, listed))
+    assert built(lambda: graph_on_vertices(inside, listed)) == want
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=100)
+def test_graph_from_shuffled_rows_matches_from_edges(seed):
+    rnd = random.Random(seed)
+    g = seeded_host(rnd)
+    rows = [list(row) + rnd.sample(row, len(row) // 2) for row in g.adj]
+    for row in rows:
+        rnd.shuffle(row)
+    rebuilt = Graph(rows)
+    want = Graph.from_edges(g.n, list(g.edges()))
+    assert (rebuilt.adj, rebuilt.n, rebuilt.m) == (want.adj, want.n, want.m)
+
+
 def test_r_subdivision_counts():
     g = path_graph(3)
     s1, int1 = r_subdivision(g, 1)
@@ -310,6 +388,12 @@ def test_parse_dimacs_details():
         (lambda: Graph([[1]]), ValueError, "neighbor 1 of 0 out of range"),
         (lambda: Graph([[0]]), ValueError, "self-loop at 0"),
         (lambda: Graph([[1], []]), ValueError, "asymmetric adjacency 0->1"),
+        (lambda: graph_on_vertices([3, 5], [(5, 5)]), ValueError, "self-loop at 5"),
+        (
+            lambda: graph_on_vertices([3, 5], [(3, 7)]),
+            ValueError,
+            "edge (3,7) leaves the vertex set",
+        ),
         (
             lambda: parse_graph("p 3\n"),
             GraphFormatError,
