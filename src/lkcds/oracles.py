@@ -5,9 +5,16 @@ the ratio certificate: constructive algorithms elsewhere in the package are
 checked against them on small graphs, so they must stay simple enough to be
 obviously correct.  The connected cover search prunes only what cannot hold
 its lex-min answer, and the tests check it against a plain scan over
-`connected_vertex_sets`.  Two deliberately independent routes exist for
-several quantities (smart enumerator vs. raw subset scan, BFS flood vs.
-split-vertex rebuild); keep both.
+`connected_vertex_sets`.  It tries sizes from a double-sweep distance bound
+up: a connected set r-dominating two targets D apart holds a vertex within
+r of each, so two vertices at least D - 2r apart and a path between them
+inside the set, hence at least D - 2r + 1 vertices.  The bound never
+overstates the optimum, and its sweeps visit no set and charge no budget
+node.  Balls are symmetric, so the last vertex w of a set covers the
+missing targets exactly when their mask lies inside w's ball.  Two
+deliberately independent routes exist for several quantities (smart
+enumerator vs. raw subset scan, BFS flood vs. split-vertex rebuild); keep
+both.
 """
 
 from __future__ import annotations
@@ -179,18 +186,39 @@ def connected_vertex_sets(g: Graph, max_size: int) -> Iterator[int]:
         yield from grow(1 << v, 1, masks[v] & above, 0, above)
 
 
+def _distance_bound(g: Graph, targets: int, r: int) -> int:
+    # a double sweep: flood from the least target, then again from the least
+    # target in its farthest layer that holds targets.  The second sweep's
+    # farthest such layer D is the distance between two targets, so every
+    # connected set r-dominating the targets has at least D - 2r + 1
+    # vertices (see the module docstring)
+    far = targets & -targets
+    for layer in g.layers(far):
+        if layer & targets:
+            far = layer & targets
+    reach = 0
+    for d, layer in enumerate(g.layers(far & -far)):
+        if layer & targets:
+            reach = d
+    return max(1, reach - 2 * r + 1)
+
+
 def _connected_cover(
     g: Graph, targets: int, r: int, k: int, budget_nodes: Optional[int]
 ) -> SolveResult:
     # lexicographically smallest minimum connected set r-dominating the
     # targets mask, capped at k; it lies in the one component holding them.
-    # For each size s, one search per root grows connected sets through
+    # The sizes tried start at _distance_bound, which never overstates the
+    # optimum, and a bound above k settles the call before any search.  For
+    # each size s, one search per root grows connected sets through
     # vertices above the root only, as connected_vertex_sets does, and
-    # carries the union of their balls down.  The last vertex is drawn only
-    # from candidates whose ball holds every target still missing (balls are
-    # symmetric), and the least of those gives the branch's least hit.  A
-    # hit's least vertex is its root, so the first root with a hit holds the
-    # answer.  The budget charges one node per set the search visits.
+    # carries the union of their balls down.  Balls are symmetric, so a
+    # last vertex w covers the missing targets exactly when
+    # missing & ~balls[w] == 0, and the least such candidate gives the
+    # branch's least hit; a parent draws its children's last vertices
+    # itself.  A hit's least vertex is its root, so the first root with a
+    # hit holds the answer.  The budget charges one node per set the search
+    # visits; the sweeps visit none.
     if k < 0:
         raise ValueError("budget k must be nonnegative")
     budget = _Budget(budget_nodes)
@@ -199,8 +227,21 @@ def _connected_cover(
     home = [c for c in g.component_masks() if c & targets]
     if len(home) != 1:
         return SolveResult(INFEASIBLE)
+    lb = _distance_bound(g, targets, r)
+    if lb > k:
+        return SolveResult(NONE_WITHIN_BUDGET)
     masks = g.neighbor_masks()
     balls = g.balls(r)
+
+    def draw(cand: int, missing: int) -> int:
+        # the least candidate whose ball holds every missing target, or 0
+        while cand:
+            w_bit = cand & -cand
+            if missing & ~balls[w_bit.bit_length() - 1] == 0:
+                budget.spend()  # the drawn set
+                return w_bit
+            cand ^= w_bit
+        return 0
 
     def grow(cur: int, left: int, cand: int, banned: int, got: int, above: int) -> int:
         # lex-least hit that adds `left` more vertices to cur, or 0
@@ -209,14 +250,8 @@ def _connected_cover(
         if left == 0:
             return cur if missing == 0 else 0
         if left == 1:
-            for t in iter_bits(missing):
-                cand &= balls[t]
-                if cand == 0:
-                    break
-            if cand == 0:
-                return 0
-            budget.spend()  # the drawn set
-            return cur | (cand & -cand)
+            w_bit = draw(cand, missing)
+            return cur | w_bit if w_bit else 0
         best = 0
         tried = 0
         for u in iter_bits(cand):
@@ -224,9 +259,14 @@ def _connected_cover(
             child_cand = (cand & ~u_bit & ~tried) | (
                 masks[u] & above & ~cur & ~u_bit & ~banned & ~tried
             )
-            hit = grow(
-                cur | u_bit, left - 1, child_cand, banned | tried, got | balls[u], above
-            )
+            if left == 2:
+                budget.spend()  # the child set
+                w_bit = draw(child_cand, missing & ~balls[u])
+                hit = cur | u_bit | w_bit if w_bit else 0
+            else:
+                hit = grow(
+                    cur | u_bit, left - 1, child_cand, banned | tried, got | balls[u], above
+                )
             # of two equal-size sets the lex-smaller holds their least
             # differing vertex; any hit beats best == 0
             d = hit ^ best
@@ -236,7 +276,7 @@ def _connected_cover(
         return best
 
     try:
-        for s in range(1, k + 1):
+        for s in range(lb, k + 1):
             for v in iter_bits(home[0]):
                 above = home[0] & ~((2 << v) - 1)
                 hit = grow(1 << v, s - 1, masks[v] & above, 0, balls[v], above)

@@ -197,6 +197,10 @@ def scan_connected_cover(g, targets, r, k):
     Graph.from_edges(7, [(0, 1), (0, 3), (0, 4), (1, 2), (2, 4), (2, 6), (3, 6), (4, 5)]),
     1, 7, 0, True,
 )
+# path-9 at r = 1: the distance bound 7 exceeds k = 6, and at k = 7 it is
+# the optimum
+@example(path_graph(9), 1, 6, 0, True)
+@example(path_graph(9), 1, 7, 0, True)
 @settings(max_examples=120)
 def test_connected_cover_matches_plain_scan(g, r, k, annotated, whole):
     k = min(k, g.n)
@@ -327,9 +331,23 @@ def test_budget_is_deterministic():
 
 
 def test_budget_binds_per_connected_set():
-    # ruling out 8 vertices on grid-6x6 visits more than 10,000 connected
-    # sets, so a budget of 1000 stops the search
-    assert exact_cds(grid_graph(6, 6), 1, 8, budget_nodes=1000).status == BUDGET_EXHAUSTED
+    # grid-6x6 has diameter 10, so no connected set of 8 vertices
+    # 1-dominates it and the distance bound settles k = 8 before any search;
+    # at k = 9 the search for 9 vertices visits more than 1000 connected
+    # sets, so a budget of 1000 stops it
+    assert exact_cds(grid_graph(6, 6), 1, 8, budget_nodes=0).status == NONE_WITHIN_BUDGET
+    assert exact_cds(grid_graph(6, 6), 1, 9, budget_nodes=1000).status == BUDGET_EXHAUSTED
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("n", range(1, 13))
+def test_distance_bound_is_tight_on_paths(n, r):
+    # path-n needs max(1, n - 2r) vertices, and the distance bound D - 2r + 1
+    # with D = n - 1 equals that; every smaller k is settled with no node
+    p, opt = path_graph(n), max(1, n - 2 * r)
+    assert exact_cds(p, r, n).value == opt
+    for k in range(opt):
+        assert exact_cds(p, r, k, budget_nodes=0).status == NONE_WITHIN_BUDGET
 
 
 def test_set_cover_budget_threshold():

@@ -23,6 +23,11 @@ prints three lines, each with the instance count and a sha256:
 A `cover` line hashes the set-cover oracles alone: `exact_ds`,
 `exact_setcover` and `cover_exists` on seeded random graphs and set
 systems, with no budget and with node budgets small enough to run out.
+A `cds` line hashes the connected-cover oracles alone: the status,
+solution and value of unbudgeted `exact_cds` and `exact_acds` (on a
+random target subset) on seeded random forests with chords of 1 to 14
+vertices, some disconnected, with r from 1 to 3 and k from 0 to n; it
+reads only names that older checkouts have.
 A `steiner` line hashes, on seeded random group systems of up to 8
 groups, some on disconnected hosts, the uncapped `steiner_size` and, for
 every cap from 1 to 5, the tree (or None) that a `SteinerLattice` of that
@@ -68,8 +73,9 @@ certificates.  A change to the closure's rule that keeps its graph, such
 as which groups enter the bundle search, may move the `closure` lines
 but never a `kernel` or `lift` line.  The `cover` line moves when a
 change to the set-cover search changes an answer or where a budget runs
-out, and the `steiner` line when a change to the Steiner search changes
-a status or a tree.
+out, the `cds` line when a change to the connected-cover search changes
+an answer, and the `steiner` line when a change to the Steiner search
+changes a status or a tree.
 The `graphs` line moves when a distance, ball, component, order, weak
 reachability set, stitching result or subgraph changes, the `bundles` line when a
 kept tree or a closure count at a cap of 5 to 8 changes, the
@@ -224,6 +230,31 @@ def cover_lines(seed: int) -> List[str]:
         universe, allowed = rng.randint(0, full), rng.randint(0, full)
         k = rng.randint(0, 4)
         lines.append(repr(cover_exists(g.balls(r), universe, k, allowed)))
+    return lines
+
+
+CDS_QUERIES = 1000  # random graphs per seed
+
+
+def cds_lines(seed: int) -> List[str]:
+    """Unbudgeted connected-cover oracle answers on seeded random graphs."""
+    from lkcds.graphs import Graph
+    from lkcds.oracles import exact_acds, exact_cds
+
+    rng = random.Random(seed)
+    lines = []
+    for _ in range(CDS_QUERIES):
+        # a random forest plus a few chords; about one vertex in sixteen
+        # starts a new tree, so some graphs are disconnected
+        n = rng.randint(1, 14)
+        edges = {(rng.randrange(v), v) for v in range(1, n) if rng.randrange(16)}
+        for _ in range(rng.randint(0, n // 2)):
+            edges.add(tuple(sorted(rng.sample(range(n), 2))))
+        g = Graph.from_edges(n, sorted(edges))
+        r, k = rng.randint(1, 3), rng.randint(0, n)
+        annotated = rng.sample(range(n), rng.randint(0, n))
+        for res in (exact_cds(g, r, k), exact_acds(g, annotated, r, k)):
+            lines.append(repr((res.status, res.solution, res.value)))
     return lines
 
 
@@ -459,6 +490,7 @@ def main(argv: List[str]) -> int:
             print(f"{name} {part} seeds={tag} instances={count} sha256={digest.hexdigest()}")
     checks = (  # label, unit, units per seed, the lines of one seed
         ("cover", "queries", COVER_QUERIES, cover_lines),
+        ("cds", "queries", CDS_QUERIES, cds_lines),
         ("steiner", "queries", STEINER_QUERIES, steiner_lines),
         ("graphs", "queries", GRAPH_QUERIES, graph_lines),
         ("bundles", "hosts", BUNDLE_HOSTS, bundle_lines),
