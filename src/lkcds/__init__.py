@@ -29,7 +29,6 @@ from .graphs import (
     Graph,
     GraphFormatError,
     bfs_layers,
-    graph_on_vertices,
     induced_subgraph,
     parse_graph,
     r_subdivision,
@@ -112,7 +111,6 @@ __all__ = [
     "exact_setcover",
     "exact_wcol",
     "find_core",
-    "graph_on_vertices",
     "greedy_rdom",
     "hardness_instance",
     "hardness_sweep",

@@ -341,6 +341,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # library routines reject bad parameters with ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except RecursionError:
+        # the exact searches recurse once per chosen vertex or ball
+        print("error: the exact search is too deep for this input", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

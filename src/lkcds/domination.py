@@ -95,8 +95,7 @@ def connect(g: Graph, seeds: Iterable[int], stretch: int) -> ConnectResult:
     round pops the least key, drops it if its labels now share a component,
     and merges along the parent chains from the two ends to their labels,
     read from the smaller label to the larger.  A merge needing more than
-    `stretch` interior vertices, or a total beyond
-    stretch * (components - 1), violates the contract this routine is used
+    `stretch` interior vertices violates the contract this routine is used
     under and raises.  The interior vertices become seeds at distance 0 and
     join every component they touch.  A flood from them lowers distance,
     label and parent wherever the new distance is strictly shorter, and
@@ -119,7 +118,8 @@ def connect(g: Graph, seeds: Iterable[int], stretch: int) -> ConnectResult:
     key is d, the merge path is a shortest path between seeds of two
     components, and its interior, all at distance above 0, holds no seed.
     Each merge joins at least two components, so there are at most
-    components - 1 of them.
+    components - 1 of them, and at most stretch * (components - 1) vertices
+    are added in all.
     """
     seed_tuple = tuple(sorted(set(seeds)))
     if not seed_tuple:
@@ -168,8 +168,7 @@ def connect(g: Graph, seeds: Iterable[int], stretch: int) -> ConnectResult:
         return out
 
     plant(seed_tuple)
-    p0 = len(members)
-    if p0 == 1:
+    if len(members) == 1:
         return ConnectResult(seed_tuple, (), ())
     heap = [
         (dist[x] + 1 + dist[y], x, y)
@@ -209,10 +208,6 @@ def connect(g: Graph, seeds: Iterable[int], stretch: int) -> ConnectResult:
                 if comp[label[y]] != cx:
                     key = dist[x] + 1 + dist[y]
                     heapq.heappush(heap, (key, x, y) if x < y else (key, y, x))
-    if len(added) > stretch * (p0 - 1):
-        raise ContractViolation(
-            f"added {len(added)} vertices, allowed {stretch * (p0 - 1)}"
-        )
     connected = tuple(sorted(seed_tuple + tuple(added)))
     return ConnectResult(connected, tuple(added), tuple(paths))
 

@@ -360,59 +360,29 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Tuple[Graph, Tuple[in
 def subgraph(
     g: Graph, vertices: Iterable[int], edges: Set[Tuple[int, int]]
 ) -> Tuple[Graph, Tuple[int, ...]]:
-    """The subgraph of g on vertices of g and edges of g (each low end first),
-    relabelled as `graph_on_vertices` does, read off g's own rows."""
-    parents = tuple(sorted(set(vertices)))
-    return _relabel(parents, [g.adj[v] for v in parents], edges), parents
+    """The subgraph of g on vertices of g and edges of g, each listed once
+    with its low end first, plus the parent id of each new vertex.
 
-
-def graph_on_vertices(
-    vertices: Iterable[int], edges: Iterable[Tuple[int, int]]
-) -> Tuple[Graph, Tuple[int, ...]]:
-    """Relabel an explicit vertex and edge set to a compact graph.
-
-    Edge endpoints must appear in the vertex set; new ids follow the sorted
-    order of the old ones.  An edge may be listed twice, either way round.
+    New ids follow the sorted order of the old ones, and each row keeps
+    the neighbours joined to it by a listed edge, in g's order, so rows
+    come out sorted.  A kept edge counts twice, once in each row, and an
+    edge that leaves the vertices, loops or is not in g counts less, so
+    the row lengths sum to twice the edge count exactly when every edge
+    is kept.  Otherwise the least edge that leaves is named, or else the
+    least loop or edge not in g.
     """
     parents = tuple(sorted(set(vertices)))
-    keys = {(u, v) if u < v else (v, u) for u, v in edges}
-    nbrs: Dict[int, List[int]] = {}
-    # in key order each vertex meets its lower neighbours, then its higher
-    # ones, each run ascending, so every list comes out sorted
-    for u, v in sorted(keys):
-        nbrs.setdefault(u, []).append(v)
-        if u != v:
-            nbrs.setdefault(v, []).append(u)
-    return _relabel(parents, [nbrs.get(v, ()) for v in parents], keys), parents
-
-
-def _relabel(
-    parents: Tuple[int, ...],
-    rows: Sequence[Sequence[int]],
-    edges: Set[Tuple[int, int]],
-) -> Graph:
-    """The graph of the edges on the parents, vertex i standing for parents[i].
-
-    Parents ascend, each edge is listed once with its low end first, and
-    rows[i] lists ascending neighbours of parents[i], among them every
-    edge of parents[i].  Each row keeps the neighbours joined to it by an
-    edge, and the relabelling keeps their order, so rows come out sorted.
-    A kept edge counts twice, once in each row, and an edge that leaves
-    the parents, loops or is missing from the rows counts less, so the row lengths sum to twice the
-    edge count exactly when every edge is kept.  Otherwise the least edge
-    that leaves is named, or else the least loop or edge not in the rows.
-    """
     index = {v: i for i, v in enumerate(parents)}
     adj = tuple(
         [
             tuple(
                 [
                     index[u]
-                    for u in row
+                    for u in g.adj[v]
                     if ((v, u) if v < u else (u, v)) in edges and u in index
                 ]
             )
-            for v, row in zip(parents, rows)
+            for v in parents
         ]
     )
     if sum(map(len, adj)) != 2 * len(edges):
@@ -423,9 +393,9 @@ def _relabel(
         for u, v in bad:
             if u == v:
                 raise ValueError(f"self-loop at {u}")
-            if u > v or v not in rows[index[u]]:
+            if u > v or v not in g.adj[u]:
                 raise ValueError(f"edge ({u},{v}) is not a host edge, low end first")
-    return Graph._of_rows(adj)
+    return Graph._of_rows(adj), parents
 
 
 def r_subdivision(

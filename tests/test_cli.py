@@ -218,6 +218,18 @@ def test_input_error_exit_code(capsys, tmp_path):
     assert code == 2
 
 
+def test_too_deep_exact_search_exits_2(capsys, tmp_path):
+    # the connected cover of a 1,200-vertex path starts at size 1,198,
+    # deeper than Python's default recursion limit
+    path = tmp_path / "p1200.txt"
+    path.write_text("p 1200 1199\n" + "".join(f"{i} {i + 1}\n" for i in range(1199)))
+    code, out, err = run(
+        capsys, ["solve", "--input", str(path), "--k", "1200", "--r", "1"]
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: the exact search is too deep for this input\n"
+
+
 def test_bad_values_exit_2_without_traceback(capsys, tmp_path, c6_file):
     junk = tmp_path / "junk.txt"
     junk.write_text("junk\n")

@@ -14,7 +14,6 @@ from lkcds.graphs import (
     GraphFormatError,
     bfs_layers,
     flood,
-    graph_on_vertices,
     induced_components,
     induced_subgraph,
     iter_bits,
@@ -248,17 +247,11 @@ def test_induced_subgraph_keeps_labels():
     assert list(sub.edges()) == [(0, 1)]
 
 
-def test_graph_on_vertices_relabels():
-    sub, parents = graph_on_vertices([4, 7, 9], [(4, 7), (7, 9)])
-    assert parents == (4, 7, 9)
-    assert list(sub.edges()) == [(0, 1), (1, 2)]
-
-
 def relabel_then_from_edges(vertices, edges):
     """The subgraph route that reads no host rows: dedupe the edges, relabel
     them, sort, then `Graph.from_edges`.  It checks the edges in ascending
-    order and names a self-loop by its vertex in the input, as the
-    builders do, so each refusal names the same edge."""
+    order and names a self-loop by its vertex in the input, as `subgraph`
+    does, so each refusal names the same edge."""
     parents = tuple(sorted(set(vertices)))
     index = {v: i for i, v in enumerate(parents)}
     keys = sorted({(min(e), max(e)) for e in edges})
@@ -311,11 +304,6 @@ def test_subgraph_builders_match_relabel_then_from_edges(seed):
     keys = {(min(e), max(e)) for e in edges + off}
     want = built(lambda: relabel_then_from_edges(inside, keys))
     assert built(lambda: subgraph(g, inside, keys)) == want
-
-    listed = edges + [(v, u) for u, v in edges[::2]] + stray
-    rnd.shuffle(listed)
-    want = built(lambda: relabel_then_from_edges(inside, listed))
-    assert built(lambda: graph_on_vertices(inside, listed)) == want
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -388,11 +376,20 @@ def test_parse_dimacs_details():
         (lambda: Graph([[1]]), ValueError, "neighbor 1 of 0 out of range"),
         (lambda: Graph([[0]]), ValueError, "self-loop at 0"),
         (lambda: Graph([[1], []]), ValueError, "asymmetric adjacency 0->1"),
-        (lambda: graph_on_vertices([3, 5], [(5, 5)]), ValueError, "self-loop at 5"),
         (
-            lambda: graph_on_vertices([3, 5], [(3, 7)]),
+            lambda: subgraph(path_graph(6), [3, 5], {(5, 5)}),
+            ValueError,
+            "self-loop at 5",
+        ),
+        (
+            lambda: subgraph(path_graph(6), [3, 5], {(3, 7)}),
             ValueError,
             "edge (3,7) leaves the vertex set",
+        ),
+        (
+            lambda: subgraph(path_graph(6), [3, 5], {(3, 5)}),
+            ValueError,
+            "edge (3,5) is not a host edge, low end first",
         ),
         (
             lambda: parse_graph("p 3\n"),

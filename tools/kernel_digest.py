@@ -38,10 +38,9 @@ seeded random graphs of 0 to 16 vertices, often disconnected: the
 `dist_row` of every vertex, `balls` at radius 0 to 3, `component_masks`,
 the `heuristic_order` of each kind with its `wreach` sets at radius 0 to
 3, `connect` on random seed sets, the rows and parents of
-`induced_subgraph` and of `graph_on_vertices` (on some of the induced
-edges, in either orientation, some listed twice) on a random vertex
-subset, and the rows of `Graph` built from the graph's rows shuffled,
-with repeated neighbours; it reads only names that older checkouts have.  A `bundles` line hashes the stats
+`induced_subgraph` on a random vertex subset, and the rows of `Graph`
+built from the graph's rows shuffled, with repeated neighbours; it reads
+only names that older checkouts have.  A `bundles` line hashes the stats
 and the kept trees of `build_closure` on seeded random hosts of at most
 12 vertices, often disconnected, with 0 to 4 blockers, r = 1 and 2 and
 t = 5/2, 3 or 4, so that bundles of 5 to 8 groups, which no workload
@@ -337,19 +336,13 @@ def graph_lines(seed: int) -> List[str]:
 
 
 def subgraph_lines(g, rng: random.Random) -> List[str]:
-    """Subgraphs of g on a random vertex subset, and g rebuilt from shuffled rows."""
-    from lkcds.graphs import Graph, graph_on_vertices, induced_subgraph
+    """The subgraph of g induced on a random vertex subset, and g rebuilt from
+    shuffled rows."""
+    from lkcds.graphs import Graph, induced_subgraph
 
     inside = set(rng.sample(range(g.n), rng.randint(0, g.n)))
     sub, parents = induced_subgraph(g, inside)
     lines = [repr((sub.adj, parents))]
-    # some of the induced edges, some reversed and some listed twice
-    edges = [e for e in g.edges() if e[0] in inside and e[1] in inside]
-    picked = [e[::-1] if rng.random() < 0.5 else e for e in edges if rng.random() < 0.7]
-    picked += rng.sample(picked, len(picked) // 3)
-    rng.shuffle(picked)
-    sub, parents = graph_on_vertices(inside, picked)
-    lines.append(repr((sub.adj, parents)))
     rows = [list(row) + rng.sample(row, len(row) // 2) for row in g.adj]
     for row in rows:
         rng.shuffle(row)
