@@ -13,7 +13,7 @@ import sys
 from typing import Callable, List, Optional, Sequence, TypeVar
 
 from . import closure as _closure
-from .cores import CORE_MODES, CoreOutcome, Rejection, connected_core, find_core
+from .cores import CORE_MODES, DominationCore, Rejection, connected_core, find_core
 from .domination import ContractViolation
 from .graphs import Graph, GraphFormatError, parse_graph, serialize_graph
 from .hardness import hardness_instance
@@ -134,7 +134,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         _note("search budget exhausted before an answer was determined")
         return EXIT_BUDGET
     if res.found:
-        print("found", " ".join(str(v) for v in res.solution))
+        print(" ".join(["found", *map(str, res.solution)]))
     else:
         print(res.status)
     return EXIT_OK
@@ -170,14 +170,11 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _core_outcome(g: Graph, k: int, r: int, mode: str) -> CoreOutcome:
+def _core_outcome(g: Graph, k: int, r: int, mode: str) -> DominationCore:
     outcome = find_core(g, k, r, mode=mode)
     if isinstance(outcome, Rejection):
         raise _CliError(f"rejected: {outcome.reason}", EXIT_REJECTED)
-    stitched = connected_core(g, outcome)
-    if isinstance(stitched, Rejection):
-        raise _CliError(f"rejected: {stitched.reason}", EXIT_REJECTED)
-    return stitched
+    return connected_core(g, outcome)
 
 
 def cmd_core(args: argparse.Namespace) -> int:

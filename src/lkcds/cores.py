@@ -4,7 +4,8 @@ A core Z for budget k and radius r has the property that any set of at
 most k vertices r-dominating Z automatically r-dominates the graph.  The
 heuristic mode shrinks the vertex set by a containment rule that is sound
 for every budget; the exhaustive mode also runs a per-vertex cover search
-and certifies the result.
+and certifies the result.  Cores are found only for connected hosts:
+`find_core`, the only routine that rejects an instance, rejects any other.
 """
 
 from __future__ import annotations
@@ -72,6 +73,8 @@ def find_core(g: Graph, k: int, r: int, mode: str = "heuristic") -> CoreOutcome:
     if g.n == 0:
         raise ValueError("cannot find a core of the empty graph")
     check_core_mode(mode)
+    if not g.is_connected():
+        return Rejection(DISCONNECTED)
     if mode == "heuristic":
         z = _containment_prune(g, r)
         return DominationCore(tuple(sorted(z)), k, r, "heuristic-sound")
@@ -105,8 +108,8 @@ def core_verify(g: Graph, z: Iterable[int], k: int, r: int) -> bool:
     return not any(cover_exists(balls, zmask, k, full & ~b) for b in balls)
 
 
-def connected_core(g: Graph, core: DominationCore) -> CoreOutcome:
-    """Stitch a core into one piece, or reject a disconnected host.
+def connected_core(g: Graph, core: DominationCore) -> DominationCore:
+    """Stitch a core that `find_core` returned into one piece.
 
     `connect` merges a closest pair of components each round, at stretch 2r.
     On a heuristic core no merge needs more than 2r interior vertices.
@@ -122,9 +125,8 @@ def connected_core(g: Graph, core: DominationCore) -> CoreOutcome:
     core only puts every vertex within 2r of itself (if v were farther, a
     budget-k dominating set without its dominators within r of v would still
     cover the core and miss v), which bounds a merge by 4r, not 2r.  There
-    the 2r bound is not proved: `connect`'s runtime check enforces it.
+    the 2r bound is not proved: `connect`'s runtime check enforces it, and
+    it also refuses a hand-made core that spans components of the host.
     """
-    if not g.is_connected():
-        return Rejection(DISCONNECTED)
     stitched = connect(g, core.vertices, 2 * core.r)
     return DominationCore(stitched.connected, core.k, core.r, core.certified)

@@ -200,8 +200,7 @@ def connect(g: Graph, seeds: Iterable[int], stretch: int) -> ConnectResult:
         for v in interior:
             comp[v] = home
         members[home] += interior
-        join(path[0], path[-1])
-        plant(interior)
+        plant(interior)  # the last interior vertex joins path[-1]
         for x in flood(interior):
             cx = comp[label[x]]
             for y in adj[x]:

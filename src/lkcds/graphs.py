@@ -423,6 +423,9 @@ def r_subdivision(
     return Graph.from_edges(nxt, new_edges), internals
 
 
+MAX_VERTICES = 10_000  # the largest graph a text payload may describe
+
+
 def _parse_int(token: str, what: str, lineno: int) -> int:
     try:
         return int(token)
@@ -499,10 +502,7 @@ def _parse_edgelist(text: str) -> Graph:
         for u, v in edges:
             if u >= n or v >= n:
                 raise GraphFormatError(f"edge ({u},{v}) exceeds n={n}")
-    try:
-        return Graph.from_edges(n, edges)
-    except ValueError as exc:
-        raise GraphFormatError(str(exc)) from None
+    return _graph_of(n, edges)
 
 
 def _parse_dimacs(text: str) -> Graph:
@@ -541,8 +541,18 @@ def _parse_dimacs(text: str) -> Graph:
         raise GraphFormatError(
             f"header announces {header[1]} edges but {len(edges)} were given"
         )
+    return _graph_of(header[0], edges)
+
+
+def _graph_of(n: int, edges: List[Tuple[int, int]]) -> Graph:
+    # the shared tail of both parsers; the cap comes first, since Graph
+    # allocates n rows and its caches grow as n^2 bits
+    if n > MAX_VERTICES:
+        raise GraphFormatError(
+            f"graph has {n} vertices, more than the {MAX_VERTICES} this tool accepts"
+        )
     try:
-        return Graph.from_edges(header[0], edges)
+        return Graph.from_edges(n, edges)
     except ValueError as exc:
         raise GraphFormatError(str(exc)) from None
 

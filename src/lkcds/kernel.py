@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from .closure import ClosureResult, build_closure
-from .cores import DISCONNECTED, Rejection, check_core_mode, connected_core, find_core
+from .cores import Rejection, check_core_mode, connected_core, find_core
 from .domination import (
     ContractViolation,
     CoveringFamily,
@@ -118,13 +118,13 @@ def kernelize(
 
     Tiny optima are intercepted first: when an exact search below the
     piece size already finds a connected dominating set, the kernel is
-    just that solution's induced graph and lifting replays it.
+    just that solution's induced graph and lifting replays it.  Every
+    rejection is `find_core`'s; the shortcut finds nothing on a
+    disconnected host, which `find_core` then rejects.
     """
     if g.n == 0:
         raise ValueError("cannot kernelize the empty graph")
     check_core_mode(core_mode)
-    if not g.is_connected():
-        return Rejection(DISCONNECTED)
     shortcut_cap = min(params.k, math.ceil(params.t_eff) - 1)
     if shortcut_cap >= 1:
         hit = exact_cds(g, params.r, shortcut_cap)
@@ -142,7 +142,7 @@ def kernelize(
     core = find_core(g, params.k, params.r, core_mode)
     if isinstance(core, Rejection):
         return core
-    stitched = connected_core(g, core)  # g is connected, so no rejection
+    stitched = connected_core(g, core)
     closure = build_closure(g, stitched.vertices, params.r, params.t_eff)
     return KernelInstance(
         graph=closure.graph,

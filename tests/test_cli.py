@@ -82,6 +82,16 @@ def test_solve_and_budget(capsys, c6_file):
     assert code == 3
 
 
+def test_solve_prints_an_empty_answer_bare(capsys, tmp_path, c6_file):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("p 0 0\n")
+    for argv in (
+        ["solve", "--input", str(empty), "--k", "1", "--r", "1"],
+        ["solve", "--input", c6_file, "--k", "1", "--r", "1", "--z", ""],
+    ):
+        assert run(capsys, argv)[:2] == (0, "found\n")
+
+
 def test_solve_with_annotated_set(capsys, c6_file):
     code, out, _ = run(
         capsys,
@@ -216,6 +226,16 @@ def test_input_error_exit_code(capsys, tmp_path):
          "--r", "1", "--alpha", "7"],
     )
     assert code == 2
+    big = tmp_path / "big.txt"
+    big.write_text("p 10001 0\n")
+    code, out, err = run(
+        capsys, ["kernelize", "--input", str(big), "--k", "2", "--r", "1", "--alpha", "7"]
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: {big}: graph has 10001 vertices, more than the 10000 this tool "
+        "accepts\n"
+    )
 
 
 def test_too_deep_exact_search_exits_2(capsys, tmp_path):
@@ -365,16 +385,20 @@ def test_rejection_exit_code(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("mode", ["exact", "heuristic"])
-@pytest.mark.parametrize("command", ["core", "profile-stats"])
+@pytest.mark.parametrize("command", ["core", "profile-stats", "kernelize"])
 def test_core_commands_reject_a_disconnected_host(capsys, tmp_path, command, mode):
+    # one reason from every command, before the exact cover test runs
     disc = tmp_path / "disc.txt"
     disc.write_text("p 7 4\n0 1\n1 2\n4 5\n5 6\n")
-    code, out, err = run(
-        capsys,
-        [command, "--input", str(disc), "--k", "3", "--r", "1", "--core-mode", mode],
-    )
-    assert (code, out) == (10, "")
-    assert err == f"error: rejected: {DISCONNECTED}\n"
+    alpha = ["--alpha", "7"] if command == "kernelize" else []
+    for k in ("1", "3"):
+        code, out, err = run(
+            capsys,
+            [command, "--input", str(disc), "--k", k, "--r", "1", "--core-mode", mode,
+             *alpha],
+        )
+        assert (code, out) == (10, "")
+        assert err == f"error: rejected: {DISCONNECTED}\n"
 
 
 @pytest.mark.parametrize("command", ["core", "profile-stats"])

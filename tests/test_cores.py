@@ -110,8 +110,11 @@ def test_containment_prune_matches_rescan_loop_at_ladder_scale(n, r):
 
 
 def rescan_exact_core(g, k, r):
-    """The exact core as a rescan loop: reject unless `exact_ds` finds a
-    dominating set, then repeat the removal pass until it removes nothing."""
+    """The exact core as a rescan loop: reject a disconnected host, and
+    otherwise unless `exact_ds` finds a dominating set, then repeat the
+    removal pass until it removes nothing."""
+    if not g.is_connected():
+        return Rejection(DISCONNECTED)
     if exact_ds(g, r, k).status != FOUND:
         return Rejection(f"graph cannot be {r}-dominated by at most {k} vertices")
     balls = g.balls(r)
@@ -208,8 +211,10 @@ def test_stitching_a_heuristic_core_meets_the_2r_bounds(n, extra, seed, r):
     assert len(res.added) <= 2 * r * (p0 - 1)
 
 
-def test_connected_core_rejects_disconnected_host():
+def test_find_core_rejects_disconnected_host():
+    # before either mode runs: at k = 1 the exact cover test would
+    # otherwise give its own reason
     g = Graph.from_edges(7, [(0, 1), (1, 2), (4, 5), (5, 6)])
     for mode in ("exact", "heuristic"):
-        out = connected_core(g, find_core(g, 3, 1, mode=mode))
-        assert out == Rejection(DISCONNECTED)
+        for k in (1, 3):
+            assert find_core(g, k, 1, mode=mode) == Rejection(DISCONNECTED)

@@ -404,6 +404,21 @@ def test_parse_dimacs_details():
         ),
         (lambda: parse_graph("0 1\n1 0\n"), GraphFormatError, "duplicate edge (0, 1)"),
         (
+            lambda: parse_graph("p 10001 0\n"),
+            GraphFormatError,
+            "graph has 10001 vertices, more than the 10000 this tool accepts",
+        ),
+        (
+            lambda: parse_graph("0 10000\n"),
+            GraphFormatError,
+            "graph has 10001 vertices, more than the 10000 this tool accepts",
+        ),
+        (
+            lambda: parse_graph("p gr 10001 0\n", fmt="dimacs"),
+            GraphFormatError,
+            "graph has 10001 vertices, more than the 10000 this tool accepts",
+        ),
+        (
             lambda: parse_graph("p gr 2 1\np gr 2 1\n", fmt="dimacs"),
             GraphFormatError,
             "line 2: duplicate header",

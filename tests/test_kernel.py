@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lkcds.cores import Rejection
+from lkcds.cores import DISCONNECTED, Rejection
 from lkcds.domination import check_covering_family, dominates
 from lkcds.graphs import Graph, GraphFormatError, induced_subgraph
 from lkcds.kernel import (
@@ -95,9 +95,8 @@ def test_float_factors_are_refused():
 
 def test_kernelize_rejects_disconnected():
     g = Graph.from_edges(4, [(0, 1), (2, 3)])
-    out = kernelize(g, kparams())
-    assert isinstance(out, Rejection)
-    assert "disconnected" in out.reason
+    for mode in ("exact", "heuristic"):
+        assert kernelize(g, kparams(), core_mode=mode) == Rejection(DISCONNECTED)
 
 
 def test_kernelize_refuses_an_unknown_core_mode():

@@ -11,7 +11,9 @@ prints three lines, each with the instance count and a sha256:
   mode (the core vertices or the rejection reason), `serialize_kernel` or
   the rejection reason, and, on the workloads whose verdict certifies, the
   results of the exact oracles the verdict reads: `exact_cds` on every
-  host of at most 64 vertices and `exact_acds` on every accepted kernel;
+  host of at most `EXACT_N_LIMIT` vertices (the size up to which
+  `bench/run.py` re-solves rejections) and `exact_acds` on every accepted
+  kernel;
 - `closure`: per accepted closure kernel, the closure stats, the kept
   trees and the `verify_closure` result;
 - `lift`: per accepted kernel, the `lift` result on the kernel solution
@@ -54,10 +56,16 @@ too.  A `closures` line hashes the edges, the vertex map and
 vertices, often disconnected, with 5% to 90% of the vertices blocked,
 r from 1 to 3 and t = 1 or 3/2, so that it reads the retained paths at
 radii and blocker densities the workloads barely reach; it too reads
-only names that older checkouts have.  A `connect` line hashes
-`connect` on ladder-scale hosts, sparse random graphs of 100 to 300
-vertices relabelled as the `ladder` workload builds them: the heuristic
-core at r = 1 and 2 stitched with stretch 2r, and the greedy
+only names that older checkouts have.  A `pipeline` line hashes each
+serialized kernel or rejection reason of `kernelize` on seeded random
+forests with chords of 1 to 12 vertices, about half of them
+disconnected, in both core modes, at k from 0 to 3, r = 1 and 2 and
+alpha = 4r+3 and 2(4r+3), so that it reaches the rejection of a
+disconnected host, which no workload does; it reads only `kernelize`,
+`KernelParams`, `serialize_kernel` and `Rejection`.  A `connect` line
+hashes `connect` on ladder-scale hosts, sparse random graphs of 100 to
+300 vertices relabelled as the `ladder` workload builds them: the
+heuristic core at r = 1 and 2 stitched with stretch 2r, and the greedy
 r-dominating set at r = 1 and 2 stitched with stretch n.  A `demos`
 line, printed once whatever the seeds, hashes the name, exit code and
 stdout of every `<checkout>/demos/*.py`, each run in a child
@@ -80,8 +88,9 @@ reachability set, stitching result or subgraph changes, the `bundles` line when 
 kept tree or a closure count at a cap of 5 to 8 changes, the
 `profiles` line when a profile class or a vertex's class changes, the
 `closures` line when a closure graph, its vertex map or its blocker ids
-change, and the `connect` line when a stitching result on hosts of
-ladder size changes.
+change, the `pipeline` line when a kernel or a rejection reason on a
+small host changes, and the `connect` line when a stitching result on
+hosts of ladder size changes.
 The `demos` line moves when a demo is added, removed or prints anything
 different.
 
@@ -95,6 +104,7 @@ from __future__ import annotations
 
 import hashlib
 import importlib.util
+import itertools
 import os
 import random
 import subprocess
@@ -121,9 +131,6 @@ def load_workloads(checkout: Path):
     if Path(lkcds.__file__).resolve().parents[1] != checkout / "src":
         raise SystemExit(f"imported {lkcds.__file__}, not the checkout's lkcds")
     return module
-
-
-HOST_ORACLE_N = 64  # the host size up to which bench/run.py re-solves rejections
 
 
 CERT_FIELDS = (  # the certificate values, not its alpha
@@ -163,7 +170,7 @@ def instance_lines(item, certify: bool, bench_run) -> Tuple[List[str], ...]:
         kernel.append(f"core rejected: {core.reason}")
     else:
         kernel.append(f"core: {core.vertices}")
-    if certify and item.graph.n <= HOST_ORACLE_N:
+    if certify and item.graph.n <= bench_run.EXACT_N_LIMIT:
         kernel.append(repr(exact_cds(item.graph, r, k)))
     if isinstance(out, Rejection):
         return kernel + [f"rejected: {out.reason}"], [], []
@@ -421,6 +428,36 @@ def closure_lines(seed: int) -> List[str]:
     return lines
 
 
+PIPELINE_HOSTS = 100  # random kernelize hosts per seed
+
+
+def pipeline_lines(seed: int) -> List[str]:
+    """`kernelize` outcomes on seeded random hosts, about half disconnected."""
+    from lkcds.cores import Rejection
+    from lkcds.graphs import Graph
+    from lkcds.kernel import KernelParams, kernelize, serialize_kernel
+
+    rng = random.Random(seed)
+    lines = []
+    for _ in range(PIPELINE_HOSTS):
+        # a random forest plus a few chords; one vertex in six starts a new
+        # tree, so about half of the hosts are disconnected
+        n = rng.randint(1, 12)
+        edges = {(rng.randrange(v), v) for v in range(1, n) if rng.randrange(6)}
+        for _ in range(rng.randint(0, n // 4)):
+            edges.add(tuple(sorted(rng.sample(range(n), 2))))
+        g = Graph.from_edges(n, sorted(edges))
+        runs = itertools.product(("exact", "heuristic"), range(4), (1, 2), (1, 2))
+        for mode, k, r, factor in runs:
+            params = KernelParams(k, r, factor * (4 * r + 3))
+            out = kernelize(g, params, core_mode=mode)
+            if isinstance(out, Rejection):
+                lines.append(f"rejected: {out.reason}")
+            else:
+                lines.append(serialize_kernel(out))
+    return lines
+
+
 CONNECT_HOSTS = 8  # ladder-scale hosts per seed
 
 
@@ -489,6 +526,7 @@ def main(argv: List[str]) -> int:
         ("bundles", "hosts", BUNDLE_HOSTS, bundle_lines),
         ("profiles", "hosts", PROFILE_HOSTS, profile_lines),
         ("closures", "hosts", CLOSURE_HOSTS, closure_lines),
+        ("pipeline", "hosts", PIPELINE_HOSTS, pipeline_lines),
         ("connect", "hosts", CONNECT_HOSTS, lambda s: connect_lines(s, workloads)),
     )
     for label, unit, per_seed, lines_of in checks:
