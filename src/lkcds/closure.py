@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .domination import Rational, piece_cap
+from .domination import ContractViolation, Rational, piece_cap
 from .graphs import (
     Graph,
     Tree,
@@ -68,17 +68,23 @@ def build_closure(
     """Closure of g around the blockers, keeping bundles of at most cap groups.
 
     The groups are the profile classes of the free vertices and, when
-    cap >= 3, one group per blocker after them; no vertex lies in two.  All
-    bundles are visited by size in one `SteinerLattice`, so each bundle's
+    cap >= 3, one group per blocker after them; no vertex lies in two.
+    Bundles are visited by size in one `SteinerLattice`, so each bundle's
     row is computed once and read by every larger bundle, and the optimum
-    tree of every bundle that has one within the cap is kept.  Each
-    group's own row comes first; its last level is the group's radius
-    cap - 1 ball, and two groups are compatible when that ball meets the
-    other group, that is, when some members lie within cap - 1 of each
-    other.  A tree of at most cap vertices can only meet pairwise
-    compatible groups, so larger bundles are the sets of at most cap
-    pairwise compatible groups.  A bundle with a sub-bundle that has no
-    such tree has none either, and its row is not built.  Rows of cap
+    tree of every bundle that has one within the cap is kept.  The last
+    level of a bundle B's row is the set of vertices on some tree of at
+    most cap vertices that meets every group of B.  So B plus a later
+    group j has such a tree exactly when group j meets that level:
+    - a tree of at most cap vertices meeting B and j also meets B, so its
+      vertex in group j lies in B's last level;
+    - a vertex of group j in that level lies on a tree of at most cap
+      vertices meeting B, and that tree meets j too.
+    Every bundle with a tree has its prefix without its last group as a
+    kept bundle, so extending only kept bundles this way builds exactly
+    the bundles that have a tree, and every row built is kept.  A single
+    group's last level is its radius cap - 1 ball; the groups that ball
+    meets are the group's compatible ones, the same rule at size 1, and
+    serve as a cheap prefilter for every bundle holding it.  Rows of cap
     groups are read by no larger bundle and are not stored.
 
     Below cap 3 the blocker groups would add nothing to the closure graph,
@@ -110,9 +116,14 @@ def build_closure(
         for v in grp:
             group_of[v] = i
             grouped |= 1 << v
-    lattice = SteinerLattice(g, [mask_of(grp) for grp in groups], cap)
+    masks = [mask_of(grp) for grp in groups]
+    lattice = SteinerLattice(g, masks, cap)
     kept: Dict[Tuple[int, ...], Tree] = {}
     compat = []
+    # each level holds the kept bundles of one size, in ascending order,
+    # with their rows and the groups that may still join them: compatible
+    # with every member and past the last one
+    level = []
     for i in range(len(groups)):
         row = lattice.row(1 << i, keep=cap > 1)
         kept[(i,)] = lattice.tree(1 << i, row)
@@ -120,27 +131,27 @@ def build_closure(
         for v in iter_bits(row[-1] & grouped):
             near |= 1 << group_of[v]
         compat.append(near & ~(1 << i))
+        level.append(((i,), 1 << i, row, near & -(2 << i)))
     pairs = len(groups) * (len(groups) - 1) // 2
     pruned_pairs = pairs - sum(c.bit_count() for c in compat) // 2
 
-    # each level holds the cliques of one size, in ascending order, with
-    # the groups that may still join them: compatible with every member
-    # and past the last one
-    level = [((i,), 1 << i, c & -(2 << i)) for i, c in enumerate(compat)]
     candidates = len(level)
     for size in range(2, min(cap, len(groups)) + 1):
-        level = [
-            (key + (j,), bundle | 1 << j, cand & compat[j] & -(2 << j))
-            for key, bundle, cand in level
-            for j in iter_bits(cand)
-        ]
+        grown = []
+        for key, bundle, row, cand in level:
+            # j joins when its group meets the last level of the row
+            for j in iter_bits(cand):
+                if masks[j] & row[-1]:
+                    bigger = bundle | 1 << j
+                    bigger_row = lattice.row(bigger, keep=size < cap)
+                    if not bigger_row:
+                        raise ContractViolation(f"bundle {key + (j,)} has no tree")
+                    kept[key + (j,)] = lattice.tree(bigger, bigger_row)
+                    cand_j = cand & compat[j] & -(2 << j)
+                    grown.append((key + (j,), bigger, bigger_row, cand_j))
+        level = grown
         candidates += len(level)
-        for key, bundle, _ in level:
-            row = lattice.row(bundle, keep=size < cap)
-            if row:
-                kept[key] = lattice.tree(bundle, row)
     kept = dict(sorted(kept.items()))  # by key, not by the visiting order
-    dropped = candidates - len(kept)
 
     terminals = tuple(
         sorted({v for tree in kept.values() for v in tree.vertices if v not in xset})
@@ -167,7 +178,6 @@ def build_closure(
         "pruned_pairs": pruned_pairs,
         "candidate_subsets": candidates,
         "kept_trees": len(kept),
-        "dropped_subsets": dropped,
         "terminals": len(terminals),
     }
     return ClosureResult(

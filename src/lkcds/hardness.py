@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Tuple
 
-from .graphs import Graph, r_subdivision
+from .graphs import MAX_VERTICES, Graph, r_subdivision
 from .oracles import SetCoverInstance, exact_cds, exact_setcover
 
 IFF_VERIFIED = "iff-verified"
@@ -43,12 +43,23 @@ def hardness_instance(sc: SetCoverInstance, r: int) -> HardnessInstance:
 
     Vertices 0..len(sets)-1 are the sets, the next universe_size ids the
     elements, then the guard and its pendant.  The answer budget is the
-    cover budget plus one; the extra unit pays for the guard zone.
+    cover budget plus one; the extra unit pays for the guard zone.  An
+    instance of more than `MAX_VERTICES` vertices is refused before any
+    is allocated.
     """
     if r < 1:
         raise ValueError("radius must be at least 1")
     m = len(sc.sets)
     n = sc.universe_size
+    # incidences, guard edges and the pendant edge; each edge gains r - 1
+    # subdivision vertices
+    pre_edges = sum(map(len, sc.sets)) + m + 1
+    size = m + n + 2 + (r - 1) * pre_edges
+    if size > MAX_VERTICES:
+        raise ValueError(
+            f"hardness instance has {size} vertices, "
+            f"more than the {MAX_VERTICES} this tool accepts"
+        )
     guard = m + n
     pendant = guard + 1
     edges: List[Tuple[int, int]] = []

@@ -23,6 +23,19 @@ tree of at most cap vertices, which lies within cap - 1 of each group it
 meets, so a row shared from a sub-bundle gives the same tree as a search of
 that bundle alone.  Group count is capped because the work grows as
 3^groups: every split of every bundle.
+
+A rebuild is a walk over states (bundle, vertex, level): a split moves to
+the two sides' states at the same vertex, a step to the neighbour's state
+one level down, and the tree is the union of the vertices and edges the
+walk visits from its start.  Which moves a state makes depends only on the
+state and on the rows of its bundle and sub-bundles, and a stored row never
+changes, so every walk through a state of a stored row visits the same
+vertices and edges below it.  The lattice therefore keeps, by state, the
+walk below each state of a stored row that a rebuild starts from or a split
+enters, and rebuilds a larger bundle's tree from its sub-bundles' kept
+walks; the union, and with it the tree, is the one a fresh walk would pick.
+The states a walk steps through are not kept, so a kept walk costs memory
+in proportion to its own length.
 """
 
 from __future__ import annotations
@@ -35,6 +48,8 @@ from .graphs import Graph, Tree, iter_bits, tree_problem, vertex_mask
 GROUP_LIMIT = 8
 
 Row = Tuple[int, ...]  # vertex masks by level; a short row repeats its last level
+Walk = Tuple[int, Tuple[Tuple[int, int], ...]]  # vertex mask, edges
+Side = Tuple[int, Row, int]  # sub-bundle, its row, a level
 
 
 class SteinerLattice:
@@ -44,7 +59,9 @@ class SteinerLattice:
     their indices.  `row` builds a bundle's row from the kept rows of its
     sub-bundles, so callers offer every sub-bundle first.  A sub-bundle
     without a kept row has no tree within the cap, and neither does any
-    bundle that contains it.
+    bundle that contains it.  `tree` keeps the walks from the states of
+    kept rows that it starts from or splits into, so trees of larger
+    bundles reuse them.
     """
 
     def __init__(self, g: Graph, groups: Sequence[int], cap: int):
@@ -54,6 +71,7 @@ class SteinerLattice:
         # a tree has at most n - 1 edges
         self.top = min(cap, g.n) - 1
         self.rows: Dict[int, Row] = {}
+        self.walks: Dict[Tuple[int, int, int], Walk] = {}  # by (bundle, v, d)
 
     def row(self, bundle: int, keep: bool) -> Row:
         """The bundle's row, or () when no tree of it fits the cap.
@@ -127,24 +145,8 @@ class SteinerLattice:
         while not row[value]:
             value += 1
         start = (row[value] & -row[value]).bit_length() - 1
-        nbr = self.nbr
-        span = 0
-        edges = set()
-        todo = [(bundle, row, start, value)]
-        while todo:
-            b, lv, v, d = todo.pop()
-            span |= 1 << v
-            if b & (b - 1):
-                halves = self._split_at(b, v, d)
-                if halves:
-                    todo.extend(halves)
-                    continue
-            if d:
-                near = nbr[v] & lv[d - 1]
-                w = (near & -near).bit_length() - 1
-                edges.add((v, w) if v < w else (w, v))
-                todo.append((b, lv, w, d - 1))
-        tree = Tree(tuple(iter_bits(span)), tuple(sorted(edges)))
+        span, edges = self._walk(bundle, row, start, value)
+        tree = Tree(tuple(iter_bits(span)), tuple(sorted(set(edges))))
         problem = tree_problem(self.g, tree.vertices, tree.edges)
         if problem is not None:
             raise ContractViolation(f"reconstructed tree {problem}")
@@ -156,9 +158,40 @@ class SteinerLattice:
                 raise ContractViolation(f"tree misses group {members}")
         return tree
 
-    def _split_at(self, bundle: int, v: int, d: int) -> List[Tuple[int, Row, int, int]]:
+    def _walk(self, bundle: int, row: Row, v: int, d: int) -> Walk:
+        # the vertex mask and edges the tie-breaks pick from v at level d of
+        # the bundle's row: steps to the least neighbour one level down
+        # until level 0 or a split, whose two sides are walked in turn
+        key = (bundle, v, d)
+        stored = self.rows.get(bundle) is row
+        if stored and key in self.walks:
+            return self.walks[key]
+        span, edges = 0, []
+        while True:
+            span |= 1 << v
+            split = self._split_at(bundle, v, d) if bundle & (bundle - 1) else None
+            if split:
+                (a, ra, i), (b, rb, j) = split
+                span_a, edges_a = self._walk(a, ra, v, i)
+                span_b, edges_b = self._walk(b, rb, v, j)
+                span |= span_a | span_b
+                edges += edges_a
+                edges += edges_b
+                break
+            if not d:
+                break
+            near = self.nbr[v] & row[d - 1]
+            w = (near & -near).bit_length() - 1
+            edges.append((v, w) if v < w else (w, v))
+            v, d = w, d - 1
+        walk = (span, tuple(edges))
+        if stored:
+            self.walks[key] = walk
+        return walk
+
+    def _split_at(self, bundle: int, v: int, d: int) -> Optional[Tuple[Side, Side]]:
         # the first split, by descending side holding the top group, whose
-        # two levels at v sum to d; [] when v got its level by growth
+        # two levels at v sum to d; None when v got its level by growth
         rows = self.rows
         rest = bundle & ~(1 << (bundle.bit_length() - 1))
         part = rest & -rest
@@ -168,10 +201,10 @@ class SteinerLattice:
             for i in range(min(d, len(a) - 1) + 1):
                 if (a[i] >> v) & 1:
                     if (b[min(d - i, len(b) - 1)] >> v) & 1:
-                        return [(bundle ^ part, a, v, i), (part, b, v, d - i)]
+                        return (bundle ^ part, a, i), (part, b, d - i)
                     break
             part = (part - rest) & rest
-        return []
+        return None
 
 
 def steiner_exact(g: Graph, groups: Sequence[Iterable[int]]) -> Optional[Tree]:

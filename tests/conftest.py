@@ -1,5 +1,6 @@
 """The benchmark's host families on the test path, the whole-graph Steiner
-DP twin and the session-wide kernelization sweep.
+DP twin, the clique-level bundle search twin and the session-wide
+kernelization sweep.
 
 Tier-1 and the benchmark share one copy of the hosts: the generators, the
 suite graphs and the suite instances live in `bench/workloads.py`, which
@@ -18,9 +19,10 @@ from hypothesis import settings
 
 from lkcds.closure import ClosureResult, build_closure
 from lkcds.cores import Rejection
-from lkcds.graphs import Graph, Tree, mask_of
+from lkcds.graphs import Graph, Tree, iter_bits, mask_of
 from lkcds.kernel import KernelInstance, KernelParams, kernelize
 from lkcds.oracles import FOUND, INFEASIBLE, NONE_WITHIN_BUDGET
+from lkcds.steiner import SteinerLattice
 
 BENCH = str(Path(__file__).resolve().parent.parent / "bench")
 if BENCH not in sys.path:
@@ -96,6 +98,77 @@ def whole_graph_dp(g, groups, size_cap):
         elif op[0] == "merge":
             todo += [(op[1], v), (mask ^ op[1], v)]
     return FOUND, tuple(sorted(vertices)), tuple(sorted(edges))
+
+
+def clique_level_search(g, groups, cap):
+    """Kept trees by bundle key, each as (vertices, edges), from the bundle
+    search `build_closure` ran before it grew only kept bundles.
+
+    A test-only copy kept for cross-checks: it builds a row for every
+    bundle of at most cap pairwise compatible groups, level by level, keeps
+    the bundles whose row is nonempty and rebuilds each tree by an explicit
+    depth-first walk over the lattice's rows, with no shared walks."""
+    lattice = SteinerLattice(g, [mask_of(grp) for grp in groups], cap)
+    group_of = {v: i for i, grp in enumerate(groups) for v in grp}
+    kept, compat = {}, []
+    for i in range(len(groups)):
+        row = lattice.row(1 << i, keep=cap > 1)
+        kept[(i,)] = _dfs_tree(lattice, 1 << i, row)
+        near = 0
+        for v in iter_bits(row[-1]):
+            if v in group_of:
+                near |= 1 << group_of[v]
+        compat.append(near & ~(1 << i))
+    level = [((i,), 1 << i, c & -(2 << i)) for i, c in enumerate(compat)]
+    for size in range(2, min(cap, len(groups)) + 1):
+        level = [
+            (key + (j,), bundle | 1 << j, cand & compat[j] & -(2 << j))
+            for key, bundle, cand in level
+            for j in iter_bits(cand)
+        ]
+        for key, bundle, _ in level:
+            row = lattice.row(bundle, keep=size < cap)
+            if row:
+                kept[key] = _dfs_tree(lattice, bundle, row)
+    return kept
+
+
+def _dfs_tree(lattice, bundle, row):
+    # the tie-breaks of `SteinerLattice.tree`, one explicit stack per tree
+    value = next(d for d, level in enumerate(row) if level)
+    start = (row[value] & -row[value]).bit_length() - 1
+    vertices, edges = set(), set()
+    todo = [(bundle, row, start, value)]
+    while todo:
+        b, lv, v, d = todo.pop()
+        vertices.add(v)
+        if b & (b - 1):
+            halves = _dfs_split(lattice.rows, b, v, d)
+            if halves:
+                todo.extend(halves)
+                continue
+        if d:
+            near = lattice.nbr[v] & lv[d - 1]
+            w = (near & -near).bit_length() - 1
+            edges.add((min(v, w), max(v, w)))
+            todo.append((b, lv, w, d - 1))
+    return tuple(sorted(vertices)), tuple(sorted(edges))
+
+
+def _dfs_split(rows, bundle, v, d):
+    # the first split, by descending side holding the top group, whose two
+    # levels at v sum to d; [] when v got its level by growth
+    rest = bundle & ~(1 << (bundle.bit_length() - 1))
+    part = rest & -rest
+    while part:
+        a, b = rows[bundle ^ part], rows[part]
+        for i in range(min(d, len(a) - 1) + 1):
+            if (a[i] >> v) & 1:
+                if (b[min(d - i, len(b) - 1)] >> v) & 1:
+                    return [(bundle ^ part, a, v, i), (part, b, v, d - i)]
+                break
+        part = (part - rest) & rest
+    return []
 
 
 def tampered_path5_closure() -> ClosureResult:

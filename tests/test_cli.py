@@ -11,7 +11,7 @@ import lkcds
 from conftest import tampered_path5_closure
 from lkcds.cli import main
 from lkcds.cores import DISCONNECTED
-from lkcds.graphs import parse_graph
+from lkcds.graphs import MAX_VERTICES, parse_graph
 from lkcds.kernel import parse_kernel
 
 
@@ -182,6 +182,37 @@ def test_gen_writes_parseable_graph(capsys, sc_file):
     assert g.n > 8
     assert "regime=backward-only" in err
     assert "k_out=3" in err
+
+
+@pytest.mark.parametrize(
+    "cover, r, size",
+    [
+        # one vertex per element, then the guard and its pendant
+        ("u 200000 0 0\n", 1, 200_002),
+        # 3 sets, 3 elements and 9 edges, each edge subdivided by r - 1
+        ("u 3 3 2\n0 1\n1 2\n2\n", 2000, 8 + 9 * 1999),
+        # 1 set, 1 element and 3 edges
+        ("u 1 1 0\n0\n", 3334, 4 + 3 * 3333),
+    ],
+)
+def test_gen_refuses_an_oversized_instance(capsys, tmp_path, cover, r, size):
+    path = tmp_path / "sc.txt"
+    path.write_text(cover)
+    code, out, err = run(capsys, ["gen", "--input", str(path), "--r", str(r)])
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: hardness instance has {size} vertices, "
+        f"more than the {MAX_VERTICES} this tool accepts\n"
+    )
+
+
+@pytest.mark.parametrize("cover, r", [("u 9998 0 0\n", 1), ("u 1 1 0\n0\n", 3333)])
+def test_gen_accepts_an_instance_at_the_vertex_cap(capsys, tmp_path, cover, r):
+    path = tmp_path / "sc.txt"
+    path.write_text(cover)
+    code, out, _ = run(capsys, ["gen", "--input", str(path), "--r", str(r)])
+    assert code == 0
+    assert parse_graph(out).n == MAX_VERTICES
 
 
 def test_core_and_stats_commands(capsys, c6_file):

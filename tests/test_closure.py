@@ -8,7 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SUITE_GRAPHS, tampered_path5_closure, whole_graph_dp
+from conftest import (
+    SUITE_GRAPHS,
+    clique_level_search,
+    tampered_path5_closure,
+    whole_graph_dp,
+)
 from lkcds.closure import (
     avoiding_path_tree,
     build_closure,
@@ -161,7 +166,7 @@ def test_closure_stats_accounting():
     assert st_["host_vertices"] == 9
     assert st_["closure_vertices"] == clo.graph.n
     assert st_["blockers"] == 3
-    assert st_["kept_trees"] + st_["dropped_subsets"] == st_["candidate_subsets"]
+    assert st_["kept_trees"] == st_["candidate_subsets"]
 
 
 def _compatible_bundles(g, groups, cap):
@@ -195,7 +200,8 @@ def test_compatibility_matches_group_distances(t):
         assert clo.cap == 2 * t
         pruned, bundles = _compatible_bundles(g, clo.groups, clo.cap)
         assert clo.stats["pruned_pairs"] == pruned, name
-        assert clo.stats["candidate_subsets"] == len(bundles), name
+        assert clo.stats["candidate_subsets"] == clo.stats["kept_trees"], name
+        assert set(clo.kept) <= set(bundles), name
 
 
 @st.composite
@@ -226,7 +232,8 @@ def test_kept_bundles_match_brute_force(case):
                 want[key] = res.value
     assert {key: tree.size for key, tree in clo.kept.items()} == want
     _, bundles = _compatible_bundles(g, clo.groups, clo.cap)
-    assert clo.stats["candidate_subsets"] == len(bundles)
+    assert set(want) <= set(bundles)
+    assert clo.stats["candidate_subsets"] == clo.stats["kept_trees"]
 
 
 @st.composite
@@ -263,12 +270,32 @@ def test_shared_lattice_matches_whole_graph_dp(case):
             assert key not in clo.kept, key
             dropped += 1
     assert len(clo.kept) == len(bundles) - dropped
-    assert clo.stats["candidate_subsets"] == len(bundles)
-    assert clo.stats["dropped_subsets"] == dropped
-    assert (
-        clo.stats["kept_trees"] + clo.stats["dropped_subsets"]
-        == clo.stats["candidate_subsets"]
-    )
+    assert clo.stats["candidate_subsets"] == clo.stats["kept_trees"]
+
+
+@st.composite
+def bundle_search_cases(draw):
+    """A random graph of at most 12 vertices, often disconnected, with up
+    to 4 blockers, a radius and a t whose cap is 2 to 8."""
+    n = draw(st.integers(1, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    g = Graph.from_edges(n, [e for e in pairs if draw(st.integers(0, 9)) < 3])
+    blockers = draw(st.lists(st.integers(0, n - 1), max_size=4, unique=True))
+    r = draw(st.integers(1, 2))
+    t = draw(st.sampled_from([1, Fraction(3, 2), 2, Fraction(5, 2), 3, 4]))
+    return g, blockers, r, t
+
+
+@given(bundle_search_cases())
+@settings(max_examples=200)
+def test_bundle_search_matches_clique_levels(case):
+    # growing only kept bundles, with shared walks, keeps the bundles and
+    # rebuilds the trees that every pairwise compatible clique gave
+    g, blockers, r, t = case
+    clo = build_closure(g, blockers, r, t)
+    want = clique_level_search(g, clo.groups, clo.cap)
+    assert {key: (tree.vertices, tree.edges) for key, tree in clo.kept.items()} == want
+    assert clo.stats["candidate_subsets"] == clo.stats["kept_trees"] == len(want)
 
 
 @st.composite

@@ -5,7 +5,7 @@
 Imports `<checkout>/src`, `<checkout>/bench/workloads.py` and
 `<checkout>/bench/run.py` (none is edited) and kernelizes every instance
 of every workload at each seed (default 1 2 3).  For each workload it
-prints three lines, each with the instance count and a sha256:
+prints four lines, each with the instance count and a sha256:
 
 - `kernel`: per instance, the `find_core` result in the workload's core
   mode (the core vertices or the rejection reason), `serialize_kernel` or
@@ -14,8 +14,10 @@ prints three lines, each with the instance count and a sha256:
   host of at most `EXACT_N_LIMIT` vertices (the size up to which
   `bench/run.py` re-solves rejections) and `exact_acds` on every accepted
   kernel;
-- `closure`: per accepted closure kernel, the closure stats, the kept
-  trees and the `verify_closure` result;
+- `closure-trees`: per accepted closure kernel, the closure stats but
+  the search counts, the kept trees and the `verify_closure` result;
+- `closure-counts`: per accepted closure kernel, the search counts alone,
+  the stats named in `SEARCH_STATS` that the closure reports;
 - `lift`: per accepted kernel, the `lift` result on the kernel solution
   the bench's lift verdict builds (greedy, stitched by `connect`), and, on
   the workloads whose verdict certifies, the `certify_ratio` values
@@ -42,16 +44,17 @@ the `heuristic_order` of each kind with its `wreach` sets at radius 0 to
 3, `connect` on random seed sets, the rows and parents of
 `induced_subgraph` on a random vertex subset, and the rows of `Graph`
 built from the graph's rows shuffled, with repeated neighbours; it reads
-only names that older checkouts have.  A `bundles` line hashes the stats
-and the kept trees of `build_closure` on seeded random hosts of at most
-12 vertices, often disconnected, with 0 to 4 blockers, r = 1 and 2 and
-t = 5/2, 3 or 4, so that bundles of 5 to 8 groups, which no workload
-reaches, are searched.  A `profiles` line hashes the classes (profile
-and members) and the class map of `classify` on seeded random hosts of
-1 to 40 vertices, often disconnected, with blocker sets from empty to
-every vertex and r from 0 to 3.  It reads only `classify`, `classes`
-and `class_of`, which checkouts from before the line was added have
-too.  A `closures` line hashes the edges, the vertex map and
+only names that older checkouts have.  A `bundle-trees` line hashes the
+stats but the search counts and the kept trees of `build_closure` on
+seeded random hosts of at most 12 vertices, often disconnected, with 0 to
+4 blockers, r = 1 and 2 and t = 5/2, 3 or 4, so that bundles of 5 to 8
+groups, which no workload reaches, are searched; a `bundle-counts` line
+hashes the search counts of the same closures.  A `profiles` line hashes
+the classes (profile and members) and the class map of `classify` on
+seeded random hosts of 1 to 40 vertices, often disconnected, with
+blocker sets from empty to every vertex and r from 0 to 3.  It reads
+only `classify`, `classes` and `class_of`, which checkouts from before
+the line was added have too.  A `closures` line hashes the edges, the vertex map and
 `blockers_new` of `build_closure` on seeded random hosts of 1 to 40
 vertices, often disconnected, with 5% to 90% of the vertices blocked,
 r from 1 to 3 and t = 1 or 3/2, so that it reads the retained paths at
@@ -73,19 +76,20 @@ interpreter with `<checkout>/src` on `PYTHONPATH`.
 
 Two checkouts that print the same `kernel` lines produce identical cores,
 byte-identical kernels and identical oracle answers on those instances;
-the `closure` lines add the closures and the verifier verdicts, which a
-change to the bundle search or to the stats may move while every kernel
-stays the same, and the `lift` lines the lifted solutions and the
-certificates.  A change to the closure's rule that keeps its graph, such
-as which groups enter the bundle search, may move the `closure` lines
-but never a `kernel` or `lift` line.  The `cover` line moves when a
-change to the set-cover search changes an answer or where a budget runs
-out, the `cds` line when a change to the connected-cover search changes
-an answer, and the `steiner` line when a change to the Steiner search
-changes a status or a tree.
+the `closure-trees` lines add the closures and the verifier verdicts,
+which a change to the kept trees or to the stats may move while every
+kernel stays the same, and the `lift` lines the lifted solutions and the
+certificates.  A change to how the bundle search visits bundles that
+keeps the same trees, such as which candidates it builds rows for, moves
+only the `closure-counts` and `bundle-counts` lines, and the `demos` line,
+as `closure_anatomy.py` prints every closure stat.  The `cover` line
+moves when a change to the set-cover search changes an answer or where a
+budget runs out, the `cds` line when a change to the connected-cover
+search changes an answer, and the `steiner` line when a change to the
+Steiner search changes a status or a tree.
 The `graphs` line moves when a distance, ball, component, order, weak
-reachability set, stitching result or subgraph changes, the `bundles` line when a
-kept tree or a closure count at a cap of 5 to 8 changes, the
+reachability set, stitching result or subgraph changes, the `bundle-trees`
+line when a kept tree or a closure stat at a cap of 5 to 8 changes, the
 `profiles` line when a profile class or a vertex's class changes, the
 `closures` line when a closure graph, its vertex map or its blocker ids
 change, the `pipeline` line when a kernel or a rejection reason on a
@@ -102,6 +106,7 @@ Standard library only.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import importlib.util
 import itertools
@@ -156,7 +161,7 @@ def lift_lines(item, inst, certify: bool, bench_run) -> List[str]:
 
 
 def instance_lines(item, certify: bool, bench_run) -> Tuple[List[str], ...]:
-    """The kernel-side, the closure-side and the lift-side lines of one instance."""
+    """The kernel, closure tree, closure count and lift lines of one instance."""
     from lkcds.closure import verify_closure
     from lkcds.cores import Rejection, find_core
     from lkcds.kernel import kernelize, serialize_kernel
@@ -173,26 +178,37 @@ def instance_lines(item, certify: bool, bench_run) -> Tuple[List[str], ...]:
     if certify and item.graph.n <= bench_run.EXACT_N_LIMIT:
         kernel.append(repr(exact_cds(item.graph, r, k)))
     if isinstance(out, Rejection):
-        return kernel + [f"rejected: {out.reason}"], [], []
+        return kernel + [f"rejected: {out.reason}"], [], [], []
     kernel.append(serialize_kernel(out))
     if certify:
         kernel.append(repr(exact_acds(out.graph, out.annotated, r, k)))
     lifts = [f"{item.name} {item.params}", *lift_lines(item, out, certify, bench_run)]
     if out.closure is None:
-        return kernel, [], lifts
+        return kernel, [], [], lifts
     report = verify_closure(item.graph, out.closure)
-    closure = [
-        f"{item.name} {item.params}",
-        repr(sorted(out.closure.stats.items())),
-        kept_repr(out.closure.kept),
-        repr((report.ok, report.problems)),
-    ]
-    return kernel, closure, lifts
+    stats, counts = split_stats(out.closure.stats)
+    name = f"{item.name} {item.params}"
+    trees = [name, stats, kept_repr(out.closure.kept), repr((report.ok, report.problems))]
+    return kernel, trees, [name, counts], lifts
 
 
 def tree_tuple(tree) -> Optional[Tuple]:
     """A tree record as its (vertices, edges) tuple, None for no tree."""
     return None if tree is None else (tree.vertices, tree.edges)
+
+
+# the stats that count the bundle search's work rather than describe its
+# result; a checkout reports those of them it has
+SEARCH_STATS = ("candidate_subsets", "dropped_subsets")
+
+
+def split_stats(stats) -> Tuple[str, str]:
+    """The closure stats but the search counts, and the search counts, each sorted."""
+    items = sorted(stats.items())
+    return (
+        repr([item for item in items if item[0] not in SEARCH_STATS]),
+        repr([item for item in items if item[0] in SEARCH_STATS]),
+    )
 
 
 def kept_repr(kept) -> str:
@@ -361,13 +377,15 @@ BUNDLE_HOSTS = 100  # random closure hosts per seed
 BUNDLE_TS = (Fraction(5, 2), 3, 4)
 
 
-def bundle_lines(seed: int) -> List[str]:
-    """`build_closure` stats and kept trees at caps 5 to 8 on seeded random hosts."""
+@functools.lru_cache(maxsize=None)
+def bundle_lines(seed: int) -> Tuple[List[str], List[str]]:
+    """`build_closure` stats and kept trees, and apart from them the search
+    counts, at caps 5 to 8 on seeded random hosts."""
     from lkcds.closure import build_closure
     from lkcds.graphs import Graph
 
     rng = random.Random(seed)
-    lines = []
+    lines, counts = [], []
     for _ in range(BUNDLE_HOSTS):
         n = rng.randint(1, 12)
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
@@ -376,9 +394,10 @@ def bundle_lines(seed: int) -> List[str]:
         blockers = rng.sample(range(n), rng.randint(0, min(4, n)))
         r, t = rng.randint(1, 2), rng.choice(BUNDLE_TS)
         clo = build_closure(g, blockers, r, t)
-        lines.append(repr(sorted(clo.stats.items())))
-        lines.append(kept_repr(clo.kept))
-    return lines
+        stats, searched = split_stats(clo.stats)
+        lines += [stats, kept_repr(clo.kept)]
+        counts.append(searched)
+    return lines, counts
 
 
 PROFILE_HOSTS = 200  # random classification hosts per seed
@@ -507,7 +526,8 @@ def main(argv: List[str]) -> int:
     bench_run = load_bench_module(checkout, "run")
     tag = ",".join(map(str, seeds))
     for name, workload in workloads.WORKLOADS.items():
-        digests = {part: hashlib.sha256() for part in ("kernel", "closure", "lift")}
+        labels = ("kernel", "closure-trees", "closure-counts", "lift")
+        digests = {label: hashlib.sha256() for label in labels}
         count = 0
         for seed in seeds:
             for item in workload.build(seed):
@@ -523,7 +543,8 @@ def main(argv: List[str]) -> int:
         ("cds", "queries", CDS_QUERIES, cds_lines),
         ("steiner", "queries", STEINER_QUERIES, steiner_lines),
         ("graphs", "queries", GRAPH_QUERIES, graph_lines),
-        ("bundles", "hosts", BUNDLE_HOSTS, bundle_lines),
+        ("bundle-trees", "hosts", BUNDLE_HOSTS, lambda s: bundle_lines(s)[0]),
+        ("bundle-counts", "hosts", BUNDLE_HOSTS, lambda s: bundle_lines(s)[1]),
         ("profiles", "hosts", PROFILE_HOSTS, profile_lines),
         ("closures", "hosts", CLOSURE_HOSTS, closure_lines),
         ("pipeline", "hosts", PIPELINE_HOSTS, pipeline_lines),
