@@ -242,6 +242,22 @@ def capped_kernel_opt(inst: KernelInstance) -> Optional[int]:
     return _capped(exact_acds(inst.graph, inst.annotated, inst.params.r, k), k)
 
 
+def _is_host(g: Graph, inst: KernelInstance) -> bool:
+    # whether every kernel vertex is annotated and the vertex map is an
+    # isomorphism onto the host, read off the structure alone in O(n + m):
+    # a map onto n host vertices from n kernel vertices is a bijection, and
+    # it sends the kernel's edges onto the host's when they are equally
+    # many and each lands on a host edge
+    kg, vmap = inst.graph, inst.vertex_map
+    every = set(range(g.n))
+    if kg.n != g.n or kg.m != g.m or len(vmap) != g.n:
+        return False
+    if set(vmap) != every or set(inst.annotated) != every:
+        return False
+    rows = g.neighbor_masks()
+    return all(rows[vmap[u]] >> vmap[v] & 1 for u, v in kg.edges())
+
+
 @dataclass(frozen=True)
 class ReplaySplit:
     """A host solution cut into replayable connected pieces.
@@ -291,15 +307,26 @@ def certify_ratio(
 
     The quality ratio of the lifted solution must stay within alpha times
     the quality ratio of the submitted kernel solution, with all four
-    quantities capped at k+1 and compared as exact rationals.
+    quantities capped at k+1 and compared as exact rationals.  A kernel
+    that annotates no vertex has optimum 0, so the ratio is undefined and
+    the kernel is refused.
+
+    A kernel that is its host, by `_is_host`, solves one optimum: through
+    the map, a connected set of the kernel is a connected set of the host
+    of the same size that dominates the same vertices, so the two capped
+    optima are equal.
     """
+    if not inst.annotated:
+        raise ValueError(
+            "the kernel annotates no vertex, so its optimum 0 leaves the ratio undefined"
+        )
     sol = tuple(sorted(set(kernel_solution)))
     lifted = lift(g, inst, sol)
     if not (lifted.dominates_host and lifted.connected):
         raise ContractViolation("lifted solution is not valid for the host")
     k = inst.params.k
     host_opt = capped_host_opt(g, k, inst.params.r)
-    kern_opt = capped_kernel_opt(inst)
+    kern_opt = host_opt if _is_host(g, inst) else capped_kernel_opt(inst)
     if host_opt is None or kern_opt is None:
         raise ContractViolation("a capped optimum is undefined on a connected instance")
     kern_value = min(len(sol), k + 1)

@@ -78,10 +78,14 @@ def _covers(
     budget.spend()
     if universe == 0 or k <= 0:
         return universe == 0
-    # branch on the uncovered element with the fewest candidate sets
+    # branch on the uncovered element with the fewest candidate sets; bits
+    # are walked inline, which is cheaper than an iter_bits generator per
+    # search node
     pick, fewest = 0, 0
-    for e in iter_bits(universe):
-        cands = holders[e] & allowed
+    rest = universe
+    while rest:
+        low = rest & -rest
+        cands = holders[low.bit_length() - 1] & allowed
         count = cands.bit_count()
         if count == 0:
             return False
@@ -89,10 +93,13 @@ def _covers(
             pick, fewest = cands, count
             if count == 1:
                 break
-    return any(
-        _covers(sets, holders, universe & ~sets[i], k - 1, allowed, budget)
-        for i in iter_bits(pick)
-    )
+        rest ^= low
+    while pick:
+        low = pick & -pick
+        if _covers(sets, holders, universe & ~sets[low.bit_length() - 1], k - 1, allowed, budget):
+            return True
+        pick ^= low
+    return False
 
 
 def cover_exists(ball_masks: Sequence[int], universe: int, k: int, allowed: int) -> bool:
@@ -218,7 +225,8 @@ def _connected_cover(
     # branch's least hit; a parent draws its children's last vertices
     # itself.  A hit's least vertex is its root, so the first root with a
     # hit holds the answer.  The budget charges one node per set the search
-    # visits; the sweeps visit none.
+    # visits; the sweeps visit none.  Candidate bits are walked inline, with
+    # no iter_bits generator per node.
     if k < 0:
         raise ValueError("budget k must be nonnegative")
     budget = _Budget(budget_nodes)
@@ -254,11 +262,13 @@ def _connected_cover(
             return cur | w_bit if w_bit else 0
         best = 0
         tried = 0
-        for u in iter_bits(cand):
-            u_bit = 1 << u
-            child_cand = (cand & ~u_bit & ~tried) | (
-                masks[u] & above & ~cur & ~u_bit & ~banned & ~tried
-            )
+        rest = cand
+        while rest:
+            u_bit = rest & -rest
+            rest ^= u_bit
+            u = u_bit.bit_length() - 1
+            # rest is cand less u and the candidates tried before it
+            child_cand = rest | (masks[u] & above & ~cur & ~u_bit & ~banned & ~tried)
             if left == 2:
                 budget.spend()  # the child set
                 w_bit = draw(child_cand, missing & ~balls[u])
@@ -277,9 +287,13 @@ def _connected_cover(
 
     try:
         for s in range(lb, k + 1):
-            for v in iter_bits(home[0]):
-                above = home[0] & ~((2 << v) - 1)
-                hit = grow(1 << v, s - 1, masks[v] & above, 0, balls[v], above)
+            roots = home[0]
+            while roots:
+                v_bit = roots & -roots
+                roots ^= v_bit
+                v = v_bit.bit_length() - 1
+                above = roots  # the home vertices above v
+                hit = grow(v_bit, s - 1, masks[v] & above, 0, balls[v], above)
                 if hit:
                     return SolveResult(FOUND, tuple(iter_bits(hit)), s)
     except BudgetExceededError:

@@ -10,9 +10,13 @@ from hypothesis import strategies as st
 from lkcds.cores import DISCONNECTED, Rejection
 from lkcds.domination import check_covering_family, dominates
 from lkcds.graphs import Graph, GraphFormatError, induced_subgraph
+from lkcds import kernel as kernel_module
 from lkcds.kernel import (
+    KernelInstance,
     KernelParams,
+    RatioCertificate,
     capped_host_opt,
+    capped_kernel_opt,
     certify_ratio,
     kernel_solution_valid,
     kernelize,
@@ -209,6 +213,95 @@ def test_certify_ratio_small_batch():
         cert = certify_ratio(g, inst, solve_kernel(inst))
         assert cert.ok, (cert.lhs, cert.rhs)
         assert cert.lhs <= cert.rhs
+
+
+def certify_solving_both(g, inst, kernel_solution):
+    # a twin of certify_ratio that always solves both capped optima
+    sol = tuple(sorted(set(kernel_solution)))
+    lifted = lift(g, inst, sol)
+    k, alpha = inst.params.k, inst.params.alpha
+    host_opt = capped_host_opt(g, k, inst.params.r)
+    kern_opt = capped_kernel_opt(inst)
+    kern_value = min(len(sol), k + 1)
+    lhs = Fraction(lifted.value, host_opt)
+    rhs = alpha * Fraction(kern_value, kern_opt)
+    return RatioCertificate(
+        lifted.value, host_opt, kern_value, kern_opt, alpha, lhs, rhs, lhs <= rhs
+    )
+
+
+@given(
+    st.integers(1, 12),
+    st.integers(0, 4),
+    st.integers(1, 2),
+    st.integers(0, 4),
+    st.sampled_from([Fraction(3, 2), 3, 7, 14]),
+    st.sampled_from(["heuristic", "exact"]),
+    st.integers(0, 2_000),
+)
+@settings(max_examples=40)
+def test_certificate_matches_a_twin_that_solves_both_optima(
+    n, extra, r, k, alpha, core_mode, seed
+):
+    g = random_connected(n, extra, seed)
+    inst = kernelize(g, kparams(k, r, alpha), core_mode=core_mode)
+    if isinstance(inst, Rejection):
+        return
+    sol = solve_kernel(inst)
+    assert certify_ratio(g, inst, sol) == certify_solving_both(g, inst, sol)
+
+
+def relabelled(g, perm):
+    # g with vertex perm[i] renamed i
+    new = {h: i for i, h in enumerate(perm)}
+    return Graph.from_edges(g.n, [(new[u], new[v]) for u, v in g.edges()])
+
+
+PERM9 = (4, 8, 0, 6, 2, 7, 1, 5, 3)
+
+
+@pytest.mark.parametrize(
+    "host, graph, annotated, vertex_map, solves",
+    [
+        # the host under a permuted map is the host
+        (grid_graph(3, 3), relabelled(grid_graph(3, 3), PERM9), range(9), PERM9, False),
+        # one host edge missing: a path on the cycle's vertices
+        (cycle_graph(9), relabelled(path_graph(9), PERM9), range(9), PERM9, True),
+        # a vertex left out of the annotated set
+        (grid_graph(3, 3), relabelled(grid_graph(3, 3), PERM9), range(1, 9), PERM9, True),
+        # two kernel vertices sent to one host vertex, each edge to a host edge
+        (star_graph(3), star_graph(3), range(4), (0, 1, 2, 2), True),
+    ],
+    ids=["permuted-host", "edge-missing", "vertex-unannotated", "two-to-one"],
+)
+def test_only_a_kernel_that_is_its_host_reuses_the_host_optimum(
+    host, graph, annotated, vertex_map, solves, monkeypatch
+):
+    inst = KernelInstance(
+        graph=graph,
+        annotated=tuple(annotated),
+        params=kparams(4, 1, 7),
+        vertex_map=vertex_map,
+        mode="closure",
+        core="heuristic-sound",
+    )
+    sol = solve_kernel(inst)
+    twin = certify_solving_both(host, inst, sol)
+    solved = []
+    monkeypatch.setattr(
+        kernel_module, "capped_kernel_opt", lambda i: solved.append(i) or capped_kernel_opt(i)
+    )
+    assert certify_ratio(host, inst, sol) == twin
+    assert solved == ([inst] if solves else [])
+
+
+def test_certify_ratio_refuses_an_empty_annotated_set():
+    # the kernel optimum is 0, so no ratio is defined; refused by name
+    # rather than by Fraction's ZeroDivisionError
+    p3 = path_graph(3)
+    inst = KernelInstance(p3, (), kparams(2, 1, 7), (0, 1, 2), "closure", "heuristic-sound")
+    with pytest.raises(ValueError, match="annotates no vertex"):
+        certify_ratio(p3, inst, (1,))
 
 
 def test_replay_split_bounds():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lkcds.graphs import Graph, iter_bits, mask_of
+from lkcds.graphs import Graph, iter_bits, mask_of, r_subdivision
 from lkcds.hardness import random_setcover
 from lkcds.oracles import (
     BUDGET_EXHAUSTED,
@@ -15,6 +15,7 @@ from lkcds.oracles import (
     INFEASIBLE,
     NONE_WITHIN_BUDGET,
     SetCoverInstance,
+    SolveResult,
     brute_cds,
     brute_ds,
     brute_steiner,
@@ -29,6 +30,7 @@ from lkcds.oracles import (
     split_avoiding_distances,
 )
 from workloads import (
+    complete_graph,
     cycle_graph,
     grid_graph,
     path_graph,
@@ -356,6 +358,26 @@ def test_set_cover_budget_threshold():
     g = grid_graph(4, 4)
     assert exact_ds(g, 1, 4, budget_nodes=254).solution == (1, 7, 8, 14)
     assert exact_ds(g, 1, 4, budget_nodes=253).status == BUDGET_EXHAUSTED
+
+
+@pytest.mark.parametrize(
+    "query, nodes, expected",
+    [
+        (lambda b: exact_cds(r_subdivision(complete_graph(5), 3)[0], 2, 9, b), 3505,
+         SolveResult(FOUND, (0, 5, 6, 7, 8, 9, 10, 11, 12), 9)),
+        (lambda b: exact_cds(grid_graph(4, 4), 1, 6, b), 654,
+         SolveResult(NONE_WITHIN_BUDGET)),
+        (lambda b: exact_acds(grid_graph(4, 4), [0, 3, 12, 15], 1, 6, b), 335,
+         SolveResult(FOUND, (1, 2, 5, 9, 13, 14), 6)),
+    ],
+    ids=["k5-subdivided", "grid-none", "grid-corners"],
+)
+def test_connected_cover_budget_threshold(query, nodes, expected):
+    # the connected cover search charges one node per set it visits; each
+    # query needs exactly `nodes` of them, so a change in what is visited or
+    # charged moves a threshold
+    assert query(nodes) == expected
+    assert query(nodes - 1) == SolveResult(BUDGET_EXHAUSTED)
 
 
 @st.composite

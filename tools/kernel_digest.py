@@ -1,6 +1,14 @@
 """Digest every kernel the benchmark workloads produce, to compare two checkouts.
 
     python3 tools/kernel_digest.py <checkout> [seeds...]
+    python3 tools/kernel_digest.py --check
+
+`reports/kernel_digest.txt` holds this repository's digest at seeds 1 2 3,
+as `python3 tools/kernel_digest.py . > reports/kernel_digest.txt` writes
+it.  `--check` reruns the digest on this repository at those seeds, names
+each line that moved with its expected and current text, and exits 1 if
+any did, 0 otherwise.  A change that moves a line rewrites the file, so
+the move shows in its diff.  It takes about half a minute.
 
 Imports `<checkout>/src`, `<checkout>/bench/workloads.py` and
 `<checkout>/bench/run.py` (none is edited) and kernelizes every instance
@@ -28,10 +36,11 @@ A `cover` line hashes the set-cover oracles alone: `exact_ds`,
 `exact_setcover` and `cover_exists` on seeded random graphs and set
 systems, with no budget and with node budgets small enough to run out.
 A `cds` line hashes the connected-cover oracles alone: the status,
-solution and value of unbudgeted `exact_cds` and `exact_acds` (on a
-random target subset) on seeded random forests with chords of 1 to 14
-vertices, some disconnected, with r from 1 to 3 and k from 0 to n; it
-reads only names that older checkouts have.
+solution and value of `exact_cds` and `exact_acds` (on a random target
+subset) on seeded random forests with chords of 1 to 14 vertices, some
+disconnected, with r from 1 to 3 and k from 0 to n, with no budget and
+with node budgets small enough to run out; it reads only names that
+older checkouts have.
 A `steiner` line hashes, on seeded random group systems of up to 8
 groups, some on disconnected hosts, the uncapped `steiner_size` and, for
 every cap from 1 to 5, the tree (or None) that a `SteinerLattice` of that
@@ -85,8 +94,8 @@ only the `closure-counts` and `bundle-counts` lines, and the `demos` line,
 as `closure_anatomy.py` prints every closure stat.  The `cover` line
 moves when a change to the set-cover search changes an answer or where a
 budget runs out, the `cds` line when a change to the connected-cover
-search changes an answer, and the `steiner` line when a change to the
-Steiner search changes a status or a tree.
+search changes an answer or where a budget runs out, and the `steiner`
+line when a change to the Steiner search changes a status or a tree.
 The `graphs` line moves when a distance, ball, component, order, weak
 reachability set, stitching result or subgraph changes, the `bundle-trees`
 line when a kept tree or a closure stat at a cap of 5 to 8 changes, the
@@ -116,7 +125,12 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
+
+
+REPO = Path(__file__).resolve().parents[1]
+EXPECTED = REPO / "reports" / "kernel_digest.txt"  # the digest of REPO at CHECK_SEEDS
+CHECK_SEEDS = [1, 2, 3]
 
 
 def load_bench_module(checkout: Path, name: str):
@@ -256,10 +270,11 @@ def cover_lines(seed: int) -> List[str]:
 
 
 CDS_QUERIES = 1000  # random graphs per seed
+CDS_BUDGETS = (None, 5, 20, 100)  # and one drawn from 0 to 200 per query
 
 
 def cds_lines(seed: int) -> List[str]:
-    """Unbudgeted connected-cover oracle answers on seeded random graphs."""
+    """Connected-cover oracle answers on seeded random graphs, with and without budgets."""
     from lkcds.graphs import Graph
     from lkcds.oracles import exact_acds, exact_cds
 
@@ -275,8 +290,9 @@ def cds_lines(seed: int) -> List[str]:
         g = Graph.from_edges(n, sorted(edges))
         r, k = rng.randint(1, 3), rng.randint(0, n)
         annotated = rng.sample(range(n), rng.randint(0, n))
-        for res in (exact_cds(g, r, k), exact_acds(g, annotated, r, k)):
-            lines.append(repr((res.status, res.solution, res.value)))
+        for budget in (*CDS_BUDGETS, rng.randint(0, 200)):
+            for res in (exact_cds(g, r, k, budget), exact_acds(g, annotated, r, k, budget)):
+                lines.append(repr((res.status, res.solution, res.value)))
     return lines
 
 
@@ -516,12 +532,8 @@ def demo_lines(checkout: Path) -> List[str]:
     return lines
 
 
-def main(argv: List[str]) -> int:
-    if not argv:
-        print("usage: python3 tools/kernel_digest.py <checkout> [seeds...]", file=sys.stderr)
-        return 2
-    checkout = Path(argv[0]).resolve()
-    seeds = [int(s) for s in argv[1:]] or [1, 2, 3]
+def digest_lines(checkout: Path, seeds: List[int]) -> Iterator[str]:
+    """The digest lines of a checkout at the given seeds, one at a time."""
     workloads = load_workloads(checkout)
     bench_run = load_bench_module(checkout, "run")
     tag = ",".join(map(str, seeds))
@@ -537,7 +549,7 @@ def main(argv: List[str]) -> int:
                     feed(digest, lines)
                 count += 1
         for part, digest in digests.items():
-            print(f"{name} {part} seeds={tag} instances={count} sha256={digest.hexdigest()}")
+            yield f"{name} {part} seeds={tag} instances={count} sha256={digest.hexdigest()}"
     checks = (  # label, unit, units per seed, the lines of one seed
         ("cover", "queries", COVER_QUERIES, cover_lines),
         ("cds", "queries", CDS_QUERIES, cds_lines),
@@ -555,11 +567,49 @@ def main(argv: List[str]) -> int:
         for seed in seeds:
             feed(digest, lines_of(seed))
         count = len(seeds) * per_seed
-        print(f"{label} seeds={tag} {unit}={count} sha256={digest.hexdigest()}")
+        yield f"{label} seeds={tag} {unit}={count} sha256={digest.hexdigest()}"
     lines = demo_lines(checkout)
     digest = hashlib.sha256()
     feed(digest, lines)
-    print(f"demos scripts={len(lines) // 2} sha256={digest.hexdigest()}")
+    yield f"demos scripts={len(lines) // 2} sha256={digest.hexdigest()}"
+
+
+def line_label(line: str) -> str:
+    """A digest line's label, the words before its first `key=value` field."""
+    return " ".join(itertools.takewhile(lambda word: "=" not in word, line.split()))
+
+
+def check() -> int:
+    """Rerun this repository's digest at CHECK_SEEDS and name each line that moved."""
+    expected = {line_label(ln): ln for ln in EXPECTED.read_text().splitlines() if ln}
+    moved = 0
+    for line in digest_lines(REPO, CHECK_SEEDS):
+        old = expected.pop(line_label(line), None)
+        if old != line:
+            moved += 1
+            print(f"moved: {line_label(line)}\n  expected {old}\n  got      {line}")
+    for label, old in expected.items():
+        moved += 1
+        print(f"moved: {label}\n  expected {old}\n  got      None")
+    if moved:
+        print(f"{moved} digest lines differ from {EXPECTED.name}")
+        return 1
+    print(f"every digest line matches {EXPECTED.name}")
+    return 0
+
+
+def main(argv: List[str]) -> int:
+    if argv == ["--check"]:
+        return check()
+    if not argv or argv[0].startswith("-"):
+        print(
+            "usage: python3 tools/kernel_digest.py <checkout> [seeds...]\n"
+            "       python3 tools/kernel_digest.py --check",
+            file=sys.stderr,
+        )
+        return 2
+    for line in digest_lines(Path(argv[0]).resolve(), [int(s) for s in argv[1:]] or CHECK_SEEDS):
+        print(line, flush=True)
     return 0
 
 
