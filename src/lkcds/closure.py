@@ -216,9 +216,20 @@ def verify_closure(g: Graph, closure: ClosureResult) -> ClosureReport:
        host profile class is still represented.  Host profiles come from
        the host classification (one flood per blocker), closure profiles
        from a flood per vertex, so the two sides take independent routes.
-    3. For each kept all-class bundle, the group Steiner value in the
-       closure matches the host value, and every stored tree is a real
-       tree of the host meeting its groups within the size cap.
+    3. Every stored tree is a real tree of the host meeting its groups
+       within the size cap, and for each kept all-class bundle the group
+       Steiner value in the closure matches the host value, the size of
+       the kept tree.  One `SteinerLattice` over the closure graph, with
+       the classes in closure ids as its groups and the closure's cap,
+       builds the bundles' rows by size, so every sub-bundle's row is
+       there first; a bundle's value is its first nonempty level + 1.
+       A capped row is exact up to the cap, and the kept tree has at
+       most cap vertices, so a row whose value is the tree's size proves
+       the bundle.  On a closure that keeps its guarantee the row always
+       does: the closure is a subgraph of the host, so its value is at
+       least the host's, and the retained paths pin it to that value.
+       Only a row that is empty or disagrees runs the uncapped
+       `steiner_size`, to word the problem with the closure's value.
     Item 2 is checked only if item 1 holds, the Steiner values only if all else does.
     """
     item1: List[str] = []  # the problems found under each item
@@ -235,6 +246,7 @@ def verify_closure(g: Graph, closure: ClosureResult) -> ClosureReport:
 
     if not item1:
         cls_host = classify(g, xs, closure.r)
+        blockers_new = set(closure.blockers_new)  # read by every profile flood
         for u in closure.terminals:
             if u not in old2new:
                 item2.append(f"terminal {u} is not a closure vertex")
@@ -243,7 +255,7 @@ def verify_closure(g: Graph, closure: ClosureResult) -> ClosureReport:
                 item2.append(f"terminal {u} is a blocker, not a free vertex")
                 continue
             want = cls_host.classes[cls_host.class_of[u]].profile
-            got = profile(closure.graph, old2new[u], closure.blockers_new, closure.r)
+            got = profile(closure.graph, old2new[u], blockers_new, closure.r)
             got = tuple(sorted((closure.vertex_map[x], d) for x, d in got))
             if want != got:
                 item2.append(f"profile of vertex {u} changed: {want} -> {got}")
@@ -265,21 +277,31 @@ def verify_closure(g: Graph, closure: ClosureResult) -> ClosureReport:
         if max(key) < closure.class_count:
             all_class.append((key, tree))
     if not (item1 or item2 or item3):
+        # each class's surviving members as a mask of closure ids
+        prime = [
+            mask_of(old2new[v] for v in grp if v in old2new)
+            for grp in closure.groups[: closure.class_count]
+        ]
+        lattice = SteinerLattice(closure.graph, prime, closure.cap)
+        rows = {}  # by key; built by size, so every sub-bundle's row is there first
+        for key, _ in sorted(all_class, key=lambda item: len(item[0])):
+            rows[key] = lattice.row(mask_of(key), keep=len(key) < closure.cap)
         for key, tree in all_class:
-            prime_groups = []
-            for i in key:
-                members = [old2new[v] for v in closure.groups[i] if v in old2new]
-                if not members:
-                    item3.append(f"group {i} vanished from the closure")
-                    break
-                prime_groups.append(members)
-            else:
-                prime_value = steiner_size(closure.graph, prime_groups)
-                if prime_value != len(tree.vertices):
-                    item3.append(
-                        f"bundle {key}: host tree has {len(tree.vertices)} "
-                        f"vertices but the closure needs {prime_value}"
-                    )
+            vanished = [i for i in key if not prime[i]]
+            if vanished:
+                item3.append(f"group {vanished[0]} vanished from the closure")
+                continue
+            row = rows[key]  # its first nonempty level d: a tree of d + 1 vertices
+            size = len(tree.vertices)
+            if row and next(d for d, lv in enumerate(row) if lv) + 1 == size:
+                continue
+            prime_groups = [list(iter_bits(prime[i])) for i in key]
+            prime_value = steiner_size(closure.graph, prime_groups)
+            if prime_value != size:
+                item3.append(
+                    f"bundle {key}: host tree has {size} "
+                    f"vertices but the closure needs {prime_value}"
+                )
 
     return ClosureReport((tuple(item1), tuple(item2), tuple(item3)))
 

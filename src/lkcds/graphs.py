@@ -9,7 +9,17 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Container,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 
 class GraphFormatError(ValueError):
@@ -218,14 +228,15 @@ def bfs_layers(
     g: Graph,
     sources: Iterable[int],
     depth_cap: Optional[int] = None,
-    forbidden: Iterable[int] = (),
+    forbidden: Container[int] = (),
 ) -> BFSResult:
     """Multi-source BFS that refuses to expand through forbidden vertices.
 
     Forbidden vertices may still be reached (they get a distance and parent)
     and a forbidden source still expands at depth 0.  This is exactly the
     reachability notion for paths whose interior avoids a blocker set while
-    either endpoint may belong to it.
+    either endpoint may belong to it.  The forbidden vertices are only
+    tested for membership, never copied.
     """
     if depth_cap is not None and depth_cap < 0:
         raise ValueError("radius must be nonnegative")
@@ -233,7 +244,6 @@ def bfs_layers(
     if not srcs:
         raise ValueError("bfs_layers needs at least one source")
     vertex_mask(g, srcs, "source")
-    blocked = set(forbidden)
     dist: Dict[int, int] = {}
     parent: Dict[int, Optional[int]] = {}
     queue: deque = deque()
@@ -246,7 +256,7 @@ def bfs_layers(
         d = dist[u]
         if depth_cap is not None and d >= depth_cap:
             continue
-        if u in blocked and d > 0:
+        if u in forbidden and d > 0:
             continue
         for w in g.adj[u]:
             if w not in dist:

@@ -178,9 +178,10 @@ class LiftResult:
 def lift(g: Graph, inst: KernelInstance, solution: Iterable[int]) -> LiftResult:
     """Translate a kernel solution back to the host graph.
 
-    A kernel whose vertex map leaves the host is refused first, whatever
-    the solution.  Invalid kernel solutions are refused, a vertex outside
-    the kernel by name.  Valid ones map through the vertex relabeling;
+    A kernel whose vertex map leaves the host, or sends two kernel vertices
+    to one host vertex, is refused first, whatever the solution.  Invalid
+    kernel solutions are refused, a vertex outside the kernel by name.
+    Valid ones map through the vertex relabeling;
     within budget the result provably dominates the host, and beyond budget
     it is repaired to stay a valid solution, which cannot change its capped
     value.
@@ -191,6 +192,8 @@ def lift(g: Graph, inst: KernelInstance, solution: Iterable[int]) -> LiftResult:
                 f"[map] sends kernel vertex {v} to {host_v}, outside the host's "
                 f"vertices 0..{g.n - 1}"
             )
+    if len(set(inst.vertex_map)) != len(inst.vertex_map):
+        raise GraphFormatError("vertex map sends two kernel vertices to one host vertex")
     sol = tuple(sorted(set(solution)))
     for v in sol:
         if not 0 <= v < inst.graph.n:

@@ -10,7 +10,7 @@ closure construction exploits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Container, Dict, Iterable, List, Tuple
 
 from .graphs import Graph, bfs_layers, iter_bits, vertex_mask
 
@@ -18,13 +18,17 @@ from .graphs import Graph, bfs_layers, iter_bits, vertex_mask
 Profile = Tuple[Tuple[int, int], ...]
 
 
-def profile(g: Graph, u: int, blockers: Iterable[int], r: int) -> Profile:
-    """Profile of a single vertex, computed by flooding outward from u."""
-    xs = set(blockers)
-    if u in xs:
+def profile(g: Graph, u: int, blockers: Container[int], r: int) -> Profile:
+    """Profile of a single vertex, computed by flooding outward from u.
+
+    The blockers are only tested for membership, never copied, so a caller
+    that profiles many vertices builds one set of them and passes it to
+    every call.
+    """
+    if u in blockers:
         raise ValueError("profiled vertex must lie outside the blocker set")
-    res = bfs_layers(g, [u], depth_cap=r, forbidden=xs)
-    return tuple(sorted((v, d) for v, d in res.dist.items() if v in xs))
+    res = bfs_layers(g, [u], depth_cap=r, forbidden=blockers)
+    return tuple(sorted((v, d) for v, d in res.dist.items() if v in blockers))
 
 
 @dataclass(frozen=True)

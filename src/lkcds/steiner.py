@@ -10,8 +10,10 @@ over the splits of the bundle into two sub-bundles A and B of the masks
 A[i] & B[d - i].  A row ends at cap - 1 edges, or earlier once it stops
 growing and holds every vertex a split can add.  A `SteinerLattice` keeps
 the rows it is asked to keep, so one lattice per closure computes each
-bundle's row once and shares it with every larger bundle; `steiner_exact`
-caps its own lattice at n vertices, which no tree exceeds.
+bundle's row once and shares it with every larger bundle, and the closure
+verifier reads every kept bundle's value in the closure graph off one
+more; `steiner_exact` caps its own lattice at n vertices, which no tree
+exceeds.
 
 Trees are rebuilt by fixed tie-breaks.  Start from the least vertex at the
 least level.  There take the first split, in descending submask order over

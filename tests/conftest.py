@@ -1,10 +1,11 @@
 """The benchmark's host families on the test path, the whole-graph Steiner
-DP twin, the clique-level bundle search twin and the session-wide
-kernelization sweep.
+DP twin, the clique-level bundle search twin, the per-bundle closure
+verifier twin and the session-wide kernelization sweep.
 
 Tier-1 and the benchmark share one copy of the hosts: the generators, the
 suite graphs and the suite instances live in `bench/workloads.py`, which
-this file puts on `sys.path` for every test module."""
+this file puts on `sys.path` for every test module.  It puts `tools/` there
+too, so the closure tests draw the tamperings the kernel digest draws."""
 
 from __future__ import annotations
 
@@ -17,16 +18,18 @@ from typing import List, Union
 import pytest
 from hypothesis import settings
 
-from lkcds.closure import ClosureResult, build_closure
+from lkcds.closure import ClosureReport, ClosureResult, build_closure
 from lkcds.cores import Rejection
-from lkcds.graphs import Graph, Tree, iter_bits, mask_of
+from lkcds.graphs import Graph, Tree, iter_bits, mask_of, tree_problem
 from lkcds.kernel import KernelInstance, KernelParams, kernelize
 from lkcds.oracles import FOUND, INFEASIBLE, NONE_WITHIN_BUDGET
-from lkcds.steiner import SteinerLattice
+from lkcds.projections import classify, profile
+from lkcds.steiner import SteinerLattice, steiner_size
 
-BENCH = str(Path(__file__).resolve().parent.parent / "bench")
-if BENCH not in sys.path:
-    sys.path.insert(0, BENCH)
+ROOT = Path(__file__).resolve().parent.parent
+for folder in ("bench", "tools"):
+    if str(ROOT / folder) not in sys.path:
+        sys.path.insert(0, str(ROOT / folder))
 
 from workloads import SUITE_SEED, build_suite, path_graph, suite_hosts  # noqa: E402
 
@@ -169,6 +172,71 @@ def _dfs_split(rows, bundle, v, d):
                 break
         part = (part - rest) & rest
     return []
+
+
+def verify_closure_per_bundle(g: Graph, closure: ClosureResult) -> ClosureReport:
+    """The report `verify_closure` gave when item 2 copied the blocker set
+    for every terminal and item 3 ran one uncapped Steiner search per kept
+    all-class bundle.
+
+    A test-only copy kept for cross-checks: the reports must agree field
+    for field, on tampered closures too."""
+    item1, item2, item3 = [], [], []
+    xs = closure.blockers_old
+    old2new = {old: new for new, old in enumerate(closure.vertex_map)}
+    for x in xs:
+        if x not in old2new:
+            item1.append(f"blocker {x} missing from the closure")
+    if tuple(old2new.get(x, -1) for x in xs) != closure.blockers_new:
+        item1.append("blocker relabeling is inconsistent")
+    if not item1:
+        cls_host = classify(g, xs, closure.r)
+        for u in closure.terminals:
+            if u not in old2new:
+                item2.append(f"terminal {u} is not a closure vertex")
+                continue
+            if u not in cls_host.class_of:
+                item2.append(f"terminal {u} is a blocker, not a free vertex")
+                continue
+            want = cls_host.classes[cls_host.class_of[u]].profile
+            blockers_new = set(closure.blockers_new)  # a copy per terminal
+            got = profile(closure.graph, old2new[u], blockers_new, closure.r)
+            got = tuple(sorted((closure.vertex_map[x], d) for x, d in got))
+            if want != got:
+                item2.append(f"profile of vertex {u} changed: {want} -> {got}")
+        missing = set(cls_host.representatives).difference(closure.terminals)
+        if missing:
+            item2.append(f"class representatives {sorted(missing)} were not protected")
+    all_class = []
+    for key, tree in closure.kept.items():
+        if len(tree.vertices) > closure.cap:
+            item3.append(f"kept tree {key} exceeds the size cap")
+        problem = tree_problem(g, tree.vertices, tree.edges)
+        if problem is not None:
+            item3.append(f"kept tree {key} {problem}")
+        vs = set(tree.vertices)
+        for i in key:
+            if vs.isdisjoint(closure.groups[i]):
+                item3.append(f"kept tree {key} misses group {i}")
+        if max(key) < closure.class_count:
+            all_class.append((key, tree))
+    if not (item1 or item2 or item3):
+        for key, tree in all_class:
+            prime_groups = []
+            for i in key:
+                members = [old2new[v] for v in closure.groups[i] if v in old2new]
+                if not members:
+                    item3.append(f"group {i} vanished from the closure")
+                    break
+                prime_groups.append(members)
+            else:
+                prime_value = steiner_size(closure.graph, prime_groups)
+                if prime_value != len(tree.vertices):
+                    item3.append(
+                        f"bundle {key}: host tree has {len(tree.vertices)} "
+                        f"vertices but the closure needs {prime_value}"
+                    )
+    return ClosureReport((tuple(item1), tuple(item2), tuple(item3)))
 
 
 def tampered_path5_closure() -> ClosureResult:

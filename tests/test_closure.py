@@ -3,6 +3,7 @@
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -12,8 +13,11 @@ from conftest import (
     SUITE_GRAPHS,
     clique_level_search,
     tampered_path5_closure,
+    verify_closure_per_bundle,
     whole_graph_dp,
 )
+from kernel_digest import tamper_closure
+from lkcds import closure as closure_module
 from lkcds.closure import (
     avoiding_path_tree,
     build_closure,
@@ -23,6 +27,7 @@ from lkcds.closure import (
 )
 from lkcds.domination import greedy_rdom
 from lkcds.graphs import Graph, Tree
+from lkcds.kernel import KernelParams, kernelize
 from lkcds.oracles import FOUND, brute_steiner
 from lkcds.projections import classify, profile
 from lkcds.steiner import steiner_size
@@ -118,6 +123,81 @@ def test_verify_closure_reports_each_tampered_item(tamper, problems):
     g = path_graph(5)
     rep = verify_closure(g, tamper(build_closure(g, [2], 1, 2)))
     assert rep.problems == problems
+
+
+@pytest.mark.parametrize(
+    "host, blockers, pair, needs",
+    [
+        # path-5 around 2: without the edge (0, 1) the classes {0, 4} and
+        # {1, 3} meet in no component of the closure
+        (Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)]), [2], (0, 1), None),
+        # a triangle 0, 1, 2 with 3 hung off 2, around 1 and 3: without the
+        # edge (0, 2) the classes {0} and {2} still meet through blocker 1
+        (Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)]), [1, 3], (0, 2), 3),
+    ],
+    ids=["no-tree", "longer-tree"],
+)
+def test_verify_closure_words_a_bundle_beyond_the_cap(host, blockers, pair, needs):
+    # a cap-2 closure that loses the edge of its kept pair tree needs more
+    # than the cap, so the capped lattice finds no tree and the uncapped
+    # search words the problem with the closure's value
+    clo = build_closure(host, blockers, 1, 1)
+    assert clo.cap == 2 and clo.kept[(0, 1)] == Tree(pair, (pair,))
+    old2new = {old: new for new, old in enumerate(clo.vertex_map)}
+    cut = tuple(sorted(old2new[v] for v in pair))
+    edges = [e for e in clo.graph.edges() if e != cut]
+    bent = replace(clo, graph=Graph.from_edges(clo.graph.n, edges))
+    assert verify_closure(host, bent).problems == (
+        f"item3: bundle (0, 1): host tree has 2 vertices but the closure needs {needs}",
+    )
+
+
+def test_a_passing_verify_makes_no_uncapped_steiner_search():
+    # a thousand-vertex host: every kept all-class bundle is proved by the
+    # capped lattice alone
+    g = random_connected(1000, 100, 1000)
+    out = kernelize(g, KernelParams(len(greedy_rdom(g, 2)), 2, 11))
+    assert out.closure is not None and len(out.closure.kept) > 100
+
+    def refuse(*args):
+        raise AssertionError("uncapped Steiner search on a closure that verifies")
+
+    with mock.patch.object(closure_module, "steiner_size", refuse):
+        assert verify_closure(g, out.closure).ok
+
+
+@st.composite
+def tampered_closure_cases(draw):
+    """A random graph of at most 12 vertices, often disconnected, with up
+    to 4 blockers, a radius, a t whose cap is 2 to 5, and a seed for the
+    tamperings."""
+    n = draw(st.integers(1, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    g = Graph.from_edges(n, [e for e in pairs if draw(st.integers(0, 9)) < 3])
+    blockers = draw(st.lists(st.integers(0, n - 1), max_size=4, unique=True))
+    r = draw(st.integers(1, 2))
+    t = draw(st.sampled_from([1, Fraction(3, 2), 2, Fraction(5, 2)]))
+    return g, blockers, r, t, draw(st.randoms(use_true_random=False))
+
+
+@given(tampered_closure_cases())
+@settings(max_examples=200)
+def test_verify_closure_matches_the_per_bundle_twin(case):
+    # the capped lattice and the shared blocker set give the report of one
+    # uncapped search per bundle, field for field, and run an uncapped
+    # search only to word a bundle's problem
+    g, blockers, r, t, rng = case
+    clo = tamper_closure(g, build_closure(g, blockers, r, t), rng)
+    calls = []
+
+    def counted(graph, groups):
+        calls.append(groups)
+        return steiner_size(graph, groups)
+
+    with mock.patch.object(closure_module, "steiner_size", counted):
+        report = verify_closure(g, clo)
+    assert report == verify_closure_per_bundle(g, clo)
+    assert len(calls) == sum("the closure needs" in p for p in report.problems)
 
 
 def test_closure_contains_blockers_and_reps():

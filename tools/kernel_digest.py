@@ -68,7 +68,12 @@ the line was added have too.  A `closures` line hashes the edges, the vertex map
 vertices, often disconnected, with 5% to 90% of the vertices blocked,
 r from 1 to 3 and t = 1 or 3/2, so that it reads the retained paths at
 radii and blocker densities the workloads barely reach; it too reads
-only names that older checkouts have.  A `pipeline` line hashes each
+only names that older checkouts have.  A `verify` line hashes the
+`verify_closure` problems on closures of seeded random hosts of 1 to 20
+vertices, often disconnected, with up to half of the vertices blocked,
+r = 1 and 2 and t from 1 to 5/2, each tampered by `tamper_closure`, so
+that it pins the verifier's failure messages, which no workload reaches;
+it reads only names that older checkouts have.  A `pipeline` line hashes each
 serialized kernel or rejection reason of `kernelize` on seeded random
 forests with chords of 1 to 12 vertices, about half of them
 disconnected, in both core modes, at k from 0 to 3, r = 1 and 2 and
@@ -101,7 +106,8 @@ reachability set, stitching result or subgraph changes, the `bundle-trees`
 line when a kept tree or a closure stat at a cap of 5 to 8 changes, the
 `profiles` line when a profile class or a vertex's class changes, the
 `closures` line when a closure graph, its vertex map or its blocker ids
-change, the `pipeline` line when a kernel or a rejection reason on a
+change, the `verify` line when a verifier problem or its wording changes,
+the `pipeline` line when a kernel or a rejection reason on a
 small host changes, and the `connect` line when a stitching result on
 hosts of ladder size changes.
 The `demos` line moves when a demo is added, removed or prints anything
@@ -416,6 +422,65 @@ def bundle_lines(seed: int) -> Tuple[List[str], List[str]]:
     return lines, counts
 
 
+def tamper_closure(g, clo, rng: random.Random):
+    """The closure with each of three tamperings applied with probability 1/2:
+    one closure edge that is not between two blockers dropped, one kept
+    all-class tree replaced by the host tree with one more vertex, a leaf,
+    and one terminal dropped.  The closure tests draw the same tamperings."""
+    from dataclasses import replace
+
+    from lkcds.graphs import Graph, Tree
+
+    blockers = set(clo.blockers_new)
+    edges = list(clo.graph.edges())
+    free_edges = [e for e in edges if not blockers.issuperset(e)]
+    if free_edges and rng.random() < 0.5:
+        drop = rng.choice(free_edges)
+        kept_edges = [e for e in edges if e != drop]
+        clo = replace(clo, graph=Graph.from_edges(clo.graph.n, kept_edges))
+    all_class = [key for key in clo.kept if max(key) < clo.class_count]
+    if all_class and rng.random() < 0.5:
+        key = rng.choice(all_class)
+        tree = clo.kept[key]
+        leaves = [
+            (v, w) for v in tree.vertices for w in g.adj[v] if w not in tree.vertices
+        ]
+        if leaves:
+            v, w = rng.choice(leaves)
+            bigger = Tree(
+                tuple(sorted(tree.vertices + (w,))),
+                tuple(sorted(tree.edges + ((min(v, w), max(v, w)),))),
+            )
+            clo = replace(clo, kept={**clo.kept, key: bigger})
+    if clo.terminals and rng.random() < 0.5:
+        drop = rng.choice(clo.terminals)
+        clo = replace(clo, terminals=tuple(u for u in clo.terminals if u != drop))
+    return clo
+
+
+VERIFY_HOSTS = 200  # random tampered closures per seed
+VERIFY_TS = (1, Fraction(3, 2), 2, Fraction(5, 2))
+
+
+def verify_lines(seed: int) -> List[str]:
+    """`verify_closure` problems on tampered closures of seeded random hosts."""
+    from lkcds.closure import build_closure, verify_closure
+    from lkcds.graphs import Graph
+
+    rng = random.Random(seed)
+    lines = []
+    for _ in range(VERIFY_HOSTS):
+        n = rng.randint(1, 20)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        density = rng.choice((0.1, 0.2, 0.35))
+        g = Graph.from_edges(n, [e for e in pairs if rng.random() < density])
+        blockers = rng.sample(range(n), rng.randint(0, n // 2))
+        r, t = rng.randint(1, 2), rng.choice(VERIFY_TS)
+        clo = tamper_closure(g, build_closure(g, blockers, r, t), rng)
+        lines.append(repr(verify_closure(g, clo).problems))
+    return lines
+
+
 PROFILE_HOSTS = 200  # random classification hosts per seed
 
 
@@ -559,6 +624,7 @@ def digest_lines(checkout: Path, seeds: List[int]) -> Iterator[str]:
         ("bundle-counts", "hosts", BUNDLE_HOSTS, lambda s: bundle_lines(s)[1]),
         ("profiles", "hosts", PROFILE_HOSTS, profile_lines),
         ("closures", "hosts", CLOSURE_HOSTS, closure_lines),
+        ("verify", "hosts", VERIFY_HOSTS, verify_lines),
         ("pipeline", "hosts", PIPELINE_HOSTS, pipeline_lines),
         ("connect", "hosts", CONNECT_HOSTS, lambda s: connect_lines(s, workloads)),
     )
