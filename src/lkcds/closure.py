@@ -135,7 +135,6 @@ def build_closure(
     pairs = len(groups) * (len(groups) - 1) // 2
     pruned_pairs = pairs - sum(c.bit_count() for c in compat) // 2
 
-    candidates = len(level)
     for size in range(2, min(cap, len(groups)) + 1):
         grown = []
         for key, bundle, row, cand in level:
@@ -150,7 +149,6 @@ def build_closure(
                     cand_j = cand & compat[j] & -(2 << j)
                     grown.append((key + (j,), bigger, bigger_row, cand_j))
         level = grown
-        candidates += len(level)
     kept = dict(sorted(kept.items()))  # by key, not by the visiting order
 
     terminals = tuple(
@@ -176,7 +174,7 @@ def build_closure(
         "classes": class_count,
         "groups": len(groups),
         "pruned_pairs": pruned_pairs,
-        "candidate_subsets": candidates,
+        "candidate_subsets": len(kept),
         "kept_trees": len(kept),
         "terminals": len(terminals),
     }

@@ -414,9 +414,9 @@ def parse_kernel(text: str) -> KernelInstance:
             raise GraphFormatError(f"missing section [{required}]")
     graph = parse_graph("\n".join(sections["graph"]))
     zlines = [ln for ln in sections["Z"] if ln.strip()]
-    if len(zlines) > 1:
+    if len(zlines) != 1:
         raise GraphFormatError(f"[Z] holds {len(zlines)} lines, not one")
-    zline = zlines[0] if zlines else ""
+    zline = zlines[0]
     try:
         annotated = tuple(int(v) for v in zline.split())
     except ValueError:

@@ -19,12 +19,7 @@ from pathlib import Path
 from conftest import SUITE_GRAPHS
 from lkcds.closure import build_closure, check_translation, verify_closure
 from lkcds.cores import Rejection, connected_core, find_core
-from lkcds.domination import (
-    check_covering_family,
-    connect,
-    dominates,
-    greedy_rdom,
-)
+from lkcds.domination import check_covering_family, connect, dominates
 from lkcds.graphs import bfs_layers, induced_subgraph
 from lkcds.hardness import BACKWARD_ONLY, hardness_instance, hardness_sweep, random_setcover
 from lkcds.kernel import certify_ratio, kernelize, params_from, replay_split
@@ -32,7 +27,6 @@ from lkcds.oracles import (
     brute_cds,
     brute_ds,
     brute_steiner,
-    exact_acds,
     exact_cds,
     exact_ds,
     split_avoiding_distances,
@@ -53,23 +47,11 @@ def verdict(num: int, label: str, ok: bool) -> None:
     print(f"[criterion {num:2d}] {label}: {'PASS' if ok else 'FAIL'}")
 
 
-def kernel_solution_for(record):
-    """Capped optimum when one exists, otherwise a repaired greedy answer."""
-    inst = record.instance
-    r, k = inst.params.r, inst.params.k
-    res = exact_acds(inst.graph, inst.annotated, r, k)
-    if res.found:
-        return res.solution
-    if inst.graph.is_connected():
-        seeds = greedy_rdom(inst.graph, r, targets=inst.annotated)
-        if seeds:
-            return connect(inst.graph, seeds, inst.graph.n).connected
-    res = exact_acds(inst.graph, inst.annotated, r, inst.graph.n)
-    assert res.found, "kernel lost feasibility"
-    return res.solution
-
-
 def test_criterion_01_kernel_soundness_suite(pipeline_suite):
+    # the benchmark's kernel solver; imported here, as importing bench/run.py
+    # turns off bytecode writing for the rest of the interpreter
+    from run import kernel_solution
+
     started = time.monotonic()
     checked = 0
     for rec in pipeline_suite:
@@ -77,7 +59,7 @@ def test_criterion_01_kernel_soundness_suite(pipeline_suite):
             # a rejection must be truthful: no budget solution exists
             assert not exact_cds(rec.graph, rec.params.r, rec.params.k).found
             continue
-        cert = certify_ratio(rec.graph, rec.instance, kernel_solution_for(rec))
+        cert = certify_ratio(rec.graph, rec.instance, kernel_solution(rec.instance))
         assert cert.ok, (rec.name, rec.params, cert)
         checked += 1
     elapsed = time.monotonic() - started

@@ -147,6 +147,7 @@ def test_lift_refuses_a_bent_kernel_without_traceback(capsys, tmp_path, c6_file)
     [
         ("[map]\n0 0\n", "[map]\n0 7\n0 0\n", "[map] repeats the kernel vertex 0"),
         ("[Z]\n0 1", "[Z]\n0 0 1", "[Z] repeats the vertex 0"),
+        ("[Z]\n0 1 2 3 4 5\n", "[Z]\n\n", "[Z] holds 0 lines, not one"),
         ("[params]\n", "[extra]\n[params]\n", "unknown section [extra]"),
         ("alpha 7\n", "alpha 1/0\n",
          "bad parameter block: approximation factor 1/0 has a zero denominator"),
@@ -156,7 +157,8 @@ def test_lift_refuses_a_bent_kernel_without_traceback(capsys, tmp_path, c6_file)
         ("\n5 5\n", "\n5 9\n",
          "[map] sends kernel vertex 5 to 9, outside the host's vertices 0..5"),
     ],
-    ids=["map", "Z", "section", "alpha-zero", "no-mode", "unknown-key", "map-host"],
+    ids=["map", "Z", "empty-Z", "section", "alpha-zero", "no-mode", "unknown-key",
+         "map-host"],
 )
 def test_lift_refuses_a_kernel_file_it_would_merge(
     capsys, tmp_path, c6_file, old, new, message

@@ -406,9 +406,9 @@ def test_parse_kernel_errors():
     first = zline.split()[0]
     with pytest.raises(GraphFormatError, match=rf"\[Z\] repeats the vertex {first}"):
         parse_kernel(text.replace(f"[Z]\n{zline}\n", f"[Z]\n{first} {zline}\n"))
-    # [Z] is one line: a second one is refused, not dropped
-    for extra in (f"0\n{zline}", f"{zline}\n0"):
-        with pytest.raises(GraphFormatError, match=r"\[Z\] holds 2 lines"):
+    # [Z] is one line: a second one is refused, not dropped, and so is none
+    for extra, count in ((f"0\n{zline}", 2), (f"{zline}\n0", 2), ("", 0), (" ", 0)):
+        with pytest.raises(GraphFormatError, match=rf"\[Z\] holds {count} lines"):
             parse_kernel(text.replace(f"[Z]\n{zline}\n", f"[Z]\n{extra}\n"))
     assert parse_kernel(text.replace("[Z]\n", "[Z]\n\n")).annotated == inst.annotated
     # each section's keys are its own, and none may repeat

@@ -1,129 +1,40 @@
-"""Digest every kernel the benchmark workloads produce, to compare two checkouts.
+"""Digest every kernel, oracle answer and closure this repository produces.
 
-    python3 tools/kernel_digest.py <checkout> [seeds...]
-    python3 tools/kernel_digest.py --check
+    python3 tools/kernel_digest.py            # print the digest at seeds 1 2 3
+    python3 tools/kernel_digest.py --check    # compare it with the committed file
 
-`reports/kernel_digest.txt` holds this repository's digest at seeds 1 2 3,
-as `python3 tools/kernel_digest.py . > reports/kernel_digest.txt` writes
-it.  `--check` reruns the digest on this repository at those seeds, names
-each line that moved with its expected and current text, and exits 1 if
-any did, 0 otherwise.  A change that moves a line rewrites the file, so
-the move shows in its diff.  It takes about half a minute.
+`reports/kernel_digest.txt` holds the printed digest.  `--check` reruns it
+(about half a minute), names each line that moved, is new or is missing,
+and exits 1 if any did, 0 otherwise.  A change that moves a line rewrites
+the file, so the move shows in its diff.  Each line is a count and the
+sha256 of what one function returns at each seed, and that function's
+docstring says what it hashes: `instance_lines` and `lift_lines` for the
+three lines of each workload in `bench/workloads.py`, and the `*_lines`
+function of the label's name for the others:
 
-Imports `<checkout>/src`, `<checkout>/bench/workloads.py` and
-`<checkout>/bench/run.py` (none is edited) and kernelizes every instance
-of every workload at each seed (default 1 2 3).  For each workload it
-prints four lines, each with the instance count and a sha256:
+- `<workload> kernel`: cores, kernels and the oracle answers verdicts read
+- `<workload> closure-trees`: closure stats, kept trees and verifier verdicts
+- `<workload> lift`: lifted kernel solutions and certificates
+- `cover`: the set-cover oracles
+- `cds`: the connected-cover oracles
+- `steiner`: uncapped Steiner values and capped lattice trees
+- `graphs`: distances, balls, components, orders, stitching, subgraphs
+- `bundle-trees`: closures that search bundles of 5 to 8 groups
+- `profiles`: profile classes
+- `closures`: closure graphs, vertex maps and blocker ids
+- `verify`: the verifier's problems on tampered closures
+- `pipeline`: `kernelize` on small, often disconnected hosts
+- `connect`: stitching on ladder-scale hosts
+- `demos`: the output of every script in `demos/`
 
-- `kernel`: per instance, the `find_core` result in the workload's core
-  mode (the core vertices or the rejection reason), `serialize_kernel` or
-  the rejection reason, and, on the workloads whose verdict certifies, the
-  results of the exact oracles the verdict reads: `exact_cds` on every
-  host of at most `EXACT_N_LIMIT` vertices (the size up to which
-  `bench/run.py` re-solves rejections) and `exact_acds` on every accepted
-  kernel;
-- `closure-trees`: per accepted closure kernel, the closure stats but
-  the search counts, the kept trees and the `verify_closure` result;
-- `closure-counts`: per accepted closure kernel, the search counts alone,
-  the stats named in `SEARCH_STATS` that the closure reports;
-- `lift`: per accepted kernel, the `lift` result on the kernel solution
-  the bench's lift verdict builds (greedy, stitched by `connect`), and, on
-  the workloads whose verdict certifies, the `certify_ratio` values
-  (lifted and optimal host values, kernel values, both sides and the
-  verdict) on the kernel solution that verdict submits.
-
-A `cover` line hashes the set-cover oracles alone: `exact_ds`,
-`exact_setcover` and `cover_exists` on seeded random graphs and set
-systems, with no budget and with node budgets small enough to run out.
-A `cds` line hashes the connected-cover oracles alone: the status,
-solution and value of `exact_cds` and `exact_acds` (on a random target
-subset) on seeded random forests with chords of 1 to 14 vertices, some
-disconnected, with r from 1 to 3 and k from 0 to n, with no budget and
-with node budgets small enough to run out; it reads only names that
-older checkouts have.
-A `steiner` line hashes, on seeded random group systems of up to 8
-groups, some on disconnected hosts, the uncapped `steiner_size` and, for
-every cap from 1 to 5, the tree (or None) that a `SteinerLattice` of that
-cap rebuilds for the whole bundle after keeping the row of every proper
-sub-bundle, as `build_closure` keeps them.  A `graphs` line
-hashes the graph primitives the other lines reach only in part, on
-seeded random graphs of 0 to 16 vertices, often disconnected: the
-`dist_row` of every vertex, `balls` at radius 0 to 3, `component_masks`,
-the `heuristic_order` of each kind with its `wreach` sets at radius 0 to
-3, `connect` on random seed sets, the rows and parents of
-`induced_subgraph` on a random vertex subset, and the rows of `Graph`
-built from the graph's rows shuffled, with repeated neighbours; it reads
-only names that older checkouts have.  A `bundle-trees` line hashes the
-stats but the search counts and the kept trees of `build_closure` on
-seeded random hosts of at most 12 vertices, often disconnected, with 0 to
-4 blockers, r = 1 and 2 and t = 5/2, 3 or 4, so that bundles of 5 to 8
-groups, which no workload reaches, are searched; a `bundle-counts` line
-hashes the search counts of the same closures.  A `profiles` line hashes
-the classes (profile and members) and the class map of `classify` on
-seeded random hosts of 1 to 40 vertices, often disconnected, with
-blocker sets from empty to every vertex and r from 0 to 3.  It reads
-only `classify`, `classes` and `class_of`, which checkouts from before
-the line was added have too.  A `closures` line hashes the edges, the vertex map and
-`blockers_new` of `build_closure` on seeded random hosts of 1 to 40
-vertices, often disconnected, with 5% to 90% of the vertices blocked,
-r from 1 to 3 and t = 1 or 3/2, so that it reads the retained paths at
-radii and blocker densities the workloads barely reach; it too reads
-only names that older checkouts have.  A `verify` line hashes the
-`verify_closure` problems on closures of seeded random hosts of 1 to 20
-vertices, often disconnected, with up to half of the vertices blocked,
-r = 1 and 2 and t from 1 to 5/2, each tampered by `tamper_closure`, so
-that it pins the verifier's failure messages, which no workload reaches;
-it reads only names that older checkouts have.  A `pipeline` line hashes each
-serialized kernel or rejection reason of `kernelize` on seeded random
-forests with chords of 1 to 12 vertices, about half of them
-disconnected, in both core modes, at k from 0 to 3, r = 1 and 2 and
-alpha = 4r+3 and 2(4r+3), so that it reaches the rejection of a
-disconnected host, which no workload does; it reads only `kernelize`,
-`KernelParams`, `serialize_kernel` and `Rejection`.  A `connect` line
-hashes `connect` on ladder-scale hosts, sparse random graphs of 100 to
-300 vertices relabelled as the `ladder` workload builds them: the
-heuristic core at r = 1 and 2 stitched with stretch 2r, and the greedy
-r-dominating set at r = 1 and 2 stitched with stretch n.  A `demos`
-line, printed once whatever the seeds, hashes the name, exit code and
-stdout of every `<checkout>/demos/*.py`, each run in a child
-interpreter with `<checkout>/src` on `PYTHONPATH`.
-
-Two checkouts that print the same `kernel` lines produce identical cores,
-byte-identical kernels and identical oracle answers on those instances;
-the `closure-trees` lines add the closures and the verifier verdicts,
-which a change to the kept trees or to the stats may move while every
-kernel stays the same, and the `lift` lines the lifted solutions and the
-certificates.  A change to how the bundle search visits bundles that
-keeps the same trees, such as which candidates it builds rows for, moves
-only the `closure-counts` and `bundle-counts` lines, and the `demos` line,
-as `closure_anatomy.py` prints every closure stat.  The `cover` line
-moves when a change to the set-cover search changes an answer or where a
-budget runs out, the `cds` line when a change to the connected-cover
-search changes an answer or where a budget runs out, and the `steiner`
-line when a change to the Steiner search changes a status or a tree.
-The `graphs` line moves when a distance, ball, component, order, weak
-reachability set, stitching result or subgraph changes, the `bundle-trees`
-line when a kept tree or a closure stat at a cap of 5 to 8 changes, the
-`profiles` line when a profile class or a vertex's class changes, the
-`closures` line when a closure graph, its vertex map or its blocker ids
-change, the `verify` line when a verifier problem or its wording changes,
-the `pipeline` line when a kernel or a rejection reason on a
-small host changes, and the `connect` line when a stitching result on
-hosts of ladder size changes.
-The `demos` line moves when a demo is added, removed or prints anything
-different.
-
-Every tree, a kept tree of a closure or the tree of a capped lattice, is
-hashed as its `(vertices, edges)` tuple rather than as the `repr` of its
-record, so renaming the record class moves no line.
+Every tree is hashed as its `(vertices, edges)` tuple rather than as the
+`repr` of its record, so renaming the record class moves no line.
 Standard library only.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
-import importlib.util
 import itertools
 import os
 import random
@@ -131,31 +42,32 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 
 REPO = Path(__file__).resolve().parents[1]
-EXPECTED = REPO / "reports" / "kernel_digest.txt"  # the digest of REPO at CHECK_SEEDS
-CHECK_SEEDS = [1, 2, 3]
+EXPECTED = REPO / "reports" / "kernel_digest.txt"  # the digest of REPO at SEEDS
+SEEDS = (1, 2, 3)
+USAGE = "usage: python3 tools/kernel_digest.py [--check]"
 
 
-def load_bench_module(checkout: Path, name: str):
-    path = checkout / "bench" / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return module
+def random_graph(rng: random.Random, n: int, density: float):
+    """A graph on n vertices that joins each pair with probability density."""
+    from lkcds.graphs import Graph
+
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return Graph.from_edges(n, [e for e in pairs if rng.random() < density])
 
 
-def load_workloads(checkout: Path):
-    sys.path.insert(0, str(checkout / "src"))
-    module = load_bench_module(checkout, "workloads")
-    import lkcds
+def random_forest(rng: random.Random, n: int, odds: int, chords: int):
+    """A random forest on n vertices plus up to `chords` random chords; about
+    one vertex in `odds` starts a new tree, so some are disconnected."""
+    from lkcds.graphs import Graph
 
-    if Path(lkcds.__file__).resolve().parents[1] != checkout / "src":
-        raise SystemExit(f"imported {lkcds.__file__}, not the checkout's lkcds")
-    return module
+    edges = {(rng.randrange(v), v) for v in range(1, n) if rng.randrange(odds)}
+    for _ in range(rng.randint(0, chords)):
+        edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    return Graph.from_edges(n, sorted(edges))
 
 
 CERT_FIELDS = (  # the certificate values, not its alpha
@@ -163,10 +75,12 @@ CERT_FIELDS = (  # the certificate values, not its alpha
 )
 
 
-def lift_lines(item, inst, certify: bool, bench_run) -> List[str]:
-    """Lifted greedy kernel solutions and, when certifying, the certificate."""
+def lift_lines(item, inst, certify: bool) -> List[str]:
+    """The lifted greedy-and-`connect` kernel solution and, when certifying,
+    the certificate of the solution the bench's `kernel_solution` submits."""
     from lkcds.domination import ContractViolation, connect, greedy_rdom
     from lkcds.kernel import certify_ratio, lift
+    from run import kernel_solution
 
     kg, r = inst.graph, item.params.r
     try:
@@ -175,41 +89,44 @@ def lift_lines(item, inst, certify: bool, bench_run) -> List[str]:
     except (ContractViolation, ValueError) as exc:
         lines = [f"{type(exc).__name__}: {exc}"]
     if certify:
-        cert = certify_ratio(item.graph, inst, bench_run.kernel_solution(inst))
+        cert = certify_ratio(item.graph, inst, kernel_solution(inst))
         lines.append(repr([getattr(cert, f) for f in CERT_FIELDS]))
     return lines
 
 
-def instance_lines(item, certify: bool, bench_run) -> Tuple[List[str], ...]:
-    """The kernel, closure tree, closure count and lift lines of one instance."""
+def instance_lines(item, certify: bool) -> Tuple[List[str], List[str], List[str]]:
+    """The kernel, closure tree and lift lines of one workload instance: the
+    core, the kernel or rejection and, when certifying, the exact optima the
+    verdict reads; a closure's stats but the search count, its kept trees
+    and its `verify_closure` result."""
     from lkcds.closure import verify_closure
     from lkcds.cores import Rejection, find_core
     from lkcds.kernel import kernelize, serialize_kernel
     from lkcds.oracles import exact_acds, exact_cds
+    from run import EXACT_N_LIMIT
 
     out = kernelize(item.graph, item.params, core_mode=item.core_mode)
     r, k = item.params.r, item.params.k
-    kernel = [f"{item.name} {item.params}"]
+    name = f"{item.name} {item.params}"
+    kernel = [name]
     core = find_core(item.graph, k, r, item.core_mode)
     if isinstance(core, Rejection):
         kernel.append(f"core rejected: {core.reason}")
     else:
         kernel.append(f"core: {core.vertices}")
-    if certify and item.graph.n <= bench_run.EXACT_N_LIMIT:
+    if certify and item.graph.n <= EXACT_N_LIMIT:
         kernel.append(repr(exact_cds(item.graph, r, k)))
     if isinstance(out, Rejection):
-        return kernel + [f"rejected: {out.reason}"], [], [], []
+        return kernel + [f"rejected: {out.reason}"], [], []
     kernel.append(serialize_kernel(out))
     if certify:
         kernel.append(repr(exact_acds(out.graph, out.annotated, r, k)))
-    lifts = [f"{item.name} {item.params}", *lift_lines(item, out, certify, bench_run)]
+    lifts = [name, *lift_lines(item, out, certify)]
     if out.closure is None:
-        return kernel, [], [], lifts
-    report = verify_closure(item.graph, out.closure)
-    stats, counts = split_stats(out.closure.stats)
-    name = f"{item.name} {item.params}"
-    trees = [name, stats, kept_repr(out.closure.kept), repr((report.ok, report.problems))]
-    return kernel, trees, [name, counts], lifts
+        return kernel, [], lifts
+    clo, report = out.closure, verify_closure(item.graph, out.closure)
+    verdict = repr((report.ok, report.problems))
+    return kernel, [name, stats_repr(clo.stats), kept_repr(clo.kept), verdict], lifts
 
 
 def tree_tuple(tree) -> Optional[Tuple]:
@@ -217,18 +134,9 @@ def tree_tuple(tree) -> Optional[Tuple]:
     return None if tree is None else (tree.vertices, tree.edges)
 
 
-# the stats that count the bundle search's work rather than describe its
-# result; a checkout reports those of them it has
-SEARCH_STATS = ("candidate_subsets", "dropped_subsets")
-
-
-def split_stats(stats) -> Tuple[str, str]:
-    """The closure stats but the search counts, and the search counts, each sorted."""
-    items = sorted(stats.items())
-    return (
-        repr([item for item in items if item[0] not in SEARCH_STATS]),
-        repr([item for item in items if item[0] in SEARCH_STATS]),
-    )
+def stats_repr(stats) -> str:
+    """The closure stats, sorted, but the search count `candidate_subsets`."""
+    return repr(sorted(item for item in stats.items() if item[0] != "candidate_subsets"))
 
 
 def kept_repr(kept) -> str:
@@ -248,16 +156,13 @@ COVER_BUDGETS = (None, 5, 30, 200)
 
 def cover_lines(seed: int) -> List[str]:
     """Set-cover oracle answers on seeded random inputs, with and without budgets."""
-    from lkcds.graphs import Graph
     from lkcds.oracles import SetCoverInstance, cover_exists, exact_ds, exact_setcover
 
     rng = random.Random(seed)
     lines = []
     for _ in range(COVER_QUERIES):
         n = rng.randint(1, 12)
-        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        density = rng.choice((0.15, 0.3, 0.5))
-        g = Graph.from_edges(n, [e for e in pairs if rng.random() < density])
+        g = random_graph(rng, n, rng.choice((0.15, 0.3, 0.5)))
         r, k = rng.randint(1, 3), rng.randint(0, n)
         size = rng.randint(0, 10)
         sets = tuple(
@@ -280,20 +185,15 @@ CDS_BUDGETS = (None, 5, 20, 100)  # and one drawn from 0 to 200 per query
 
 
 def cds_lines(seed: int) -> List[str]:
-    """Connected-cover oracle answers on seeded random graphs, with and without budgets."""
-    from lkcds.graphs import Graph
+    """`exact_cds` and `exact_acds` answers on seeded random forests with
+    chords, with and without budgets."""
     from lkcds.oracles import exact_acds, exact_cds
 
     rng = random.Random(seed)
     lines = []
     for _ in range(CDS_QUERIES):
-        # a random forest plus a few chords; about one vertex in sixteen
-        # starts a new tree, so some graphs are disconnected
         n = rng.randint(1, 14)
-        edges = {(rng.randrange(v), v) for v in range(1, n) if rng.randrange(16)}
-        for _ in range(rng.randint(0, n // 2)):
-            edges.add(tuple(sorted(rng.sample(range(n), 2))))
-        g = Graph.from_edges(n, sorted(edges))
+        g = random_forest(rng, n, 16, n // 2)
         r, k = rng.randint(1, 3), rng.randint(0, n)
         annotated = rng.sample(range(n), rng.randint(0, n))
         for budget in (*CDS_BUDGETS, rng.randint(0, 200)):
@@ -322,17 +222,14 @@ def capped_tree(g, groups, cap: int):
 
 def steiner_lines(seed: int) -> List[str]:
     """Uncapped Steiner values and capped lattice trees on seeded random group systems."""
-    from lkcds.graphs import Graph
     from lkcds.steiner import steiner_size
 
     rng = random.Random(seed)
     lines = []
     for _ in range(STEINER_QUERIES):
         n = rng.randint(1, 14)
-        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         # the sparsest hosts are often disconnected
-        density = rng.choice((0.1, 0.2, 0.35))
-        g = Graph.from_edges(n, [e for e in pairs if rng.random() < density])
+        g = random_graph(rng, n, rng.choice((0.1, 0.2, 0.35)))
         order = rng.sample(range(n), n)
         gc = rng.randint(1, min(8, n))
         groups = [[v] for v in order[:gc]]
@@ -353,16 +250,13 @@ ORDER_KINDS = ("degeneracy", "bfs", "random")
 def graph_lines(seed: int) -> List[str]:
     """Distances, balls, components, orders and stitching on seeded random graphs."""
     from lkcds.domination import ContractViolation, connect
-    from lkcds.graphs import Graph
     from lkcds.orders import heuristic_order
 
     rng = random.Random(seed)
     lines = []
     for query in range(GRAPH_QUERIES):
         n = rng.randint(0, 16) if query else 0
-        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        density = rng.choice((0.1, 0.2, 0.35))
-        g = Graph.from_edges(n, [e for e in pairs if rng.random() < density])
+        g = random_graph(rng, n, rng.choice((0.1, 0.2, 0.35)))
         lines.append(repr([g.dist_row(v) for v in range(n)]))
         lines.append(repr([g.balls(r) for r in range(4)]))
         lines.append(repr(g.component_masks()))
@@ -399,27 +293,21 @@ BUNDLE_HOSTS = 100  # random closure hosts per seed
 BUNDLE_TS = (Fraction(5, 2), 3, 4)
 
 
-@functools.lru_cache(maxsize=None)
-def bundle_lines(seed: int) -> Tuple[List[str], List[str]]:
-    """`build_closure` stats and kept trees, and apart from them the search
-    counts, at caps 5 to 8 on seeded random hosts."""
+def bundle_lines(seed: int) -> List[str]:
+    """`build_closure` stats but the search count, and kept trees, at caps 5
+    to 8 on seeded random hosts."""
     from lkcds.closure import build_closure
-    from lkcds.graphs import Graph
 
     rng = random.Random(seed)
-    lines, counts = [], []
+    lines = []
     for _ in range(BUNDLE_HOSTS):
         n = rng.randint(1, 12)
-        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        density = rng.uniform(0.1, 0.4)
-        g = Graph.from_edges(n, [e for e in pairs if rng.random() < density])
+        g = random_graph(rng, n, rng.uniform(0.1, 0.4))
         blockers = rng.sample(range(n), rng.randint(0, min(4, n)))
         r, t = rng.randint(1, 2), rng.choice(BUNDLE_TS)
         clo = build_closure(g, blockers, r, t)
-        stats, searched = split_stats(clo.stats)
-        lines += [stats, kept_repr(clo.kept)]
-        counts.append(searched)
-    return lines, counts
+        lines += [stats_repr(clo.stats), kept_repr(clo.kept)]
+    return lines
 
 
 def tamper_closure(g, clo, rng: random.Random):
@@ -465,15 +353,12 @@ VERIFY_TS = (1, Fraction(3, 2), 2, Fraction(5, 2))
 def verify_lines(seed: int) -> List[str]:
     """`verify_closure` problems on tampered closures of seeded random hosts."""
     from lkcds.closure import build_closure, verify_closure
-    from lkcds.graphs import Graph
 
     rng = random.Random(seed)
     lines = []
     for _ in range(VERIFY_HOSTS):
         n = rng.randint(1, 20)
-        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        density = rng.choice((0.1, 0.2, 0.35))
-        g = Graph.from_edges(n, [e for e in pairs if rng.random() < density])
+        g = random_graph(rng, n, rng.choice((0.1, 0.2, 0.35)))
         blockers = rng.sample(range(n), rng.randint(0, n // 2))
         r, t = rng.randint(1, 2), rng.choice(VERIFY_TS)
         clo = tamper_closure(g, build_closure(g, blockers, r, t), rng)
@@ -486,16 +371,13 @@ PROFILE_HOSTS = 200  # random classification hosts per seed
 
 def profile_lines(seed: int) -> List[str]:
     """`classify` classes and class map on seeded random hosts and blocker sets."""
-    from lkcds.graphs import Graph
     from lkcds.projections import classify
 
     rng = random.Random(seed)
     lines = []
     for _ in range(PROFILE_HOSTS):
         n = rng.randint(1, 40)
-        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        density = rng.choice((0.03, 0.08, 0.15, 0.3))
-        g = Graph.from_edges(n, [e for e in pairs if rng.random() < density])
+        g = random_graph(rng, n, rng.choice((0.03, 0.08, 0.15, 0.3)))
         blockers = rng.sample(range(n), rng.randint(0, n))
         cls = classify(g, blockers, rng.randint(0, 3))
         lines.append(repr([(c.profile, c.members) for c in cls.classes]))
@@ -511,15 +393,12 @@ CLOSURE_TS = (1, Fraction(3, 2))
 def closure_lines(seed: int) -> List[str]:
     """`build_closure` graphs, vertex maps and blocker ids on seeded random hosts."""
     from lkcds.closure import build_closure
-    from lkcds.graphs import Graph
 
     rng = random.Random(seed)
     lines = []
     for _ in range(CLOSURE_HOSTS):
         n = rng.randint(1, 40)
-        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        density = rng.choice((0.03, 0.08, 0.15, 0.3))
-        g = Graph.from_edges(n, [e for e in pairs if rng.random() < density])
+        g = random_graph(rng, n, rng.choice((0.03, 0.08, 0.15, 0.3)))
         blockers = rng.sample(range(n), round(rng.choice(CLOSURE_SHARES) * n))
         r, t = rng.randint(1, 3), rng.choice(CLOSURE_TS)
         clo = build_closure(g, blockers, r, t)
@@ -534,19 +413,13 @@ PIPELINE_HOSTS = 100  # random kernelize hosts per seed
 def pipeline_lines(seed: int) -> List[str]:
     """`kernelize` outcomes on seeded random hosts, about half disconnected."""
     from lkcds.cores import Rejection
-    from lkcds.graphs import Graph
     from lkcds.kernel import KernelParams, kernelize, serialize_kernel
 
     rng = random.Random(seed)
     lines = []
     for _ in range(PIPELINE_HOSTS):
-        # a random forest plus a few chords; one vertex in six starts a new
-        # tree, so about half of the hosts are disconnected
         n = rng.randint(1, 12)
-        edges = {(rng.randrange(v), v) for v in range(1, n) if rng.randrange(6)}
-        for _ in range(rng.randint(0, n // 4)):
-            edges.add(tuple(sorted(rng.sample(range(n), 2))))
-        g = Graph.from_edges(n, sorted(edges))
+        g = random_forest(rng, n, 6, n // 4)
         runs = itertools.product(("exact", "heuristic"), range(4), (1, 2), (1, 2))
         for mode, k, r, factor in runs:
             params = KernelParams(k, r, factor * (4 * r + 3))
@@ -561,17 +434,17 @@ def pipeline_lines(seed: int) -> List[str]:
 CONNECT_HOSTS = 8  # ladder-scale hosts per seed
 
 
-def connect_lines(seed: int, workloads) -> List[str]:
+def connect_lines(seed: int) -> List[str]:
     """`connect` on heuristic cores and greedy dominating sets of ladder-scale hosts."""
     from lkcds.cores import find_core
     from lkcds.domination import ContractViolation, connect, greedy_rdom
+    from workloads import random_connected, relabeled
 
     rng = random.Random(seed)
     lines = []
     for _ in range(CONNECT_HOSTS):
         n = rng.randint(100, 300)
-        shape = workloads.random_connected(n, n // 10, rng.randint(0, 10_000))
-        g = workloads.relabeled(shape, rng)
+        g = relabeled(random_connected(n, n // 10, rng.randint(0, 10_000)), rng)
         for r in (1, 2):
             runs = (
                 (find_core(g, 1, r, mode="heuristic").vertices, 2 * r),
@@ -585,11 +458,11 @@ def connect_lines(seed: int, workloads) -> List[str]:
     return lines
 
 
-def demo_lines(checkout: Path) -> List[str]:
-    """Name, exit code and stdout of each demo, run against the checkout's src."""
-    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+def demo_lines() -> List[str]:
+    """Name, exit code and stdout of each demo, run against this repository's src."""
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
     lines = []
-    for script in sorted((checkout / "demos").glob("*.py")):
+    for script in sorted((REPO / "demos").glob("*.py")):
         proc = subprocess.run(
             [sys.executable, str(script)], capture_output=True, text=True, env=env
         )
@@ -597,44 +470,42 @@ def demo_lines(checkout: Path) -> List[str]:
     return lines
 
 
-def digest_lines(checkout: Path, seeds: List[int]) -> Iterator[str]:
-    """The digest lines of a checkout at the given seeds, one at a time."""
-    workloads = load_workloads(checkout)
-    bench_run = load_bench_module(checkout, "run")
-    tag = ",".join(map(str, seeds))
-    for name, workload in workloads.WORKLOADS.items():
-        labels = ("kernel", "closure-trees", "closure-counts", "lift")
-        digests = {label: hashlib.sha256() for label in labels}
+def digest_lines() -> Iterator[str]:
+    """The digest lines of this repository at SEEDS, one at a time."""
+    sys.path[:0] = [str(REPO / "src"), str(REPO / "bench")]
+    from workloads import WORKLOADS
+
+    tag = ",".join(map(str, SEEDS))
+    for name, workload in WORKLOADS.items():
+        digests = [hashlib.sha256() for _ in range(3)]
         count = 0
-        for seed in seeds:
+        for seed in SEEDS:
             for item in workload.build(seed):
-                certify = workload.verdict == "certify"
-                parts = instance_lines(item, certify, bench_run)
-                for digest, lines in zip(digests.values(), parts):
+                parts = instance_lines(item, workload.verdict == "certify")
+                for digest, lines in zip(digests, parts):
                     feed(digest, lines)
                 count += 1
-        for part, digest in digests.items():
+        for part, digest in zip(("kernel", "closure-trees", "lift"), digests):
             yield f"{name} {part} seeds={tag} instances={count} sha256={digest.hexdigest()}"
     checks = (  # label, unit, units per seed, the lines of one seed
         ("cover", "queries", COVER_QUERIES, cover_lines),
         ("cds", "queries", CDS_QUERIES, cds_lines),
         ("steiner", "queries", STEINER_QUERIES, steiner_lines),
         ("graphs", "queries", GRAPH_QUERIES, graph_lines),
-        ("bundle-trees", "hosts", BUNDLE_HOSTS, lambda s: bundle_lines(s)[0]),
-        ("bundle-counts", "hosts", BUNDLE_HOSTS, lambda s: bundle_lines(s)[1]),
+        ("bundle-trees", "hosts", BUNDLE_HOSTS, bundle_lines),
         ("profiles", "hosts", PROFILE_HOSTS, profile_lines),
         ("closures", "hosts", CLOSURE_HOSTS, closure_lines),
         ("verify", "hosts", VERIFY_HOSTS, verify_lines),
         ("pipeline", "hosts", PIPELINE_HOSTS, pipeline_lines),
-        ("connect", "hosts", CONNECT_HOSTS, lambda s: connect_lines(s, workloads)),
+        ("connect", "hosts", CONNECT_HOSTS, connect_lines),
     )
     for label, unit, per_seed, lines_of in checks:
         digest = hashlib.sha256()
-        for seed in seeds:
+        for seed in SEEDS:
             feed(digest, lines_of(seed))
-        count = len(seeds) * per_seed
+        count = len(SEEDS) * per_seed
         yield f"{label} seeds={tag} {unit}={count} sha256={digest.hexdigest()}"
-    lines = demo_lines(checkout)
+    lines = demo_lines()
     digest = hashlib.sha256()
     feed(digest, lines)
     yield f"demos scripts={len(lines) // 2} sha256={digest.hexdigest()}"
@@ -645,18 +516,26 @@ def line_label(line: str) -> str:
     return " ".join(itertools.takewhile(lambda word: "=" not in word, line.split()))
 
 
-def check() -> int:
-    """Rerun this repository's digest at CHECK_SEEDS and name each line that moved."""
-    expected = {line_label(ln): ln for ln in EXPECTED.read_text().splitlines() if ln}
-    moved = 0
-    for line in digest_lines(REPO, CHECK_SEEDS):
+def differences(expected_text: str, lines: Iterable[str]) -> Iterator[str]:
+    """One report per digest line that moved, is new or is missing, against
+    the expected text, as the lines come."""
+    expected = {line_label(ln): ln for ln in expected_text.splitlines() if ln}
+    for line in lines:
         old = expected.pop(line_label(line), None)
-        if old != line:
-            moved += 1
-            print(f"moved: {line_label(line)}\n  expected {old}\n  got      {line}")
-    for label, old in expected.items():
+        if old is None:
+            yield f"new: {line}"
+        elif old != line:
+            yield f"moved: {line_label(line)}\n  expected {old}\n  got      {line}"
+    for old in expected.values():
+        yield f"missing: {old}"
+
+
+def check() -> int:
+    """Rerun the digest and name each line that differs from EXPECTED."""
+    moved = 0
+    for report in differences(EXPECTED.read_text(), digest_lines()):
         moved += 1
-        print(f"moved: {label}\n  expected {old}\n  got      None")
+        print(report, flush=True)
     if moved:
         print(f"{moved} digest lines differ from {EXPECTED.name}")
         return 1
@@ -667,14 +546,10 @@ def check() -> int:
 def main(argv: List[str]) -> int:
     if argv == ["--check"]:
         return check()
-    if not argv or argv[0].startswith("-"):
-        print(
-            "usage: python3 tools/kernel_digest.py <checkout> [seeds...]\n"
-            "       python3 tools/kernel_digest.py --check",
-            file=sys.stderr,
-        )
+    if argv:
+        print(USAGE, file=sys.stderr)
         return 2
-    for line in digest_lines(Path(argv[0]).resolve(), [int(s) for s in argv[1:]] or CHECK_SEEDS):
+    for line in digest_lines():
         print(line, flush=True)
     return 0
 
