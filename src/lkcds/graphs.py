@@ -1,8 +1,10 @@
 """Graph primitives shared by the kernelization pipeline.
 
 Vertices are always 0..n-1.  Adjacency is stored as sorted tuples, and each
-graph keeps lazy bitmask caches (neighborhoods, closed balls, distance rows)
-because nearly everything downstream manipulates vertex subsets as integers.
+graph keeps lazy bitmask caches (neighborhoods, closed balls, distance rows,
+components) because nearly everything downstream manipulates vertex subsets
+as integers.  One more lazy cache holds the exact connected cover answers
+that `oracles` found without a node budget, keyed by (targets mask, r, k).
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from typing import (
+    TYPE_CHECKING,
     Container,
     Dict,
     Iterable,
@@ -20,6 +23,9 @@ from typing import (
     Set,
     Tuple,
 )
+
+if TYPE_CHECKING:
+    from .oracles import SolveResult
 
 
 class GraphFormatError(ValueError):
@@ -59,7 +65,7 @@ def iter_bits(mask: int) -> Iterator[int]:
 class Graph:
     """Immutable undirected simple graph."""
 
-    __slots__ = ("adj", "n", "m", "_masks", "_balls", "_dist", "_comps")
+    __slots__ = ("adj", "n", "m", "_masks", "_balls", "_dist", "_comps", "_covers")
 
     def __init__(self, adj: Sequence[Iterable[int]]):
         rows = []
@@ -86,6 +92,7 @@ class Graph:
         self._balls: Dict[int, Tuple[int, ...]] = {}
         self._dist: Dict[int, Tuple[int, ...]] = {}
         self._comps: Optional[Tuple[int, ...]] = None
+        self._covers: Dict[Tuple[int, int, int], SolveResult] = {}
 
     @classmethod
     def _of_rows(cls, rows: Tuple[Tuple[int, ...], ...]) -> "Graph":

@@ -314,10 +314,23 @@ def certify_ratio(
     that annotates no vertex has optimum 0, so the ratio is undefined and
     the kernel is refused.
 
-    A kernel that is its host, by `_is_host`, solves one optimum: through
-    the map, a connected set of the kernel is a connected set of the host
-    of the same size that dominates the same vertices, so the two capped
-    optima are equal.
+    The kernel optimum comes first.  It asks the question a kernel solver
+    that tried `exact_acds` within k has just asked of the same kernel
+    graph, so the oracle's per-graph cache answers it.  A kernel that is its
+    host, by `_is_host`, reuses it as the host optimum: through the map, a
+    connected set of the kernel is a connected set of the host of the same
+    size that dominates the same vertices, so the two capped optima are
+    equal.  Only a kernel that is not its host searches the host.
+
+    On the kernels `kernelize` returns, the certificate passes exactly
+    when `kernel_opt <= alpha * host_opt`, whatever valid solution it is
+    handed.  A closure kernel's solution lifts verbatim, or past k is
+    repaired at the same capped value, so the lifted value v equals the
+    kernel value and v / host_opt <= alpha * v / kernel_opt reduces to that
+    inequality.  A trivial kernel is the induced graph of a host optimum
+    and lifts to it, so the left side is 1; no valid solution is below
+    kernel_opt, so the right side is at least alpha > 1; and kernel_opt is
+    at most the kernel's size, host_opt.  Both inequalities hold.
     """
     if not inst.annotated:
         raise ValueError(
@@ -328,8 +341,8 @@ def certify_ratio(
     if not (lifted.dominates_host and lifted.connected):
         raise ContractViolation("lifted solution is not valid for the host")
     k = inst.params.k
-    host_opt = capped_host_opt(g, k, inst.params.r)
-    kern_opt = host_opt if _is_host(g, inst) else capped_kernel_opt(inst)
+    kern_opt = capped_kernel_opt(inst)
+    host_opt = kern_opt if _is_host(g, inst) else capped_host_opt(g, k, inst.params.r)
     if host_opt is None or kern_opt is None:
         raise ContractViolation("a capped optimum is undefined on a connected instance")
     kern_value = min(len(sol), k + 1)

@@ -14,7 +14,10 @@ node.  Balls are symmetric, so the last vertex w of a set covers the
 missing targets exactly when their mask lies inside w's ball.  Two
 deliberately independent routes exist for several quantities (smart
 enumerator vs. raw subset scan, BFS flood vs. split-vertex rebuild); keep
-both.
+both.  A connected cover answer found without a node budget is cached on
+its graph, keyed by (targets mask, r, k), and asking again returns it; this
+is safe because a `Graph` never changes and the lex-least answer is
+deterministic.
 """
 
 from __future__ import annotations
@@ -213,6 +216,24 @@ def _distance_bound(g: Graph, targets: int, r: int) -> int:
 def _connected_cover(
     g: Graph, targets: int, r: int, k: int, budget_nodes: Optional[int]
 ) -> SolveResult:
+    # the refusals come first, so a cached answer never skips one.  An
+    # answer without a node budget is kept on the graph; a call with a
+    # budget searches afresh, since its answer depends on the budget
+    if k < 0:
+        raise ValueError("budget k must be nonnegative")
+    if r < 0:
+        raise ValueError("radius must be nonnegative")
+    budget = _Budget(budget_nodes)
+    if budget_nodes is not None:
+        return _search_cover(g, targets, r, k, budget)
+    key = (targets, r, k)
+    res = g._covers.get(key)
+    if res is None:
+        res = g._covers[key] = _search_cover(g, targets, r, k, budget)
+    return res
+
+
+def _search_cover(g: Graph, targets: int, r: int, k: int, budget: _Budget) -> SolveResult:
     # lexicographically smallest minimum connected set r-dominating the
     # targets mask, capped at k; it lies in the one component holding them.
     # The sizes tried start at _distance_bound, which never overstates the
@@ -227,9 +248,6 @@ def _connected_cover(
     # hit holds the answer.  The budget charges one node per set the search
     # visits; the sweeps visit none.  Candidate bits are walked inline, with
     # no iter_bits generator per node.
-    if k < 0:
-        raise ValueError("budget k must be nonnegative")
-    budget = _Budget(budget_nodes)
     if targets == 0:
         return SolveResult(FOUND, (), 0)
     home = [c for c in g.component_masks() if c & targets]

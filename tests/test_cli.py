@@ -294,6 +294,7 @@ def test_bad_values_exit_2_without_traceback(capsys, tmp_path, c6_file):
         ["core", "--input", c6_file, "--k", "-1", "--r", "1"],
         ["solve", "--input", c6_file, "--k", "-1", "--r", "1"],
         ["solve", "--input", c6_file, "--k", "3", "--r", "1", "--budget-nodes", "-3"],
+        ["solve", "--input", c6_file, "--k", "2", "--r", "-1"],
         ["solve", "--input", c6_file, "--k", "3", "--r", "1", "--z", "-1"],
     ):
         code, _, err = run(capsys, argv)

@@ -306,10 +306,12 @@ def test_only_a_kernel_that_is_its_host_reuses_the_host_optimum(
     twin = certify_solving_both(host, inst, sol)
     solved = []
     monkeypatch.setattr(
-        kernel_module, "capped_kernel_opt", lambda i: solved.append(i) or capped_kernel_opt(i)
+        kernel_module,
+        "capped_host_opt",
+        lambda g, k, r: solved.append(g) or capped_host_opt(g, k, r),
     )
     assert certify_ratio(host, inst, sol) == twin
-    assert solved == ([inst] if solves else [])
+    assert solved == ([host] if solves else [])
 
 
 def test_certify_ratio_refuses_an_empty_annotated_set():

@@ -7,8 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lkcds import kernel, oracles
+from lkcds.cores import Rejection
 from lkcds.graphs import Graph, iter_bits, mask_of, r_subdivision
 from lkcds.hardness import random_setcover
+from lkcds.kernel import certify_ratio, kernelize, params_from
 from lkcds.oracles import (
     BUDGET_EXHAUSTED,
     FOUND,
@@ -416,8 +419,77 @@ def test_negative_budgets_are_refused():
         lambda: exact_ds(p5, 1, -1),
         lambda: exact_cds(p5, 1, 3, budget_nodes=-3),
         lambda: exact_ds(p5, 1, 3, budget_nodes=-3),
+        # a negative radius is refused before the early returns that need
+        # no ball: the distance bound settling k = 2, and an empty target set
+        lambda: exact_cds(p5, -1, 2),
+        lambda: exact_cds(p5, -1, 10),
+        lambda: exact_acds(p5, [], -1, 1),
+        lambda: exact_ds(p5, -1, 2),
     ):
         with pytest.raises(ValueError, match="must be nonnegative"):
             call()
     with pytest.raises(ValueError, match="out of range"):
         exact_acds(p5, [-1], 1, 3)
+
+
+@given(
+    forest_graphs(10),
+    st.lists(
+        st.tuples(st.integers(1, 3), st.integers(0, 10), st.integers(0, 1023), st.booleans()),
+        min_size=1,
+        max_size=6,
+    ),
+)
+@settings(max_examples=80)
+def test_cached_answers_match_a_fresh_graph_and_the_plain_scan(g, queries):
+    # every query is asked twice on g, whose cache fills as it goes, once on
+    # an equal graph with an empty cache, and once of the scan twin
+    for r, k, annotated, whole in queries * 2:
+        k = min(k, g.n)
+        targets = (1 << g.n) - 1 if whole else annotated & ((1 << g.n) - 1)
+        fresh = Graph.from_edges(g.n, g.edges())
+        if whole:
+            got, cold = exact_cds(g, r, k), exact_cds(fresh, r, k)
+        else:
+            got = exact_acds(g, iter_bits(targets), r, k)
+            cold = exact_acds(fresh, iter_bits(targets), r, k)
+        assert got == cold
+        assert (got.status, got.solution, got.value) == scan_connected_cover(g, targets, r, k)
+
+
+def test_a_cached_answer_leaves_a_budgeted_call_alone():
+    # grid-none's threshold from test_connected_cover_budget_threshold holds
+    # on a graph that already holds the unbudgeted answer
+    g = grid_graph(4, 4)
+    assert exact_cds(g, 1, 6) == SolveResult(NONE_WITHIN_BUDGET)
+    assert exact_cds(g, 1, 6, budget_nodes=653) == SolveResult(BUDGET_EXHAUSTED)
+    assert exact_cds(g, 1, 6, budget_nodes=654) == SolveResult(NONE_WITHIN_BUDGET)
+
+
+def test_certify_searches_only_the_host_of_a_kernel_that_is_not_its_host(monkeypatch):
+    # the kernel solver's exact_acds within k leaves its answer on the kernel
+    # graph, so certify_ratio searches nothing more on a kernel that is its
+    # host and only the host on any other; the host is a copy with an empty
+    # cache, so kernelize's shortcut search answers nothing here
+    searches = []
+    search = oracles._search_cover
+    monkeypatch.setattr(
+        oracles, "_search_cover", lambda g, *rest: searches.append(g) or search(g, *rest)
+    )
+    seen = set()
+    for _, g, r, opt in planted_hosts():
+        for k in (opt - 1, opt, opt + 1):
+            inst = kernelize(g, params_from(k, r, alpha=4 * r + 3), core_mode="exact")
+            if isinstance(inst, Rejection):
+                continue
+            res = exact_acds(inst.graph, inst.annotated, r, k)
+            if not res.found:
+                res = exact_acds(inst.graph, inst.annotated, r, inst.graph.n)
+            host = Graph.from_edges(g.n, g.edges())
+            is_host = kernel._is_host(host, inst)
+            del searches[:]
+            assert certify_ratio(host, inst, res.solution).ok
+            assert len(searches) == (0 if is_host else 1)
+            assert all(s is host for s in searches)
+            seen.add(is_host)
+    assert seen == {True, False}
