@@ -5,6 +5,8 @@ graph keeps lazy bitmask caches (neighborhoods, closed balls, distance rows,
 components) because nearly everything downstream manipulates vertex subsets
 as integers.  One more lazy cache holds the exact connected cover answers
 that `oracles` found without a node budget, keyed by (targets mask, r, k).
+Graphs never change and the caches depend on the rows alone, so `subgraph`
+returns the host itself, caches and all, when it keeps every vertex and edge.
 """
 
 from __future__ import annotations
@@ -386,7 +388,8 @@ def subgraph(
     edge that leaves the vertices, loops or is not in g counts less, so
     the row lengths sum to twice the edge count exactly when every edge
     is kept.  Otherwise the least edge that leaves is named, or else the
-    least loop or edge not in g.
+    least loop or edge not in g.  Checked edges that number g.m are all of
+    g's edges, so a subgraph that also keeps every vertex is g, caches and all.
     """
     parents = tuple(sorted(set(vertices)))
     index = {v: i for i, v in enumerate(parents)}
@@ -412,6 +415,8 @@ def subgraph(
                 raise ValueError(f"self-loop at {u}")
             if u > v or v not in g.adj[u]:
                 raise ValueError(f"edge ({u},{v}) is not a host edge, low end first")
+    if len(edges) == g.m and parents == tuple(range(g.n)):
+        return g, parents
     return Graph._of_rows(adj), parents
 
 

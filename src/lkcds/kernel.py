@@ -58,6 +58,9 @@ class KernelParams:
     alpha: Fraction
 
     def __post_init__(self):
+        for name, value in (("budget k", self.k), ("radius r", self.r)):
+            if not isinstance(value, int):
+                raise TypeError(f"{name} must be an int, not {type(value).__name__}")
         if isinstance(self.alpha, float):
             raise TypeError("alpha must be an int, str or Fraction, not float")
         if not isinstance(self.alpha, Fraction):
@@ -245,22 +248,6 @@ def capped_kernel_opt(inst: KernelInstance) -> Optional[int]:
     return _capped(exact_acds(inst.graph, inst.annotated, inst.params.r, k), k)
 
 
-def _is_host(g: Graph, inst: KernelInstance) -> bool:
-    # whether every kernel vertex is annotated and the vertex map is an
-    # isomorphism onto the host, read off the structure alone in O(n + m):
-    # a map onto n host vertices from n kernel vertices is a bijection, and
-    # it sends the kernel's edges onto the host's when they are equally
-    # many and each lands on a host edge
-    kg, vmap = inst.graph, inst.vertex_map
-    every = set(range(g.n))
-    if kg.n != g.n or kg.m != g.m or len(vmap) != g.n:
-        return False
-    if set(vmap) != every or set(inst.annotated) != every:
-        return False
-    rows = g.neighbor_masks()
-    return all(rows[vmap[u]] >> vmap[v] & 1 for u, v in kg.edges())
-
-
 @dataclass(frozen=True)
 class ReplaySplit:
     """A host solution cut into replayable connected pieces.
@@ -314,13 +301,13 @@ def certify_ratio(
     that annotates no vertex has optimum 0, so the ratio is undefined and
     the kernel is refused.
 
-    The kernel optimum comes first.  It asks the question a kernel solver
-    that tried `exact_acds` within k has just asked of the same kernel
-    graph, so the oracle's per-graph cache answers it.  A kernel that is its
-    host, by `_is_host`, reuses it as the host optimum: through the map, a
-    connected set of the kernel is a connected set of the host of the same
-    size that dominates the same vertices, so the two capped optima are
-    equal.  Only a kernel that is not its host searches the host.
+    Both optima are read through the oracle's per-graph cache.  The kernel
+    optimum asks the question a kernel solver that tried `exact_acds`
+    within k has just asked of the same kernel graph.  A kernel that keeps
+    the whole host is the host object itself (`subgraph` returns it), and
+    with every vertex annotated the two optima ask the same question, (all
+    vertices, r, k), of that one graph, so one search answers both.  Any
+    other kernel searches the host once more.
 
     On the kernels `kernelize` returns, the certificate passes exactly
     when `kernel_opt <= alpha * host_opt`, whatever valid solution it is
@@ -342,7 +329,7 @@ def certify_ratio(
         raise ContractViolation("lifted solution is not valid for the host")
     k = inst.params.k
     kern_opt = capped_kernel_opt(inst)
-    host_opt = kern_opt if _is_host(g, inst) else capped_host_opt(g, k, inst.params.r)
+    host_opt = capped_host_opt(g, k, inst.params.r)
     if host_opt is None or kern_opt is None:
         raise ContractViolation("a capped optimum is undefined on a connected instance")
     kern_value = min(len(sol), k + 1)

@@ -12,7 +12,7 @@ from conftest import tampered_path5_closure
 from lkcds.cli import main
 from lkcds.cores import DISCONNECTED
 from lkcds.graphs import MAX_VERTICES, parse_graph
-from lkcds.kernel import parse_kernel
+from lkcds.kernel import KernelInstance, params_from, parse_kernel
 
 
 @pytest.fixture()
@@ -451,8 +451,8 @@ def test_trivial_kernel_commands(capsys, tmp_path):
     star = tmp_path / "star.txt"
     star.write_text("p 6 5\n0 1\n0 2\n0 3\n0 4\n0 5\n")
     args = ["--input", str(star), "--k", "2", "--r", "1", "--alpha", "14"]
-    code, out, _ = run(capsys, ["verify", *args])
-    assert (code, out) == (0, "trivial kernel; structural checks vacuous: pass\n")
+    code, out, err = run(capsys, ["verify", *args])
+    assert (code, out, err) == (0, "replay: pass\n", "")
     code, out, _ = run(capsys, ["closure-stats", *args])
     assert (code, out) == (0, "trivial kernel; no closure built\n")
     kern = tmp_path / "kern.txt"
@@ -463,6 +463,29 @@ def test_trivial_kernel_commands(capsys, tmp_path):
     code, _, err = run(capsys, lift)
     assert code == 2
     assert "solution line disagrees with the vertex map" in err
+
+
+def test_verify_fails_a_trivial_kernel_whose_replay_does_not_dominate(
+    capsys, tmp_path, monkeypatch
+):
+    # the star's leaf 1 within k = 2 replays a connected set that misses
+    # leaves 2..5
+    star = tmp_path / "star.txt"
+    star.write_text("p 6 5\n0 1\n0 2\n0 3\n0 4\n0 5\n")
+    leaf = KernelInstance(
+        graph=parse_graph("p 1 0\n"),
+        annotated=(0,),
+        params=params_from(2, 1, alpha=14),
+        vertex_map=(1,),
+        mode="trivial",
+        core="shortcut",
+    )
+    monkeypatch.setattr("lkcds.cli.kernelize", lambda *args, **kwargs: leaf)
+    code, out, err = run(
+        capsys, ["verify", "--input", str(star), "--k", "2", "--r", "1", "--alpha", "14"]
+    )
+    assert (code, out) == (1, "replay: FAIL\n")
+    assert err == "  replay: it does not 1-dominate the host\n"
 
 
 def test_large_alpha_keeps_bundles_within_the_steiner_limit(capsys, tmp_path):

@@ -308,6 +308,38 @@ def test_subgraph_builders_match_relabel_then_from_edges(seed):
 
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=100)
+def test_a_subgraph_that_keeps_everything_is_the_host(seed):
+    # half the time every vertex is kept, and then most draws keep every edge
+    rnd = random.Random(seed)
+    g = seeded_host(rnd)
+    every = set(range(g.n))
+    inside = set(rnd.sample(range(g.n), rnd.randint(0, g.n)))
+    if rnd.random() < 0.5:
+        inside = every
+    induced = {(u, v) for u, v in g.edges() if u in inside and v in inside}
+    edges = {e for e in induced if rnd.random() < 0.95}
+    for kept, build in (
+        (induced, lambda: induced_subgraph(g, inside)),
+        (edges, lambda: subgraph(g, inside, edges)),
+    ):
+        sub, parents = build()
+        assert (sub is g) == (inside == every and len(kept) == g.m)
+        want, want_parents = relabel_then_from_edges(inside, kept)
+        assert (sub.adj, sub.m, parents) == (want.adj, want.m, want_parents)
+
+
+def test_a_whole_edge_count_with_a_non_edge_is_refused():
+    # g.m edges, one of them no edge of g: refused before the host is returned
+    g = cycle_graph(5)
+    edges = set(g.edges()) - {(0, 1)} | {(0, 2)}
+    assert len(edges) == g.m
+    with pytest.raises(ValueError, match=re.escape("edge (0,2) is not a host edge")):
+        subgraph(g, range(5), edges)
+    assert subgraph(g, range(5), set(g.edges()))[0] is g
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=100)
 def test_graph_from_shuffled_rows_matches_from_edges(seed):
     rnd = random.Random(seed)
     g = seeded_host(rnd)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from lkcds.cores import DISCONNECTED, Rejection
 from lkcds.domination import check_covering_family, dominates
 from lkcds.graphs import Graph, GraphFormatError, induced_subgraph
-from lkcds import kernel as kernel_module
+from lkcds import oracles as oracles_module
 from lkcds.kernel import (
     KernelInstance,
     KernelParams,
@@ -92,6 +92,14 @@ def test_float_factors_are_refused():
         params_from(2, 1, alpha=7.5)
     with pytest.raises(TypeError):
         params_from(2, 1, epsilon=0.1)
+    # k and r are ints: a float k made a kernel file parse_kernel refuses,
+    # and a float r failed inside Graph.balls
+    with pytest.raises(TypeError, match="budget k must be an int, not float"):
+        KernelParams(2.5, 1, 7)
+    with pytest.raises(TypeError, match="radius r must be an int, not float"):
+        KernelParams(2, 1.0, 7)
+    with pytest.raises(TypeError, match="radius r must be an int, not Fraction"):
+        params_from(2, Fraction(1), alpha=7)
     assert params_from(2, 1, alpha="71/10").alpha == Fraction(71, 10)
     assert params_from(2, 1, epsilon="1/10").alpha == Fraction(11, 10)
     assert KernelParams(2, 1, 7).alpha == params_from(2, 1, alpha=Fraction(7)).alpha
@@ -136,6 +144,20 @@ def test_kernelize_closure_mode_fields():
     # annotated vertices name the stitched core in kernel coordinates
     hosts = {inst.vertex_map[v] for v in inst.annotated}
     assert hosts <= set(range(g.n))
+
+
+@pytest.mark.parametrize(
+    "g, k, r",
+    [(cycle_graph(6), 2, 1), (grid_graph(3, 3), 2, 2)],
+    ids=["cycle-6", "grid-3x3-r2"],
+)
+def test_a_closure_that_keeps_the_whole_host_is_the_host(g, k, r):
+    # the host object need not be all annotated: the grid's core at r = 2
+    # leaves its centre out
+    inst = kernelize(g, kparams(k, r, 7), core_mode="heuristic")
+    assert inst.mode == "closure"
+    assert inst.graph is g
+    assert inst.vertex_map == tuple(range(g.n))
 
 
 def test_kernel_solution_valid():
@@ -280,38 +302,46 @@ PERM9 = (4, 8, 0, 6, 2, 7, 1, 5, 3)
 
 
 @pytest.mark.parametrize(
-    "host, graph, annotated, vertex_map, solves",
+    "g, graph, annotated, vertex_map, solves",
     [
-        # the host under a permuted map is the host
-        (grid_graph(3, 3), relabelled(grid_graph(3, 3), PERM9), range(9), PERM9, False),
+        # the host object itself, as kernelize returns a closure that keeps it
+        (grid_graph(3, 3), None, range(9), range(9), False),
+        # the host under a permuted map is an equal graph, not the host
+        (grid_graph(3, 3), relabelled(grid_graph(3, 3), PERM9), range(9), PERM9, True),
         # one host edge missing: a path on the cycle's vertices
         (cycle_graph(9), relabelled(path_graph(9), PERM9), range(9), PERM9, True),
         # a vertex left out of the annotated set
         (grid_graph(3, 3), relabelled(grid_graph(3, 3), PERM9), range(1, 9), PERM9, True),
     ],
-    ids=["permuted-host", "edge-missing", "vertex-unannotated"],
+    ids=["host-itself", "permuted-host", "edge-missing", "vertex-unannotated"],
 )
 def test_only_a_kernel_that_is_its_host_reuses_the_host_optimum(
-    host, graph, annotated, vertex_map, solves, monkeypatch
+    g, graph, annotated, vertex_map, solves, monkeypatch
 ):
+    # the host is a fresh copy of g, so its cache starts empty.  The twin
+    # leaves the kernel optimum on the kernel graph, as a kernel solver
+    # does, and solves the host optimum on g, so certify_ratio searches the
+    # host only when the kernel graph is not the host object
+    host = Graph.from_edges(g.n, g.edges())
     inst = KernelInstance(
-        graph=graph,
+        graph=host if graph is None else graph,
         annotated=tuple(annotated),
         params=kparams(4, 1, 7),
-        vertex_map=vertex_map,
+        vertex_map=tuple(vertex_map),
         mode="closure",
         core="heuristic-sound",
     )
     sol = solve_kernel(inst)
-    twin = certify_solving_both(host, inst, sol)
-    solved = []
+    twin = certify_solving_both(g, inst, sol)
+    searched = []
+    search = oracles_module._search_cover
     monkeypatch.setattr(
-        kernel_module,
-        "capped_host_opt",
-        lambda g, k, r: solved.append(g) or capped_host_opt(g, k, r),
+        oracles_module,
+        "_search_cover",
+        lambda h, *rest: searched.append(h) or search(h, *rest),
     )
     assert certify_ratio(host, inst, sol) == twin
-    assert solved == ([host] if solves else [])
+    assert searched == ([host] if solves else [])
 
 
 def test_certify_ratio_refuses_an_empty_annotated_set():
