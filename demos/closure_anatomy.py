@@ -3,7 +3,9 @@
 
 The closure keeps, for every small bundle of classes and blockers, a
 cheapest connecting tree of the host, provided it fits under the size
-cap 2t.  Everything the verifier inspects gets printed along the way.
+cap 2t and holds a free vertex: a tree of blockers alone, such as the
+tree of a single blocker, adds nothing the closure does not already hold.
+Everything the verifier inspects gets printed along the way.
 """
 
 from fractions import Fraction
@@ -43,7 +45,7 @@ def main():
         print(f"  {key} = {val}")
     print("  kept bundles and their tree sizes:")
     for key in sorted(clo.kept):
-        kind = "classes" if all(i < clo.class_count for i in key) else "mixed"
+        kind = "classes" if all(i < clo.class_count for i in key) else "with blockers"
         print(f"    groups {key} ({kind}): {len(clo.kept[key].vertices)} vertices")
     print()
 

@@ -1,11 +1,12 @@
 """Profile-preserving closure of a graph around a blocker set.
 
 The closure keeps the blocker set X, one exact Steiner tree for every
-small bundle of profile classes that admits one, and the least avoiding
-paths, read off the blocker floods, that realize each kept tree vertex's
-projection distances.  Because the result is a subgraph of the host,
-distances can only grow, and the retained paths pin them back down to
-their original values; that is what the verifier checks.
+small bundle of profile classes that admits one and holds a vertex
+outside X, and the least avoiding paths, read off the blocker floods,
+that realize each kept tree vertex's projection distances.  Because the
+result is a subgraph of the host, distances can only grow, and the
+retained paths pin them back down to their original values; that is
+what the verifier checks.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ class ClosureResult:
     # host ids; classes first, then one per blocker when cap >= 3
     groups: Tuple[Tuple[int, ...], ...]
     class_count: int
-    kept: Dict[Tuple[int, ...], Tree]
+    kept: Dict[Tuple[int, ...], Tree]  # the trees that hold a free vertex
     terminals: Tuple[int, ...]  # host ids of protected free vertices
     stats: Dict[str, int] = field(default_factory=dict)
 
@@ -71,7 +72,7 @@ def build_closure(
     cap >= 3, one group per blocker after them; no vertex lies in two.
     Bundles are visited by size in one `SteinerLattice`, so each bundle's
     row is computed once and read by every larger bundle, and the optimum
-    tree of every bundle that has one within the cap is kept.  The last
+    tree of every bundle that has one within the cap is found.  The last
     level of a bundle B's row is the set of vertices on some tree of at
     most cap vertices that meets every group of B.  So B plus a later
     group j has such a tree exactly when group j meets that level:
@@ -80,12 +81,26 @@ def build_closure(
     - a vertex of group j in that level lies on a tree of at most cap
       vertices meeting B, and that tree meets j too.
     Every bundle with a tree has its prefix without its last group as a
-    kept bundle, so extending only kept bundles this way builds exactly
-    the bundles that have a tree, and every row built is kept.  A single
-    group's last level is its radius cap - 1 ball; the groups that ball
-    meets are the group's compatible ones, the same rule at size 1, and
-    serve as a cheap prefilter for every bundle holding it.  Rows of cap
-    groups are read by no larger bundle and are not stored.
+    bundle with a tree, so extending only such bundles this way builds
+    exactly the bundles that have a tree.  A single group's last level is
+    its radius cap - 1 ball; the groups that ball meets are the group's
+    compatible ones, the same rule at size 1, and serve as a cheap
+    prefilter for every bundle holding it.  Rows of cap groups are read by
+    no larger bundle and are not stored.
+
+    `kept` holds the trees that have a free vertex, one outside the
+    blockers; the stat `candidate_subsets` counts every bundle with a
+    tree and `kept_trees` the kept ones.  Leaving out the other trees
+    changes nothing in the closure graph, its vertex map, its blockers or
+    its terminals:
+    - A bundle holding a class meets that class, whose members are free,
+      so its tree is always kept.  Only a bundle of blocker groups alone,
+      which exist at cap >= 3, can have a tree of blockers alone.
+    - Such a tree adds only blockers and edges between two blockers, and
+      the closure keeps every blocker and every such edge.
+    - It has no free vertex, so it adds no terminal.
+    Each such tree is still walked, as only the walk tells whether it runs
+    through a free vertex, and larger bundles reuse its walks.
 
     Below cap 3 the blocker groups would add nothing to the closure graph,
     for r >= 1, the radius every kernel runs at:
@@ -118,15 +133,15 @@ def build_closure(
             grouped |= 1 << v
     masks = [mask_of(grp) for grp in groups]
     lattice = SteinerLattice(g, masks, cap)
-    kept: Dict[Tuple[int, ...], Tree] = {}
+    trees: Dict[Tuple[int, ...], Tree] = {}  # by bundle key, kept or not
     compat = []
-    # each level holds the kept bundles of one size, in ascending order,
-    # with their rows and the groups that may still join them: compatible
-    # with every member and past the last one
+    # each level holds the bundles of one size that have a tree, in
+    # ascending order, with their rows and the groups that may still join
+    # them: compatible with every member and past the last one
     level = []
     for i in range(len(groups)):
         row = lattice.row(1 << i, keep=cap > 1)
-        kept[(i,)] = lattice.tree(1 << i, row)
+        trees[(i,)] = lattice.tree(1 << i, row)
         near = 0
         for v in iter_bits(row[-1] & grouped):
             near |= 1 << group_of[v]
@@ -145,11 +160,16 @@ def build_closure(
                     bigger_row = lattice.row(bigger, keep=size < cap)
                     if not bigger_row:
                         raise ContractViolation(f"bundle {key + (j,)} has no tree")
-                    kept[key + (j,)] = lattice.tree(bigger, bigger_row)
+                    trees[key + (j,)] = lattice.tree(bigger, bigger_row)
                     cand_j = cand & compat[j] & -(2 << j)
                     grown.append((key + (j,), bigger, bigger_row, cand_j))
         level = grown
-    kept = dict(sorted(kept.items()))  # by key, not by the visiting order
+    # by key, not by the visiting order; only trees with a free vertex
+    kept = {
+        key: tree
+        for key, tree in sorted(trees.items())
+        if not xset.issuperset(tree.vertices)
+    }
 
     terminals = tuple(
         sorted({v for tree in kept.values() for v in tree.vertices if v not in xset})
@@ -174,7 +194,7 @@ def build_closure(
         "classes": class_count,
         "groups": len(groups),
         "pruned_pairs": pruned_pairs,
-        "candidate_subsets": len(kept),
+        "candidate_subsets": len(trees),
         "kept_trees": len(kept),
         "terminals": len(terminals),
     }
@@ -214,13 +234,16 @@ def verify_closure(g: Graph, closure: ClosureResult) -> ClosureReport:
        host profile class is still represented.  Host profiles come from
        the host classification (one flood per blocker), closure profiles
        from a flood per vertex, so the two sides take independent routes.
-    3. Every stored tree is a real tree of the host meeting its groups
-       within the size cap, and for each kept all-class bundle the group
-       Steiner value in the closure matches the host value, the size of
-       the kept tree.  One `SteinerLattice` over the closure graph, with
-       the classes in closure ids as its groups and the closure's cap,
-       builds the bundles' rows by size, so every sub-bundle's row is
-       there first; a bundle's value is its first nonempty level + 1.
+    3. Every kept tree is a real tree of the host meeting its groups
+       within the size cap.  Only trees that hold a free vertex are kept;
+       one of blockers alone is not, as `build_closure` keeps every
+       blocker and every edge between two.  For each kept all-class
+       bundle the group Steiner value in the closure matches the host
+       value, the size of the kept tree.  One `SteinerLattice` over the
+       closure graph, with the classes in closure ids as its groups and
+       the closure's cap, builds the bundles' rows by size, so every
+       sub-bundle's row is there first; a bundle's value is its first
+       nonempty level + 1.
        A capped row is exact up to the cap, and the kept tree has at
        most cap vertices, so a row whose value is the tree's size proves
        the bundle.  On a closure that keeps its guarantee the row always

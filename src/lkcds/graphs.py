@@ -388,10 +388,15 @@ def subgraph(
     edge that leaves the vertices, loops or is not in g counts less, so
     the row lengths sum to twice the edge count exactly when every edge
     is kept.  Otherwise the least edge that leaves is named, or else the
-    least loop or edge not in g.  Checked edges that number g.m are all of
-    g's edges, so a subgraph that also keeps every vertex is g, caches and all.
+    least loop or edge not in g.  Host edges, low end first, that number
+    g.m are all of g's edges, so a subgraph that also keeps every vertex is
+    g, caches and all; that is checked first, before any row is built.
     """
     parents = tuple(sorted(set(vertices)))
+    if len(edges) == g.m and parents == tuple(range(g.n)):
+        nbr = g.neighbor_masks()
+        if all(0 <= u < v < g.n and nbr[u] >> v & 1 for u, v in edges):
+            return g, parents
     index = {v: i for i, v in enumerate(parents)}
     adj = tuple(
         [
@@ -415,8 +420,6 @@ def subgraph(
                 raise ValueError(f"self-loop at {u}")
             if u > v or v not in g.adj[u]:
                 raise ValueError(f"edge ({u},{v}) is not a host edge, low end first")
-    if len(edges) == g.m and parents == tuple(range(g.n)):
-        return g, parents
     return Graph._of_rows(adj), parents
 
 

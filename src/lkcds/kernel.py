@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
@@ -77,10 +78,11 @@ class KernelParams:
     def t(self) -> Fraction:
         return (self.alpha - 1) / (4 * self.r + 2)
 
-    @property
+    @cached_property
     def t_eff(self) -> Fraction:
         # capped so a bundle of floor(2 t_eff) groups fits the Steiner DP;
-        # a kernel lossy by a smaller factor than alpha is alpha-lossy too
+        # a kernel lossy by a smaller factor than alpha is alpha-lossy too;
+        # cached in the instance dict, which equality, hash and repr ignore
         return min(max(Fraction(1), self.t), Fraction(GROUP_LIMIT, 2))
 
 

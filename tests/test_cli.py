@@ -245,6 +245,24 @@ def test_core_and_stats_commands(capsys, c6_file):
     assert any(ln.startswith("closure_vertices ") for ln in out.splitlines())
 
 
+def test_closure_stats_counts_only_trees_that_hold_a_free_vertex(capsys, tmp_path):
+    # lollipop-4-4 at alpha 13, r = 1 has cap 4, so every blocker is a group;
+    # the trees of blockers alone are searched but not kept
+    lollipop = tmp_path / "lollipop.txt"
+    lollipop.write_text(
+        "p 8 10\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n3 4\n4 5\n5 6\n6 7\n"
+    )
+    code, out, _ = run(
+        capsys,
+        ["closure-stats", "--input", str(lollipop), "--k", "1", "--r", "1",
+         "--alpha", "13"],
+    )
+    assert code == 0
+    stats = dict(line.split() for line in out.splitlines())
+    assert (stats["blockers"], stats["groups"], stats["terminals"]) == ("6", "7", "1")
+    assert (stats["candidate_subsets"], stats["kept_trees"]) == ("43", "12")
+
+
 def test_input_error_exit_code(capsys, tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("junk junk junk\n")

@@ -280,7 +280,8 @@ def test_compatibility_matches_group_distances(t):
         assert clo.cap == 2 * t
         pruned, bundles = _compatible_bundles(g, clo.groups, clo.cap)
         assert clo.stats["pruned_pairs"] == pruned, name
-        assert clo.stats["candidate_subsets"] == clo.stats["kept_trees"], name
+        # at t = 2 blocker groups exist, and a tree of blockers alone is not kept
+        assert clo.stats["kept_trees"] <= clo.stats["candidate_subsets"], name
         assert set(clo.kept) <= set(bundles), name
 
 
@@ -301,7 +302,8 @@ def closure_cases(draw):
 @settings(max_examples=150)
 def test_kept_bundles_match_brute_force(case):
     # every bundle of at most cap groups with a tree of at most cap
-    # vertices is kept, with a tree of the optimum size
+    # vertices is kept, with a tree of the optimum size, unless the tree
+    # holds blockers alone; every bundle that holds a class is kept
     g, blockers, r, t = case
     clo = build_closure(g, blockers, r, t)
     want = {}
@@ -310,10 +312,15 @@ def test_kept_bundles_match_brute_force(case):
             res = brute_steiner(g, [clo.groups[i] for i in key], clo.cap)
             if res.found:
                 want[key] = res.value
-    assert {key: tree.size for key, tree in clo.kept.items()} == want
+    assert {key: tree.size for key, tree in clo.kept.items()}.items() <= want.items()
+    # keys ascend and classes come first, so a key of blocker groups alone
+    # is one whose least index is no class
+    missing = want.keys() - clo.kept.keys()
+    assert all(key[0] >= clo.class_count for key in missing), missing
     _, bundles = _compatible_bundles(g, clo.groups, clo.cap)
     assert set(want) <= set(bundles)
-    assert clo.stats["candidate_subsets"] == clo.stats["kept_trees"]
+    assert clo.stats["candidate_subsets"] == len(want)
+    assert clo.stats["kept_trees"] == len(clo.kept)
 
 
 @st.composite
@@ -333,24 +340,26 @@ def lattice_cases(draw):
 @settings(max_examples=150)
 def test_shared_lattice_matches_whole_graph_dp(case):
     # one lattice serves every bundle of the closure; each kept tree is the
-    # tree a search of its bundle alone over the whole graph rebuilds
+    # tree a search of its bundle alone over the whole graph rebuilds, and
+    # a found tree is kept exactly when it holds a vertex outside the blockers
     g, blockers, r, t = case
     clo = build_closure(g, blockers, r, t)
     _, bundles = _compatible_bundles(g, clo.groups, clo.cap)
-    dropped = 0
+    found = with_free = 0
     for key in bundles:
         status, vertices, edges = whole_graph_dp(
             g, [clo.groups[i] for i in key], clo.cap
         )
-        if status == FOUND:
+        if status == FOUND and not set(blockers).issuperset(vertices):
             assert key in clo.kept, key
             tree = clo.kept[key]
             assert (tree.vertices, tree.edges) == (vertices, edges), key
+            with_free += 1
         else:
             assert key not in clo.kept, key
-            dropped += 1
-    assert len(clo.kept) == len(bundles) - dropped
-    assert clo.stats["candidate_subsets"] == clo.stats["kept_trees"]
+        found += status == FOUND
+    assert len(clo.kept) == with_free == clo.stats["kept_trees"]
+    assert clo.stats["candidate_subsets"] == found
 
 
 @st.composite
@@ -369,13 +378,37 @@ def bundle_search_cases(draw):
 @given(bundle_search_cases())
 @settings(max_examples=200)
 def test_bundle_search_matches_clique_levels(case):
-    # growing only kept bundles, with shared walks, keeps the bundles and
-    # rebuilds the trees that every pairwise compatible clique gave
+    # growing only bundles with a tree, with shared walks, rebuilds the
+    # trees that every pairwise compatible clique gave, and keeps those
+    # that hold a vertex outside the blockers
     g, blockers, r, t = case
     clo = build_closure(g, blockers, r, t)
     want = clique_level_search(g, clo.groups, clo.cap)
-    assert {key: (tree.vertices, tree.edges) for key, tree in clo.kept.items()} == want
-    assert clo.stats["candidate_subsets"] == clo.stats["kept_trees"] == len(want)
+    xs = set(blockers)
+    assert {key: (tree.vertices, tree.edges) for key, tree in clo.kept.items()} == {
+        key: tree for key, tree in want.items() if not xs.issuperset(tree[0])
+    }
+    assert clo.stats["candidate_subsets"] == len(want)
+    assert clo.stats["kept_trees"] == len(clo.kept)
+
+
+@given(bundle_search_cases())
+@settings(max_examples=200)
+def test_a_tree_left_out_of_kept_lies_in_the_closure(case):
+    # a tree the search found but did not keep holds blockers alone, and
+    # the closure keeps every blocker and every edge between two of them
+    g, blockers, r, t = case
+    clo = build_closure(g, blockers, r, t)
+    xs = set(blockers)
+    old2new = {old: new for new, old in enumerate(clo.vertex_map)}
+    for key, (vertices, edges) in clique_level_search(g, clo.groups, clo.cap).items():
+        if key in clo.kept:
+            assert not xs.issuperset(vertices), key
+            continue
+        assert xs.issuperset(vertices), key
+        for u, v in edges:
+            assert old2new[v] in clo.graph.adj[old2new[u]], (key, u, v)
+    assert all(not xs.issuperset(tree.vertices) for tree in clo.kept.values())
 
 
 @st.composite

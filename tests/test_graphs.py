@@ -338,6 +338,46 @@ def test_a_whole_edge_count_with_a_non_edge_is_refused():
     assert subgraph(g, range(5), set(g.edges()))[0] is g
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ((1, 0), "edge (1,0) is not a host edge, low end first"),
+        ((3, 3), "self-loop at 3"),
+        ((-1, 0), "edge (-1,0) leaves the vertex set"),
+        ((4, 5), "edge (4,5) leaves the vertex set"),
+    ],
+)
+def test_a_whole_edge_count_with_a_bad_edge_keeps_its_message(bad, message):
+    # the whole-host check passes such a set on to the row build, whose
+    # validation names the edge as for any other subgraph
+    g = cycle_graph(5)
+    edges = set(g.edges()) - {(0, 1)} | {bad}
+    assert len(edges) == g.m
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        subgraph(g, range(5), edges)
+
+
+class _ProbedEdges(set):
+    # an edge set that counts the membership questions the row build asks
+    asked = 0
+
+    def __contains__(self, edge):
+        self.asked += 1
+        return super().__contains__(edge)
+
+
+def test_a_whole_host_subgraph_builds_no_rows():
+    g = grid_graph(4, 5)
+    edges = _ProbedEdges(g.edges())
+    assert subgraph(g, range(g.n), edges) == (g, tuple(range(g.n)))
+    assert subgraph(g, range(g.n), edges)[0] is g
+    assert edges.asked == 0
+    # one edge short, the rows are built, each asking about its host edges
+    fewer = _ProbedEdges(set(g.edges()) - {(0, 1)})
+    sub, _ = subgraph(g, range(g.n), fewer)
+    assert sub is not g and sub.m == g.m - 1 and fewer.asked == 2 * g.m
+
+
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=100)
 def test_graph_from_shuffled_rows_matches_from_edges(seed):
