@@ -235,21 +235,23 @@ def verify_closure(g: Graph, closure: ClosureResult) -> ClosureReport:
        the host classification (one flood per blocker), closure profiles
        from a flood per vertex, so the two sides take independent routes.
     3. Every kept tree is a real tree of the host meeting its groups
-       within the size cap.  Only trees that hold a free vertex are kept;
-       one of blockers alone is not, as `build_closure` keeps every
-       blocker and every edge between two.  For each kept all-class
-       bundle the group Steiner value in the closure matches the host
-       value, the size of the kept tree.  One `SteinerLattice` over the
-       closure graph, with the classes in closure ids as its groups and
-       the closure's cap, builds the bundles' rows by size, so every
-       sub-bundle's row is there first; a bundle's value is its first
-       nonempty level + 1.
+       within the size cap, and each of its edges, mapped through the
+       vertex map, is an edge of the closure graph.  Only trees that hold
+       a free vertex are kept; one of blockers alone is not, as
+       `build_closure` keeps every blocker and every edge between two.
+       For each kept all-class bundle the group Steiner value in the
+       closure matches the host value, the size of the kept tree.  One
+       `SteinerLattice` over the closure graph, with the classes in
+       closure ids as its groups and the closure's cap, builds the
+       bundles' rows by size, so every sub-bundle's row is there first;
+       a bundle's value is its first nonempty level + 1.
        A capped row is exact up to the cap, and the kept tree has at
        most cap vertices, so a row whose value is the tree's size proves
        the bundle.  On a closure that keeps its guarantee the row always
        does: the closure is a subgraph of the host, so its value is at
-       least the host's, and the retained paths pin it to that value.
-       Only a row that is empty or disagrees runs the uncapped
+       least the host's, and the kept tree lies in the closure, so it is
+       at most the tree's size.  Once the edge check holds a row is never
+       empty, and only one below the tree's size runs the uncapped
        `steiner_size`, to word the problem with the closure's value.
     Item 2 is checked only if item 1 holds, the Steiner values only if all else does.
     """
@@ -284,6 +286,14 @@ def verify_closure(g: Graph, closure: ClosureResult) -> ClosureReport:
         if missing:
             item2.append(f"class representatives {sorted(missing)} were not protected")
 
+    nbrs = closure.graph.neighbor_masks()
+    # the kept trees' host edges that are no closure edge; trees share
+    # their edges, so each distinct edge is looked up once
+    lost = {
+        (u, v)
+        for u, v in set().union(*(tree.edges for tree in closure.kept.values()))
+        if u not in old2new or v not in old2new or not nbrs[old2new[u]] >> old2new[v] & 1
+    }
     all_class = []  # kept bundles of classes only, for the Steiner check
     for key, tree in closure.kept.items():
         if len(tree.vertices) > closure.cap:
@@ -291,6 +301,9 @@ def verify_closure(g: Graph, closure: ClosureResult) -> ClosureReport:
         problem = tree_problem(g, tree.vertices, tree.edges)
         if problem is not None:
             item3.append(f"kept tree {key} {problem}")
+        if lost and not lost.isdisjoint(tree.edges):
+            edge = next(e for e in tree.edges if e in lost)
+            item3.append(f"kept tree {key} edge {edge} is not a closure edge")
         vs = set(tree.vertices)
         for i in key:
             if vs.isdisjoint(closure.groups[i]):

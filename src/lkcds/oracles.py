@@ -5,10 +5,20 @@ the ratio certificate: constructive algorithms elsewhere in the package are
 checked against them on small graphs, so they must stay simple enough to be
 obviously correct.  The connected cover search prunes only what cannot hold
 its lex-min answer, and the tests check it against a plain scan over
-`connected_vertex_sets`.  It tries sizes from a double-sweep distance bound
-up: a connected set r-dominating two targets D apart holds a vertex within
-r of each, so two vertices at least D - 2r apart and a path between them
-inside the set, hence at least D - 2r + 1 vertices.  The bound never
+`connected_vertex_sets`.  It probes sizes from the top down to a
+double-sweep distance bound.  A probe at size s grows, from each root in
+turn, the connected sets of at most s vertices whose least vertex is that
+root, and stops at the first that covers the targets.  So a probe that
+meets none proves that no cover of at most s vertices exists, and one
+that meets a cover of c vertices from root v proves that none of at most
+s vertices has a least vertex below v: the next probe asks for c - 1
+vertices from v on, and the lex-least search runs once, at the last size
+met, from the last root.  The top is min(k, |home|), home being the
+component that holds the targets, lowered to the size of a connected
+cover peeled from home when it lies two or more above the bound.  The
+bound: a connected set r-dominating two targets D apart holds a vertex
+within r of each, so two vertices at least D - 2r apart and a path between
+them inside the set, hence at least D - 2r + 1 vertices.  The bound never
 overstates the optimum, and its sweeps visit no set and charge no budget
 node.  Balls are symmetric, so the last vertex w of a set covers the
 missing targets exactly when their mask lies inside w's ball.  Two
@@ -213,6 +223,50 @@ def _distance_bound(g: Graph, targets: int, r: int) -> int:
     return max(1, reach - 2 * r + 1)
 
 
+def _peeled_cover(g: Graph, targets: int, r: int, home: int) -> int:
+    # a connected set r-dominating the targets inside their connected home
+    # component: two bottom-up passes over a BFS tree of the kept vertices
+    # drop a vertex with no kept child, or the root with at most one, when
+    # the balls of the kept vertices before it in BFS order and of the kept
+    # ones after it still cover the targets.  The second tree is rooted at
+    # the first's last kept vertex, so the first root's side peels too
+    masks = g.neighbor_masks()
+    balls = g.balls(r)
+    kept = home
+    root = (home & -home).bit_length() - 1
+    up = [0] * g.n  # BFS parents
+    for _ in range(2):
+        order = [root]
+        seen = 1 << root
+        for v in order:
+            fresh = masks[v] & kept & ~seen
+            seen |= fresh
+            while fresh:
+                u_bit = fresh & -fresh
+                fresh ^= u_bit
+                u = u_bit.bit_length() - 1
+                up[u] = v
+                order.append(u)
+        before = []
+        got = 0
+        for v in order:
+            before.append(got)
+            got |= balls[v]
+        got = held = 0  # the balls of the kept vertices after v; their parents
+        for i in range(len(order) - 1, 0, -1):
+            v = order[i]
+            if not held >> v & 1 and targets & balls[v] & ~(before[i] | got) == 0:
+                kept ^= 1 << v
+            else:
+                got |= balls[v]
+                held |= 1 << up[v]
+        # the root's kept neighbours are its kept children
+        if (masks[root] & kept).bit_count() <= 1 and targets & balls[root] & ~got == 0:
+            kept ^= 1 << root
+        root = next(v for v in reversed(order) if kept >> v & 1)
+    return kept
+
+
 def _connected_cover(
     g: Graph, targets: int, r: int, k: int, budget_nodes: Optional[int]
 ) -> SolveResult:
@@ -236,18 +290,28 @@ def _connected_cover(
 def _search_cover(g: Graph, targets: int, r: int, k: int, budget: _Budget) -> SolveResult:
     # lexicographically smallest minimum connected set r-dominating the
     # targets mask, capped at k; it lies in the one component holding them.
-    # The sizes tried start at _distance_bound, which never overstates the
-    # optimum, and a bound above k settles the call before any search.  For
-    # each size s, one search per root grows connected sets through
-    # vertices above the root only, as connected_vertex_sets does, and
-    # carries the union of their balls down.  Balls are symmetric, so a
-    # last vertex w covers the missing targets exactly when
-    # missing & ~balls[w] == 0, and the least such candidate gives the
-    # branch's least hit; a parent draws its children's last vertices
-    # itself.  A hit's least vertex is its root, so the first root with a
-    # hit holds the answer.  The budget charges one node per set the search
-    # visits; the sweeps visit none.  Candidate bits are walked inline, with
-    # no iter_bits generator per node.
+    # Probes run from the top down to _distance_bound, which never
+    # overstates the optimum, and a bound above k settles the call before
+    # any search.  A probe stops at the first covering set it meets, of at
+    # most its size; the roots then start at the hit's root, and the next
+    # probe asks for one vertex fewer than the hit holds (see the module
+    # docstring).  A probe with no hit ends the probes, and the lex-least
+    # search runs once, at the size of the last hit, from its root.  A
+    # probe at the bound is itself the lex-least search.  The top is
+    # min(k, |home|); when that lies two or more above the bound, the
+    # _peeled_cover size lowers it, so a first probe on a large home is
+    # about as deep as the optimum, and an optimum far below k costs no
+    # probe per size in between.  At most one above the bound, the peel
+    # could save one probe and costs about as much.  Each search per root
+    # grows connected sets through vertices above the root only, as
+    # connected_vertex_sets does, and carries the union of their balls
+    # down.  Balls are symmetric, so a last vertex w covers the missing
+    # targets exactly when missing & ~balls[w] == 0, and the least such
+    # candidate gives the branch's least hit; a parent draws its children's
+    # last vertices itself.  A hit's least vertex is its root, so the first
+    # root with a hit holds the answer.  The budget charges one node per set
+    # a probe or the search visits; the sweeps and the peel visit none.
+    # Candidate bits are walked inline, with no iter_bits generator per node.
     if targets == 0:
         return SolveResult(FOUND, (), 0)
     home = [c for c in g.component_masks() if c & targets]
@@ -258,6 +322,7 @@ def _search_cover(g: Graph, targets: int, r: int, k: int, budget: _Budget) -> So
         return SolveResult(NONE_WITHIN_BUDGET)
     masks = g.neighbor_masks()
     balls = g.balls(r)
+    probing = False  # whether grow returns the first covering set it meets
 
     def draw(cand: int, missing: int) -> int:
         # the least candidate whose ball holds every missing target, or 0
@@ -270,11 +335,12 @@ def _search_cover(g: Graph, targets: int, r: int, k: int, budget: _Budget) -> So
         return 0
 
     def grow(cur: int, left: int, cand: int, banned: int, got: int, above: int) -> int:
-        # lex-least hit that adds `left` more vertices to cur, or 0
+        # while probing, the first covering set met that adds at most `left`
+        # vertices to cur; else the lex-least that adds exactly `left`; or 0
         budget.spend()
         missing = targets & ~got
-        if left == 0:
-            return cur if missing == 0 else 0
+        if left == 0 or probing and not missing:
+            return 0 if missing else cur
         if left == 1:
             w_bit = draw(cand, missing)
             return cur | w_bit if w_bit else 0
@@ -289,34 +355,62 @@ def _search_cover(g: Graph, targets: int, r: int, k: int, budget: _Budget) -> So
             child_cand = rest | (masks[u] & above & ~cur & ~u_bit & ~banned & ~tried)
             if left == 2:
                 budget.spend()  # the child set
-                w_bit = draw(child_cand, missing & ~balls[u])
+                child_missing = missing & ~balls[u]
+                if probing and not child_missing:
+                    return cur | u_bit
+                w_bit = draw(child_cand, child_missing)
                 hit = cur | u_bit | w_bit if w_bit else 0
             else:
                 hit = grow(
                     cur | u_bit, left - 1, child_cand, banned | tried, got | balls[u], above
                 )
-            # of two equal-size sets the lex-smaller holds their least
-            # differing vertex; any hit beats best == 0
-            d = hit ^ best
-            if hit & d & -d:
-                best = hit
+            if hit:
+                if probing:
+                    return hit
+                # of two equal-size sets the lex-smaller holds their least
+                # differing vertex; any hit beats best == 0
+                d = hit ^ best
+                if hit & d & -d:
+                    best = hit
             tried |= u_bit
         return best
 
+    def first_hit(s: int, roots: int) -> int:
+        # grow's answer for s vertices from the least root in the mask that
+        # has one, or 0
+        while roots:
+            v_bit = roots & -roots
+            roots ^= v_bit
+            v = v_bit.bit_length() - 1
+            above = roots  # the home vertices above v
+            hit = grow(v_bit, s - 1, masks[v] & above, 0, balls[v], above)
+            if hit:
+                return hit
+        return 0
+
+    roots = home[0]
+    size = 0
+    s = min(k, roots.bit_count())
+    if s > lb + 1:
+        s = min(s, _peeled_cover(g, targets, r, roots).bit_count())
     try:
-        for s in range(lb, k + 1):
-            roots = home[0]
-            while roots:
-                v_bit = roots & -roots
-                roots ^= v_bit
-                v = v_bit.bit_length() - 1
-                above = roots  # the home vertices above v
-                hit = grow(v_bit, s - 1, masks[v] & above, 0, balls[v], above)
-                if hit:
-                    return SolveResult(FOUND, tuple(iter_bits(hit)), s)
+        while s >= lb:
+            probing = s > lb
+            hit = first_hit(s, roots)
+            if not hit:
+                break
+            if not probing:
+                return SolveResult(FOUND, tuple(iter_bits(hit)), s)
+            size = hit.bit_count()
+            roots &= -(hit & -hit)  # a hit's least vertex is its root
+            s = size - 1
+        if not size:
+            return SolveResult(NONE_WITHIN_BUDGET)
+        probing = False
+        hit = first_hit(size, roots)
     except BudgetExceededError:
         return SolveResult(BUDGET_EXHAUSTED)
-    return SolveResult(NONE_WITHIN_BUDGET)
+    return SolveResult(FOUND, tuple(iter_bits(hit)), size)
 
 
 def exact_cds(

@@ -207,6 +207,10 @@ def verify_closure_per_bundle(g: Graph, closure: ClosureResult) -> ClosureReport
         missing = set(cls_host.representatives).difference(closure.terminals)
         if missing:
             item2.append(f"class representatives {sorted(missing)} were not protected")
+
+    def in_closure(u, v):
+        return u in old2new and v in old2new and old2new[v] in closure.graph.adj[old2new[u]]
+
     all_class = []
     for key, tree in closure.kept.items():
         if len(tree.vertices) > closure.cap:
@@ -214,6 +218,9 @@ def verify_closure_per_bundle(g: Graph, closure: ClosureResult) -> ClosureReport
         problem = tree_problem(g, tree.vertices, tree.edges)
         if problem is not None:
             item3.append(f"kept tree {key} {problem}")
+        lost = [e for e in tree.edges if not in_closure(*e)]
+        if lost:
+            item3.append(f"kept tree {key} edge {lost[0]} is not a closure edge")
         vs = set(tree.vertices)
         for i in key:
             if vs.isdisjoint(closure.groups[i]):

@@ -125,31 +125,41 @@ def test_verify_closure_reports_each_tampered_item(tamper, problems):
     assert rep.problems == problems
 
 
+def lost_edge(trees, edge):
+    return tuple(f"item3: kept tree {key} edge {edge} is not a closure edge" for key in trees)
+
+
 @pytest.mark.parametrize(
-    "host, blockers, pair, needs",
+    "host, blockers, t, edge, problems",
     [
-        # path-5 around 2: without the edge (0, 1) the classes {0, 4} and
-        # {1, 3} meet in no component of the closure
-        (Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)]), [2], (0, 1), None),
-        # a triangle 0, 1, 2 with 3 hung off 2, around 1 and 3: without the
-        # edge (0, 2) the classes {0} and {2} still meet through blocker 1
-        (Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)]), [1, 3], (0, 2), 3),
+        # path-5 around 2, cap 2: without the edge (0, 1) of the kept pair
+        # tree the classes {0, 4} and {1, 3} meet in no component
+        (Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)]), [2], 1, (0, 1),
+         lost_edge([(0, 1)], (0, 1))),
+        # a triangle 0, 1, 2 with 3 hung off 2, around 1 and 3, cap 2:
+        # without the edge (0, 2) the classes {0} and {2} still meet, in a
+        # longer tree through blocker 1
+        (Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)]), [1, 3], 1, (0, 2),
+         lost_edge([(0, 1)], (0, 2))),
+        # grid-2x3 around blockers 1 and 4: the edge between them lies in
+        # trees of bundles that hold a blocker group, whose closure values
+        # are never compared
+        (grid_graph(2, 3), [1, 4], Fraction(3, 2), (1, 4),
+         lost_edge([(0, 2, 3), (0, 3), (1, 2, 3)], (1, 4))),
+        (grid_graph(2, 3), [1, 4], 2, (1, 4),
+         lost_edge([(0, 1, 2, 3), (0, 2, 3), (0, 3), (1, 2, 3)], (1, 4))),
     ],
-    ids=["no-tree", "longer-tree"],
+    ids=["no-tree", "longer-tree", "blocker-edge-cap3", "blocker-edge-cap4"],
 )
-def test_verify_closure_words_a_bundle_beyond_the_cap(host, blockers, pair, needs):
-    # a cap-2 closure that loses the edge of its kept pair tree needs more
-    # than the cap, so the capped lattice finds no tree and the uncapped
-    # search words the problem with the closure's value
-    clo = build_closure(host, blockers, 1, 1)
-    assert clo.cap == 2 and clo.kept[(0, 1)] == Tree(pair, (pair,))
+def test_verify_closure_names_each_kept_tree_that_lost_an_edge(host, blockers, t, edge, problems):
+    # a closure that loses one host edge of some kept trees fails item 3
+    # once per such tree, before any Steiner value is compared
+    clo = build_closure(host, blockers, 1, t)
     old2new = {old: new for new, old in enumerate(clo.vertex_map)}
-    cut = tuple(sorted(old2new[v] for v in pair))
+    cut = tuple(sorted(old2new[v] for v in edge))
     edges = [e for e in clo.graph.edges() if e != cut]
     bent = replace(clo, graph=Graph.from_edges(clo.graph.n, edges))
-    assert verify_closure(host, bent).problems == (
-        f"item3: bundle (0, 1): host tree has 2 vertices but the closure needs {needs}",
-    )
+    assert verify_closure(host, bent).problems == problems
 
 
 def test_a_passing_verify_makes_no_uncapped_steiner_search():

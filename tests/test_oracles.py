@@ -39,6 +39,7 @@ from workloads import (
     path_graph,
     planted_hosts,
     random_connected,
+    spider_graph,
     star_graph,
 )
 
@@ -206,6 +207,34 @@ def scan_connected_cover(g, targets, r, k):
 # the optimum
 @example(path_graph(9), 1, 6, 0, True)
 @example(path_graph(9), 1, 7, 0, True)
+# spider-3x2 at r = 1: k = n leaves room above the distance bound 3, so the
+# peel caps the first probe at the optimum 4; the bound fails, and the
+# lex-least search runs at 4
+@example(spider_graph(3, 2), 1, 7, 0, True)
+# path-9 at r = 1 with k = 8: the probe at 8 runs above the optimum 7, which
+# is the bound, so the lex-least search runs there
+@example(path_graph(9), 1, 8, 0, True)
+# here the peel leaves 4 vertices where 2 do: probes at 4, 3 and 2 hit, the
+# bound 1 fails, and the lex-least search runs at 2 from the last root
+@example(
+    Graph.from_edges(8, [(0, 1), (0, 3), (1, 2), (2, 6), (3, 4), (4, 5), (4, 6), (6, 7)]),
+    2, 8, 0, True,
+)
+# spider-4x2 at r = 1 needs 5 vertices: k = 4 is one failed probe
+@example(spider_graph(4, 2), 1, 4, 0, True)
+# targets 0 and 2 of a 4-cycle beside path-6 at r = 0: the probe runs at the
+# component's 4, not at k = 10, and meets a 3-vertex cover
+@example(
+    Graph.from_edges(10, [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (5, 6), (6, 7), (7, 8), (8, 9)]),
+    0, 10, 0b101, False,
+)
+# targets 0 and 6 of the 6-cycle 0-3-2-6-1-5 at r = 0, k = 4: the bound 4 is
+# the optimum, where the first covering set met, {0, 2, 3, 6}, is not the
+# lex-least {0, 1, 5, 6}
+@example(
+    Graph.from_edges(7, [(0, 3), (2, 3), (2, 6), (1, 6), (1, 5), (0, 5)]),
+    0, 4, 0b1000001, False,
+)
 @settings(max_examples=120)
 def test_connected_cover_matches_plain_scan(g, r, k, annotated, whole):
     k = min(k, g.n)
@@ -216,6 +245,35 @@ def test_connected_cover_matches_plain_scan(g, r, k, annotated, whole):
         targets = annotated & ((1 << g.n) - 1)
         got = exact_acds(g, iter_bits(targets), r, k)
     assert (got.status, got.solution, got.value) == scan_connected_cover(g, targets, r, k)
+
+
+@given(forest_graphs(10), st.integers(0, 3), st.integers(0, 9), st.integers(0, 1023))
+@settings(max_examples=120)
+def test_the_peeled_cover_is_a_connected_cover_inside_the_home(g, r, pick, annotated):
+    # the size of the peel caps the first probe, so a peel that lost a
+    # target or its connection would hide the answer
+    comps = g.component_masks()
+    if not comps:
+        return
+    home = comps[pick % len(comps)]
+    targets = annotated & home or home
+    peel = oracles._peeled_cover(g, targets, r, home)
+    got = 0
+    for v in iter_bits(peel):
+        got |= g.balls(r)[v]
+    assert peel & ~home == 0
+    assert targets & ~got == 0
+    assert flood_connected(g, peel)
+
+
+def test_a_large_k_far_above_a_small_optimum_searches_near_the_optimum():
+    # the peel caps the first probe: the star needs its centre alone, and
+    # path-1200 at r = 500 its middle 200 vertices, which the distance
+    # bound already proves, so neither search goes k deep
+    assert exact_cds(star_graph(1200), 1, 1200, budget_nodes=1) == SolveResult(FOUND, (0,), 1)
+    assert exact_cds(path_graph(1200), 500, 1200) == SolveResult(
+        FOUND, tuple(range(500, 700)), 200
+    )
 
 
 @given(st.integers(0, 2_000))
@@ -366,19 +424,19 @@ def test_set_cover_budget_threshold():
 @pytest.mark.parametrize(
     "query, nodes, expected",
     [
-        (lambda b: exact_cds(r_subdivision(complete_graph(5), 3)[0], 2, 9, b), 3505,
+        (lambda b: exact_cds(r_subdivision(complete_graph(5), 3)[0], 2, 9, b), 2388,
          SolveResult(FOUND, (0, 5, 6, 7, 8, 9, 10, 11, 12), 9)),
-        (lambda b: exact_cds(grid_graph(4, 4), 1, 6, b), 654,
+        (lambda b: exact_cds(grid_graph(4, 4), 1, 6, b), 449,
          SolveResult(NONE_WITHIN_BUDGET)),
-        (lambda b: exact_acds(grid_graph(4, 4), [0, 3, 12, 15], 1, 6, b), 335,
+        (lambda b: exact_acds(grid_graph(4, 4), [0, 3, 12, 15], 1, 6, b), 341,
          SolveResult(FOUND, (1, 2, 5, 9, 13, 14), 6)),
     ],
     ids=["k5-subdivided", "grid-none", "grid-corners"],
 )
 def test_connected_cover_budget_threshold(query, nodes, expected):
-    # the connected cover search charges one node per set it visits; each
-    # query needs exactly `nodes` of them, so a change in what is visited or
-    # charged moves a threshold
+    # the connected cover search charges one node per set it visits, probes
+    # included; each query needs exactly `nodes` of them, so a change in
+    # what is visited or charged moves a threshold
     assert query(nodes) == expected
     assert query(nodes - 1) == SolveResult(BUDGET_EXHAUSTED)
 
@@ -462,8 +520,8 @@ def test_a_cached_answer_leaves_a_budgeted_call_alone():
     # on a graph that already holds the unbudgeted answer
     g = grid_graph(4, 4)
     assert exact_cds(g, 1, 6) == SolveResult(NONE_WITHIN_BUDGET)
-    assert exact_cds(g, 1, 6, budget_nodes=653) == SolveResult(BUDGET_EXHAUSTED)
-    assert exact_cds(g, 1, 6, budget_nodes=654) == SolveResult(NONE_WITHIN_BUDGET)
+    assert exact_cds(g, 1, 6, budget_nodes=448) == SolveResult(BUDGET_EXHAUSTED)
+    assert exact_cds(g, 1, 6, budget_nodes=449) == SolveResult(NONE_WITHIN_BUDGET)
 
 
 def test_certify_searches_only_the_host_of_a_kernel_that_is_not_its_host(monkeypatch):
