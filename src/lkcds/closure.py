@@ -25,7 +25,7 @@ from .graphs import (
     tree_problem,
 )
 from .projections import ProfileClassification, classify, profile
-from .steiner import SteinerLattice, steiner_size
+from .steiner import Row, SteinerLattice, steiner_size, walk_tree
 
 
 def avoiding_path_tree(
@@ -99,8 +99,9 @@ def build_closure(
     - Such a tree adds only blockers and edges between two blockers, and
       the closure keeps every blocker and every such edge.
     - It has no free vertex, so it adds no terminal.
-    Each such tree is still walked, as only the walk tells whether it runs
-    through a free vertex, and larger bundles reuse its walks.
+    Each such tree is still walked and checked, as only the walk tells
+    whether it runs through a free vertex, and larger bundles reuse its
+    walks; but it is not sorted into a `Tree`, as only kept walks are.
 
     Below cap 3 the blocker groups would add nothing to the closure graph,
     for r >= 1, the radius every kernel runs at:
@@ -133,7 +134,15 @@ def build_closure(
             grouped |= 1 << v
     masks = [mask_of(grp) for grp in groups]
     lattice = SteinerLattice(g, masks, cap)
-    trees: Dict[Tuple[int, ...], Tree] = {}  # by bundle key, kept or not
+    free = ((1 << g.n) - 1) ^ mask_of(xs)
+    kept: Dict[Tuple[int, ...], Tree] = {}  # by bundle key, in visiting order
+
+    def search(key: Tuple[int, ...], bundle: int, row: Row) -> None:
+        # every walk is checked; only one with a free vertex becomes a tree
+        span, edges = lattice.walk(bundle, row)
+        if span & free:
+            kept[key] = walk_tree(span, edges)
+
     compat = []
     # each level holds the bundles of one size that have a tree, in
     # ascending order, with their rows and the groups that may still join
@@ -141,7 +150,7 @@ def build_closure(
     level = []
     for i in range(len(groups)):
         row = lattice.row(1 << i, keep=cap > 1)
-        trees[(i,)] = lattice.tree(1 << i, row)
+        search((i,), 1 << i, row)
         near = 0
         for v in iter_bits(row[-1] & grouped):
             near |= 1 << group_of[v]
@@ -150,6 +159,7 @@ def build_closure(
     pairs = len(groups) * (len(groups) - 1) // 2
     pruned_pairs = pairs - sum(c.bit_count() for c in compat) // 2
 
+    searched = len(level)  # the bundles with a tree, each walked once
     for size in range(2, min(cap, len(groups)) + 1):
         grown = []
         for key, bundle, row, cand in level:
@@ -160,16 +170,12 @@ def build_closure(
                     bigger_row = lattice.row(bigger, keep=size < cap)
                     if not bigger_row:
                         raise ContractViolation(f"bundle {key + (j,)} has no tree")
-                    trees[key + (j,)] = lattice.tree(bigger, bigger_row)
+                    search(key + (j,), bigger, bigger_row)
                     cand_j = cand & compat[j] & -(2 << j)
                     grown.append((key + (j,), bigger, bigger_row, cand_j))
         level = grown
-    # by key, not by the visiting order; only trees with a free vertex
-    kept = {
-        key: tree
-        for key, tree in sorted(trees.items())
-        if not xset.issuperset(tree.vertices)
-    }
+        searched += len(level)
+    kept = dict(sorted(kept.items()))  # by key, not by the visiting order
 
     terminals = tuple(
         sorted({v for tree in kept.values() for v in tree.vertices if v not in xset})
@@ -194,7 +200,7 @@ def build_closure(
         "classes": class_count,
         "groups": len(groups),
         "pruned_pairs": pruned_pairs,
-        "candidate_subsets": len(trees),
+        "candidate_subsets": searched,
         "kept_trees": len(kept),
         "terminals": len(terminals),
     }

@@ -336,7 +336,8 @@ def tree_problem(
     """None when the vertices and edges form a tree of g, else what is wrong.
 
     The message completes a sentence whose subject the caller names, as in
-    f"piece {i} {problem}".
+    f"piece {i} {problem}".  After the checks that need the vertex list,
+    the rest is `tree_mask_problem` on the vertices' mask.
     """
     vset = set(vertices)
     if not vset:
@@ -345,14 +346,31 @@ def tree_problem(
         return "repeats a vertex"
     if min(vset) < 0 or max(vset) >= g.n:
         return "has a vertex outside the host"
-    if len(edges) != len(vset) - 1:
+    return tree_mask_problem(g, mask_of(vset), edges)
+
+
+def tree_mask_problem(
+    g: Graph, span: int, edges: Sequence[Tuple[int, int]]
+) -> Optional[str]:
+    """`tree_problem` for the vertices of the `span` mask, with its messages.
+
+    Edges are checked in the order given, so the first bad one is named.
+    Whether a problem is found does not depend on that order: the count
+    and each edge's own check do not, and neither does whether the edges
+    hold a cycle.
+    """
+    if not span:
+        return "is empty"
+    if span >> g.n:
+        return "has a vertex outside the host"
+    if len(edges) != span.bit_count() - 1:
         return "is not a tree"
     masks = g.neighbor_masks()
     # |V| - 1 edges inside V connect V exactly when none closes a cycle,
     # which a union-find over the edges (with path halving) detects
     parent: Dict[int, int] = {}
     for u, v in edges:
-        if u not in vset or v not in vset:
+        if u < 0 or v < 0 or not (span >> u) & (span >> v) & 1:
             return f"has a dangling edge {(u, v)}"
         if not (masks[u] >> v) & 1:
             return f"uses a non-edge {(u, v)}"

@@ -38,6 +38,11 @@ enters, and rebuilds a larger bundle's tree from its sub-bundles' kept
 walks; the union, and with it the tree, is the one a fresh walk would pick.
 The states a walk steps through are not kept, so a kept walk costs memory
 in proportion to its own length.
+
+`walk` checks every walk it rebuilds, on its vertex mask and the edges as
+the walk lists them, and returns them; `tree` is `walk` plus sorting the
+walk into a `Tree`.  So a caller that keeps only some trees, as the closure
+does, checks every walk but sorts only the ones it keeps.
 """
 
 from __future__ import annotations
@@ -45,12 +50,13 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .domination import ContractViolation
-from .graphs import Graph, Tree, iter_bits, tree_problem, vertex_mask
+from .graphs import Graph, Tree, iter_bits, tree_mask_problem, vertex_mask
 
 GROUP_LIMIT = 8
 
 Row = Tuple[int, ...]  # vertex masks by level; a short row repeats its last level
-Walk = Tuple[int, Tuple[Tuple[int, int], ...]]  # vertex mask, edges
+Edges = Tuple[Tuple[int, int], ...]  # each low end first
+Walk = Tuple[int, Edges]  # vertex mask, edges
 Side = Tuple[int, Row, int]  # sub-bundle, its row, a level
 
 
@@ -61,8 +67,8 @@ class SteinerLattice:
     their indices.  `row` builds a bundle's row from the kept rows of its
     sub-bundles, so callers offer every sub-bundle first.  A sub-bundle
     without a kept row has no tree within the cap, and neither does any
-    bundle that contains it.  `tree` keeps the walks from the states of
-    kept rows that it starts from or splits into, so trees of larger
+    bundle that contains it.  `walk` keeps the walks from the states of
+    kept rows that it starts from or splits into, so walks of larger
     bundles reuse them.
     """
 
@@ -80,7 +86,7 @@ class SteinerLattice:
 
         A kept row runs to the cap, or until it stops growing, and is
         stored for larger bundles.  A row that is not kept stops at its
-        first nonempty level, the last one `tree` reads.
+        first nonempty level, the last one `walk` reads.
         """
         if bundle & (bundle - 1):
             sides = self._sides(bundle)
@@ -137,28 +143,35 @@ class SteinerLattice:
             part = (part - 1) & rest
         return sides
 
-    def tree(self, bundle: int, row: Row) -> Tree:
-        """The tree the tie-breaks pick from the bundle's nonempty row.
+    def walk(self, bundle: int, row: Row) -> Walk:
+        """The vertex mask and edges of the walk the tie-breaks pick from
+        the bundle's nonempty row.
 
-        Checks its own result: a tree of the graph, of value + 1 vertices,
-        meeting every group of the bundle.
+        Checks it: a tree of the graph, of value + 1 vertices, meeting every
+        group of the bundle.  The edges are checked as the walk lists them
+        and, only when that finds a problem, again sorted and without
+        repeats, the order and edge set of the walk's `Tree`, to word it.
         """
         value = 0
         while not row[value]:
             value += 1
         start = (row[value] & -row[value]).bit_length() - 1
         span, edges = self._walk(bundle, row, start, value)
-        tree = Tree(tuple(iter_bits(span)), tuple(sorted(set(edges))))
-        problem = tree_problem(self.g, tree.vertices, tree.edges)
-        if problem is not None:
-            raise ContractViolation(f"reconstructed tree {problem}")
-        if tree.size != value + 1:
+        if tree_mask_problem(self.g, span, edges) is not None:
+            problem = tree_mask_problem(self.g, span, sorted(set(edges)))
+            if problem is not None:
+                raise ContractViolation(f"reconstructed tree {problem}")
+        if span.bit_count() != value + 1:
             raise ContractViolation("value and reconstruction disagree")
         for i in iter_bits(bundle):
             if not span & self.groups[i]:
                 members = tuple(iter_bits(self.groups[i]))
                 raise ContractViolation(f"tree misses group {members}")
-        return tree
+        return span, edges
+
+    def tree(self, bundle: int, row: Row) -> Tree:
+        """The checked walk of `walk`, sorted into a `Tree`."""
+        return walk_tree(*self.walk(bundle, row))
 
     def _walk(self, bundle: int, row: Row, v: int, d: int) -> Walk:
         # the vertex mask and edges the tie-breaks pick from v at level d of
@@ -207,6 +220,11 @@ class SteinerLattice:
                     break
             part = (part - rest) & rest
         return None
+
+
+def walk_tree(span: int, edges: Edges) -> Tree:
+    """The tree of a walk's vertex mask and edges: sorted, without repeats."""
+    return Tree(tuple(iter_bits(span)), tuple(sorted(set(edges))))
 
 
 def steiner_exact(g: Graph, groups: Sequence[Iterable[int]]) -> Optional[Tree]:

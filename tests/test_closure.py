@@ -25,12 +25,12 @@ from lkcds.closure import (
     check_translation,
     verify_closure,
 )
-from lkcds.domination import greedy_rdom
+from lkcds.domination import ContractViolation, greedy_rdom
 from lkcds.graphs import Graph, Tree
 from lkcds.kernel import KernelParams, kernelize
 from lkcds.oracles import FOUND, brute_steiner
 from lkcds.projections import classify, profile
-from lkcds.steiner import steiner_size
+from lkcds.steiner import SteinerLattice, steiner_size
 from workloads import (
     cycle_graph,
     grid_graph,
@@ -419,6 +419,54 @@ def test_a_tree_left_out_of_kept_lies_in_the_closure(case):
         for u, v in edges:
             assert old2new[v] in clo.graph.adj[old2new[u]], (key, u, v)
     assert all(not xs.issuperset(tree.vertices) for tree in clo.kept.values())
+
+
+def corrupt_walk(monkeypatch, bundle, extra_span, extra_edges):
+    # every walk of the bundle gains the vertices and edges given
+    walk = SteinerLattice._walk
+
+    def corrupted(self, b, row, v, d):
+        span, edges = walk(self, b, row, v, d)
+        if b == bundle:
+            return span | extra_span, edges + extra_edges
+        return span, edges
+
+    monkeypatch.setattr(SteinerLattice, "_walk", corrupted)
+
+
+@pytest.mark.parametrize(
+    "extra_span, extra_edges",
+    [
+        (1 << 3, ((0, 3),)),
+        # listed first, the dangling edge (3, 5) would be named; sorted,
+        # the non-edge (0, 3) comes first, as in the walk's `Tree`
+        (1 << 3 | 1 << 4, ((3, 5), (0, 3))),
+    ],
+    ids=["non-edge", "dangling-edge-listed-first"],
+)
+def test_a_walk_the_closure_throws_away_is_still_checked(
+    monkeypatch, extra_span, extra_edges
+):
+    # every vertex of the 6-cycle is a blocker, so every bundle is one of
+    # blocker groups alone and no tree is kept, yet every walk is checked
+    g = cycle_graph(6)
+    clo = build_closure(g, range(6), 1, 2)
+    assert (clo.cap, len(clo.groups), clo.class_count) == (4, 6, 0)
+    assert (clo.stats["candidate_subsets"], clo.kept) == (45, {})
+    corrupt_walk(monkeypatch, 0b11, extra_span, extra_edges)
+    with pytest.raises(
+        ContractViolation, match=r"^reconstructed tree uses a non-edge \(0, 3\)$"
+    ):
+        build_closure(g, range(6), 1, 2)
+
+
+def test_a_walk_that_repeats_an_edge_is_checked_on_its_edge_set(monkeypatch):
+    # a tree's edges are the walk's without repeats, and so is the check
+    g = cycle_graph(6)
+    clo = build_closure(g, range(6), 1, 2)
+    corrupt_walk(monkeypatch, 0b11, 0, ((0, 1),))
+    again = build_closure(g, range(6), 1, 2)
+    assert (again.stats, again.kept, again.graph) == (clo.stats, clo.kept, clo.graph)
 
 
 @st.composite

@@ -24,6 +24,7 @@ from lkcds.graphs import (
     serialize_graph,
     sniff_format,
     subgraph,
+    tree_mask_problem,
     tree_problem,
     vertex_mask,
 )
@@ -174,6 +175,63 @@ def test_tree_problem_names_each_fault():
     assert tree_problem(g, (0, 1, 2), ((0, 1), (0, 2))) == "uses a non-edge (0, 2)"
     assert tree_problem(g, (0, 1, 3), ((0, 1), (1, 2))) == "has a dangling edge (1, 2)"
     assert tree_problem(g, (0, 1, 2), ((0, 1), (0, 1))) == "is disconnected"
+
+
+@st.composite
+def tree_candidates(draw):
+    """A graph of at most 9 vertices, a vertex list that may be empty, hold
+    an id outside the graph or repeat one, and an edge list: a random tree
+    over the list, preferring host edges, in which one edge may become a
+    dangling edge, a non-edge or a chord (often a cycle), or which may
+    gain a chord (one edge too many) or lose an edge (one too few)."""
+    n = draw(st.integers(1, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    density = draw(st.sampled_from((2, 5, 8)))
+    g = Graph.from_edges(n, [e for e in pairs if draw(st.integers(0, 9)) < density])
+    size = draw(st.integers(0, n)) if draw(st.integers(0, 9)) == 0 else draw(st.integers(1, n))
+    vertices = draw(st.permutations(range(n)))[:size]
+    if draw(st.integers(0, 9)) == 0:
+        vertices.insert(draw(st.integers(0, len(vertices))), draw(st.integers(n, n + 2)))
+    if vertices and draw(st.integers(0, 9)) == 0:
+        vertices.append(draw(st.sampled_from(vertices)))
+    edges = []
+    for i in range(1, len(vertices)):
+        v, earlier = vertices[i], vertices[:i]
+        near = [u for u in earlier if v < n and u < n and u in g.adj[v]]
+        u = draw(st.sampled_from(near or earlier))
+        edges.append((u, v) if u < v else (v, u))
+    fault = draw(st.sampled_from(("none", "dangling", "non-edge", "cycle", "extra", "drop")))
+    missing = [e for e in pairs if e[1] not in g.adj[e[0]]]
+    if fault == "dangling":
+        edge = tuple(sorted(draw(st.lists(st.integers(-1, n + 2), min_size=2, max_size=2))))
+    elif fault == "non-edge" and missing:
+        edge = draw(st.sampled_from(missing))
+    elif fault in ("cycle", "extra") and vertices:
+        # a host edge inside the list, when there is one
+        inside = [e for e in pairs if e[1] in g.adj[e[0]] and set(e) <= set(vertices)]
+        edge = draw(st.sampled_from(inside or [(vertices[0], vertices[-1])]))
+    else:
+        edge = None
+    if fault == "drop" and edges:
+        del edges[draw(st.integers(0, len(edges) - 1))]
+    elif edge is not None and fault != "extra" and edges:
+        edges[draw(st.integers(0, len(edges) - 1))] = edge
+    elif edge is not None:
+        edges.insert(draw(st.integers(0, len(edges))), edge)
+    return g, vertices, edges
+
+
+@given(tree_candidates())
+@settings(max_examples=400)
+def test_tree_mask_problem_is_tree_problem_on_the_vertex_mask(case):
+    # the one validator: the vertex-list form is the mask form after the
+    # checks that need the list, with the same verdict and message
+    g, vertices, edges = case
+    problem = tree_problem(g, vertices, edges)
+    if len(set(vertices)) != len(vertices):
+        assert problem == "repeats a vertex"
+        return
+    assert tree_mask_problem(g, mask_of(vertices), edges) == problem
 
 
 def test_bfs_layers_refuses_a_negative_depth():

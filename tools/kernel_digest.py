@@ -16,7 +16,8 @@ function of the label's name for the others:
 - `<workload> closure-trees`: closure stats, kept trees and verifier verdicts
 - `<workload> lift`: lifted kernel solutions and certificates
 - `cover`: the set-cover oracles
-- `cds`: the connected-cover oracles
+- `cds`: the connected-cover oracles without a node budget
+- `cds-budgeted`: the connected-cover oracles with a node budget
 - `steiner`: uncapped Steiner values and capped lattice trees
 - `graphs`: distances, balls, components, orders, stitching, subgraphs
 - `bundle-trees`: closures that search bundles of 5 to 8 groups
@@ -184,9 +185,12 @@ CDS_QUERIES = 1000  # random graphs per seed
 CDS_BUDGETS = (None, 5, 20, 100)  # and one drawn from 0 to 200 per query
 
 
-def cds_lines(seed: int) -> List[str]:
+def cds_answers(seed: int, budgeted: bool) -> List[str]:
     """`exact_cds` and `exact_acds` answers on seeded random forests with
-    chords, with and without budgets."""
+    chords: those without a node budget, or those with one of the budgets.
+    The budgets are drawn alike either way, so both sides ask the same
+    queries.  A budgeted call neither reads nor fills a graph's cache of
+    answers, so each side answers as it would beside the other."""
     from lkcds.oracles import exact_acds, exact_cds
 
     rng = random.Random(seed)
@@ -197,9 +201,21 @@ def cds_lines(seed: int) -> List[str]:
         r, k = rng.randint(1, 3), rng.randint(0, n)
         annotated = rng.sample(range(n), rng.randint(0, n))
         for budget in (*CDS_BUDGETS, rng.randint(0, 200)):
+            if (budget is not None) != budgeted:
+                continue
             for res in (exact_cds(g, r, k, budget), exact_acds(g, annotated, r, k, budget)):
                 lines.append(repr((res.status, res.solution, res.value)))
     return lines
+
+
+def cds_lines(seed: int) -> List[str]:
+    """The connected-cover answers of `cds_answers` without a node budget."""
+    return cds_answers(seed, budgeted=False)
+
+
+def cds_budgeted_lines(seed: int) -> List[str]:
+    """The connected-cover answers of `cds_answers` with a node budget."""
+    return cds_answers(seed, budgeted=True)
 
 
 STEINER_QUERIES = 200  # random group systems per seed
@@ -490,6 +506,7 @@ def digest_lines() -> Iterator[str]:
     checks = (  # label, unit, units per seed, the lines of one seed
         ("cover", "queries", COVER_QUERIES, cover_lines),
         ("cds", "queries", CDS_QUERIES, cds_lines),
+        ("cds-budgeted", "queries", CDS_QUERIES, cds_budgeted_lines),
         ("steiner", "queries", STEINER_QUERIES, steiner_lines),
         ("graphs", "queries", GRAPH_QUERIES, graph_lines),
         ("bundle-trees", "hosts", BUNDLE_HOSTS, bundle_lines),
