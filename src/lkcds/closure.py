@@ -163,16 +163,19 @@ def build_closure(
     for size in range(2, min(cap, len(groups)) + 1):
         grown = []
         for key, bundle, row, cand in level:
-            # j joins when its group meets the last level of the row
-            for j in iter_bits(cand):
-                if masks[j] & row[-1]:
+            # j joins when its group meets the last level of the row; the
+            # candidates left after j are those past it
+            last = row[-1]
+            while cand:
+                j = (cand & -cand).bit_length() - 1
+                cand &= cand - 1
+                if masks[j] & last:
                     bigger = bundle | 1 << j
                     bigger_row = lattice.row(bigger, keep=size < cap)
                     if not bigger_row:
                         raise ContractViolation(f"bundle {key + (j,)} has no tree")
                     search(key + (j,), bigger, bigger_row)
-                    cand_j = cand & compat[j] & -(2 << j)
-                    grown.append((key + (j,), bigger, bigger_row, cand_j))
+                    grown.append((key + (j,), bigger, bigger_row, cand & compat[j]))
         level = grown
         searched += len(level)
     kept = dict(sorted(kept.items()))  # by key, not by the visiting order

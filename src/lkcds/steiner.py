@@ -8,12 +8,22 @@ set of vertices v that lie on a tree of at most d edges meeting every group
 of the bundle.  Level d is level d - 1, its neighbour shell, and the OR
 over the splits of the bundle into two sub-bundles A and B of the masks
 A[i] & B[d - i].  A row ends at cap - 1 edges, or earlier once it stops
-growing and holds every vertex a split can add.  A `SteinerLattice` keeps
-the rows it is asked to keep, so one lattice per closure computes each
-bundle's row once and shares it with every larger bundle, and the closure
-verifier reads every kept bundle's value in the closure graph off one
-more; `steiner_exact` caps its own lattice at n vertices, which no tree
-exceeds.
+growing and holds every vertex a split can add.
+
+No work is spent below the level where a tree can first exist.  A tree
+that meets s disjoint groups holds a vertex of each, so it has at least s
+vertices and s - 1 edges: the levels below s - 1 of a bundle of s groups
+are empty.  So `row` sets those levels down without computing them, a
+split term A[i] & B[d - i] is formed only for i at least |A| - 1 and
+d - i at least |B| - 1, and `walk` and its split search scan a bundle's
+and a side's levels from there.  Rows, walks and trees are those the
+same DP gives with every level and term computed.
+
+A `SteinerLattice` keeps the rows it is asked to keep, so one lattice per
+closure computes each bundle's row once and shares it with every larger
+bundle, and the closure verifier reads every kept bundle's value in the
+closure graph off one more; `steiner_exact` caps its own lattice at n
+vertices, which no tree exceeds.
 
 Trees are rebuilt by fixed tie-breaks.  Start from the least vertex at the
 least level.  There take the first split, in descending submask order over
@@ -63,13 +73,13 @@ Side = Tuple[int, Row, int]  # sub-bundle, its row, a level
 class SteinerLattice:
     """Rows of the subset DP for one graph, one list of groups and one cap.
 
-    Groups are disjoint nonempty vertex masks and bundles are masks over
-    their indices.  `row` builds a bundle's row from the kept rows of its
-    sub-bundles, so callers offer every sub-bundle first.  A sub-bundle
-    without a kept row has no tree within the cap, and neither does any
-    bundle that contains it.  `walk` keeps the walks from the states of
-    kept rows that it starts from or splits into, so walks of larger
-    bundles reuse them.
+    Groups are disjoint vertex masks and bundles are masks over their
+    indices; a bundle that holds an empty group has no tree.  `row` builds
+    a bundle's row from the kept rows of its sub-bundles, so callers offer
+    every sub-bundle first.  A sub-bundle without a kept row has no tree
+    within the cap, and neither does any bundle that contains it.  `walk`
+    keeps the walks from the states of kept rows that it starts from or
+    splits into, so walks of larger bundles reuse them.
     """
 
     def __init__(self, g: Graph, groups: Sequence[int], cap: int):
@@ -93,28 +103,36 @@ class SteinerLattice:
             if sides is None:
                 return ()
             cur = reach = 0
-            for a, b in sides:
+            for a, b, _, _ in sides:
                 reach |= a[-1] & b[-1]
         else:
             sides = []
             cur = reach = self.groups[bundle.bit_length() - 1]
         # reach: every vertex some split can ever add; once the row holds
-        # it, splits add nothing and the row ends when it stops growing
+        # it, splits add nothing and the row ends when it stops growing.
+        # The levels below the bundle's group count less one are empty
+        # (module docstring), so they are set down without being computed
         neighborhood = self.g.neighborhood
-        levels = [cur]
+        levels = [cur] * max(bundle.bit_count() - 1, 1)
         prev = 0
-        for d in range(1, self.top + 1):
+        for d in range(len(levels), self.top + 1):
             if cur and not keep:
                 break
             grown = cur | neighborhood(cur & ~prev)
             if reach & ~grown:
-                # past its end a row repeats its last level, so a term with
-                # an index past the end is one with both indices inside,
-                # at a lower level that the row already holds
-                for a, b in sides:
-                    la, lb = len(a), len(b)
-                    first = d - lb + 1 if d >= lb else 0
-                    for i in range(first, d + 1 if d < la else la):
+                # i and d - i start at their sides' lows, below which a
+                # side's levels are empty; past its end a row repeats its
+                # last level, so a term with an index past the end is one
+                # with both indices inside, at a lower level that the row
+                # already holds
+                for a, b, low_a, low_b in sides:
+                    first = d - len(b) + 1
+                    if first < low_a:
+                        first = low_a
+                    end = d - low_b + 1
+                    if end > len(a):
+                        end = len(a)
+                    for i in range(first, end):
                         grown |= a[i] & b[d - i]
             elif grown == cur:
                 break
@@ -127,10 +145,11 @@ class SteinerLattice:
             self.rows[bundle] = row
         return row
 
-    def _sides(self, bundle: int) -> Optional[List[Tuple[Row, Row]]]:
-        # the rows of the two sides of every split, or None when a side
-        # has no row; level 0 of a split is empty, as groups are disjoint
+    def _sides(self, bundle: int) -> Optional[List[Tuple[Row, Row, int, int]]]:
+        # the rows of the two sides of every split, each with its low: its
+        # side's group count less one; None when a side has no row
         rows = self.rows
+        size = bundle.bit_count()
         rest = bundle & ~(1 << (bundle.bit_length() - 1))
         sides = []
         part = rest
@@ -139,7 +158,8 @@ class SteinerLattice:
             b = rows.get(part)
             if a is None or b is None:
                 return None
-            sides.append((a, b))
+            low_b = part.bit_count() - 1
+            sides.append((a, b, size - 2 - low_b, low_b))
             part = (part - 1) & rest
         return sides
 
@@ -152,7 +172,7 @@ class SteinerLattice:
         and, only when that finds a problem, again sorted and without
         repeats, the order and edge set of the walk's `Tree`, to word it.
         """
-        value = 0
+        value = bundle.bit_count() - 1  # no level below it is nonempty
         while not row[value]:
             value += 1
         start = (row[value] & -row[value]).bit_length() - 1
@@ -163,10 +183,13 @@ class SteinerLattice:
                 raise ContractViolation(f"reconstructed tree {problem}")
         if span.bit_count() != value + 1:
             raise ContractViolation("value and reconstruction disagree")
-        for i in iter_bits(bundle):
-            if not span & self.groups[i]:
-                members = tuple(iter_bits(self.groups[i]))
+        rest = bundle
+        while rest:
+            group = self.groups[(rest & -rest).bit_length() - 1]
+            if not span & group:
+                members = tuple(iter_bits(group))
                 raise ContractViolation(f"tree misses group {members}")
+            rest &= rest - 1
         return span, edges
 
     def tree(self, bundle: int, row: Row) -> Tree:
@@ -213,7 +236,8 @@ class SteinerLattice:
         while part:
             a = rows[bundle ^ part]
             b = rows[part]
-            for i in range(min(d, len(a) - 1) + 1):
+            # levels of a below its group count less one are empty
+            for i in range((bundle ^ part).bit_count() - 1, min(d, len(a) - 1) + 1):
                 if (a[i] >> v) & 1:
                     if (b[min(d - i, len(b) - 1)] >> v) & 1:
                         return (bundle ^ part, a, i), (part, b, d - i)

@@ -1,6 +1,6 @@
 """The benchmark's host families on the test path, the whole-graph Steiner
-DP twin, the clique-level bundle search twin, the per-bundle closure
-verifier twin and the session-wide kernelization sweep.
+DP twin, the plain lattice twin, the clique-level bundle search twin, the
+per-bundle closure verifier twin and the session-wide kernelization sweep.
 
 Tier-1 and the benchmark share one copy of the hosts: the generators, the
 suite graphs and the suite instances live in `bench/workloads.py`, which
@@ -101,6 +101,63 @@ def whole_graph_dp(g, groups, size_cap):
         elif op[0] == "merge":
             todo += [(op[1], v), (mask ^ op[1], v)]
     return FOUND, tuple(sorted(vertices)), tuple(sorted(edges))
+
+
+class PlainLattice(SteinerLattice):
+    """The lattice's DP with every level from 1 and every split term at
+    each level computed, and every level scanned from 0 by a walk.
+
+    A test-only twin kept for cross-checks: `SteinerLattice` skips the
+    levels below a bundle's group count less one and the terms that read
+    them, which are empty, so its rows and walks must be these."""
+
+    def row(self, bundle, keep):
+        sides = []
+        if bundle & (bundle - 1):
+            rest = bundle & ~(1 << (bundle.bit_length() - 1))
+            part = rest
+            while part:
+                a, b = self.rows.get(bundle ^ part), self.rows.get(part)
+                if a is None or b is None:
+                    return ()
+                sides.append((a, b))
+                part = (part - 1) & rest
+            cur = reach = 0
+            for a, b in sides:
+                reach |= a[-1] & b[-1]
+        else:
+            cur = reach = self.groups[bundle.bit_length() - 1]
+        levels = [cur]
+        prev = 0
+        for d in range(1, self.top + 1):
+            if cur and not keep:
+                break
+            grown = cur | self.g.neighborhood(cur & ~prev)
+            if reach & ~grown:
+                # a short row repeats its last level
+                for a, b in sides:
+                    for i in range(d + 1):
+                        grown |= a[min(i, len(a) - 1)] & b[min(d - i, len(b) - 1)]
+            elif grown == cur:
+                break
+            prev, cur = cur, grown
+            levels.append(cur)
+        if not cur:
+            return ()
+        row = tuple(levels)
+        if keep:
+            self.rows[bundle] = row
+        return row
+
+    def walk(self, bundle, row):
+        # unchecked: the vertex mask and edges alone
+        value = next(d for d, level in enumerate(row) if level)
+        start = (row[value] & -row[value]).bit_length() - 1
+        return self._walk(bundle, row, start, value)
+
+    def _split_at(self, bundle, v, d):
+        halves = _dfs_split(self.rows, bundle, v, d)
+        return tuple((side, row, level) for side, row, _, level in halves) or None
 
 
 def clique_level_search(g, groups, cap):

@@ -1,21 +1,23 @@
 """Group Steiner trees measured in vertices, against brute force.
 
-`steiner_exact` searches uncapped; the capped lattice is checked through
-the kept trees of `build_closure`, the search that runs it, where every
+`steiner_exact` searches uncapped.  The capped lattice is checked against
+the capped whole-graph DP and, row by row and walk by walk, against the
+plain lattice that computes every level and split term; and through the
+kept trees of `build_closure`, the search that runs it, where every
 blocker is a group of its own at caps of 3 and more.
 """
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import whole_graph_dp
+from conftest import PlainLattice, whole_graph_dp
 from lkcds.closure import build_closure
-from lkcds.graphs import Graph
-from lkcds.oracles import FOUND, INFEASIBLE, brute_steiner
-from lkcds.steiner import steiner_exact, steiner_size
+from lkcds.graphs import Graph, mask_of
+from lkcds.oracles import FOUND, INFEASIBLE, NONE_WITHIN_BUDGET, brute_steiner
+from lkcds.steiner import SteinerLattice, steiner_exact, steiner_size
 from workloads import cycle_graph, grid_graph, path_graph, random_connected
 
 
@@ -129,14 +131,15 @@ def test_deterministic_reconstruction():
 
 
 @st.composite
-def group_systems(draw):
-    """A random graph, possibly disconnected, and 1-5 disjoint groups."""
-    n = draw(st.integers(1, 9))
+def group_systems(draw, max_n=9, max_groups=5):
+    """A random graph of at most max_n vertices, possibly disconnected, and
+    1 to max_groups disjoint groups."""
+    n = draw(st.integers(1, max_n))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = [e for e in pairs if draw(st.integers(0, 9)) < 3]
     g = Graph.from_edges(n, edges)
     order = draw(st.permutations(range(n)))
-    gc = draw(st.integers(1, min(5, n)))
+    gc = draw(st.integers(1, min(max_groups, n)))
     groups = [[v] for v in order[:gc]]
     for v in order[gc:]:
         slot = draw(st.integers(-1, gc - 1))  # -1: in no group
@@ -155,3 +158,41 @@ def test_matches_whole_graph_dp(case):
     if tree is not None:
         assert (tree.vertices, tree.edges) == (vertices, edges)
     assert steiner_size(g, groups) == brute_steiner(g, groups).value
+
+
+@given(group_systems(max_n=12, max_groups=6))
+@example((path_graph(5), [[0], [], [4]]))  # a class that vanished
+@settings(max_examples=150)
+def test_rows_and_walks_match_the_plain_lattice(case):
+    # every bundle, at every cap: the row kept and not, and its walk
+    g, groups = case
+    masks = [mask_of(grp) for grp in groups]
+    for cap in range(1, g.n + 1):
+        fast, plain = SteinerLattice(g, masks, cap), PlainLattice(g, masks, cap)
+        for bundle in range(1, 1 << len(groups)):
+            for keep in (False, True):
+                row, plain_row = fast.row(bundle, keep), plain.row(bundle, keep)
+                assert row == plain_row
+                if row:
+                    assert fast.walk(bundle, row) == plain.walk(bundle, plain_row)
+
+
+@given(group_systems(max_n=12, max_groups=6))
+@settings(max_examples=150)
+def test_capped_lattice_matches_whole_graph_dp(case):
+    # the status and tree of the whole bundle at every cap below n
+    g, groups = case
+    masks = [mask_of(grp) for grp in groups]
+    full = (1 << len(groups)) - 1
+    anywhere = steiner_exact(g, groups) is not None
+    for cap in range(1, g.n):
+        lattice = SteinerLattice(g, masks, cap)
+        for bundle in range(1, full):
+            lattice.row(bundle, keep=True)
+        row = lattice.row(full, keep=False)
+        status, vertices, edges = whole_graph_dp(g, groups, cap)
+        if row:
+            tree = lattice.tree(full, row)
+            assert (status, tree.vertices, tree.edges) == (FOUND, vertices, edges)
+        else:
+            assert status == (NONE_WITHIN_BUDGET if anywhere else INFEASIBLE)
