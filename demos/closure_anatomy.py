@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Dissect a closure: profile classes, kept trees, and the shift identity.
+"""Dissect a closure: profile classes, kept trees, and the verifier.
 
 The closure keeps, for every small bundle of classes and blockers, a
 cheapest connecting tree of the host, provided it fits under the size
@@ -10,14 +10,7 @@ Everything the verifier inspects gets printed along the way.
 
 from fractions import Fraction
 
-from lkcds import (
-    Graph,
-    build_closure,
-    build_translation,
-    check_translation,
-    classify,
-    verify_closure,
-)
+from lkcds import Graph, build_closure, classify, verify_closure
 
 
 def cycle(n):
@@ -51,21 +44,6 @@ def main():
 
     report = verify_closure(g, clo)
     print("verifier:", "all three items pass" if report.ok else report.problems)
-    print()
-
-    # the translation gadget moves a bundle's cost into the graph itself:
-    # root trees over the gadget cost exactly the host tree plus the access
-    pair = next(
-        list(k) for k in sorted(clo.kept)
-        if len(k) == 2 and all(i < clo.class_count for i in k)
-        and all(cls.classes[i].profile for i in k)
-    )
-    gadget = build_translation(g, cls, pair)
-    chk = check_translation(g, cls, pair)
-    print(f"translating classes {pair}: access cost {gadget.added_cost}")
-    print(f"  host tree value {chk.host_value}, gadget root value "
-          f"{chk.analysis_value}, identity "
-          f"{'holds' if chk.ok else 'BROKEN'}")
 
 
 if __name__ == "__main__":

@@ -8,11 +8,7 @@ exact oracles small enough to audit every structural step.
 from .closure import (
     ClosureReport,
     ClosureResult,
-    TranslationCheck,
-    TranslationGraph,
     build_closure,
-    build_translation,
-    check_translation,
     verify_closure,
 )
 from .cores import DominationCore, Rejection, connected_core, core_verify, find_core
@@ -90,15 +86,11 @@ __all__ = [
     "ReplaySplit",
     "SetCoverInstance",
     "SolveResult",
-    "TranslationCheck",
-    "TranslationGraph",
     "bfs_layers",
     "build_closure",
-    "build_translation",
     "certify_ratio",
     "check_covering_family",
     "check_separation",
-    "check_translation",
     "classify",
     "connect",
     "connected_core",
@@ -125,8 +117,8 @@ __all__ = [
     "parse_setcover",
     "profile",
     "r_subdivision",
-    "replay_split",
     "random_setcover",
+    "replay_split",
     "serialize_graph",
     "serialize_kernel",
     "serialize_setcover",

@@ -12,7 +12,7 @@ what the verifier checks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 from .domination import ContractViolation, Rational, piece_cap
 from .graphs import (
@@ -347,92 +347,3 @@ def verify_closure(g: Graph, closure: ClosureResult) -> ClosureReport:
                 )
 
     return ClosureReport((tuple(item1), tuple(item2), tuple(item3)))
-
-
-# ---------------------------------------------------------------------------
-# translation to an analysis graph with one root per class
-
-
-@dataclass(frozen=True)
-class TranslationGraph:
-    graph: Graph
-    roots: Tuple[int, ...]
-    added_cost: int
-    class_costs: Tuple[int, ...]
-
-
-def build_translation(
-    g: Graph, classification: ProfileClassification, class_subset: Sequence[int]
-) -> TranslationGraph:
-    """Attach a subdivided access tree per class and expose one root each.
-
-    The blockers and r are those of the classification.  For a class with
-    common nearest projection distance ell, the access tree joins the
-    members' least avoiding paths to the least blocker at that distance,
-    its root, which hangs (2r+1) * ell vertices away from the members, so
-    an exact tree through the roots decomposes into a host tree plus fixed
-    access costs.  Classes with empty projections are rejected.
-    """
-    r = classification.r
-    edges: List[Tuple[int, int]] = list(g.edges())
-    nxt = g.n
-    roots: List[int] = []
-    costs: List[int] = []
-    for idx in class_subset:
-        pc = classification.classes[idx]
-        if not pc.profile:
-            raise ValueError(f"class {idx} has an empty projection")
-        ell, anchor = min((d, x) for x, d in pc.profile)
-        tree_vertices, tree_edges = avoiding_path_tree(
-            g, classification, [(m, anchor, ell) for m in pc.members]
-        )
-        copy: Dict[int, int] = {}
-        members = set(pc.members)
-        for v in sorted(tree_vertices):
-            if v in members:
-                copy[v] = v  # glue leaves onto the host
-            else:
-                copy[v] = nxt
-                nxt += 1
-        roots.append(copy[anchor])
-        costs.append((2 * r + 1) * ell)
-        for a, b in sorted(tree_edges):
-            walk = [copy[a]]
-            for _ in range(2 * r):
-                walk.append(nxt)
-                nxt += 1
-            walk.append(copy[b])
-            for p, q in zip(walk, walk[1:]):
-                edges.append((min(p, q), max(p, q)))
-    return TranslationGraph(
-        Graph.from_edges(nxt, edges), tuple(roots), sum(costs), tuple(costs)
-    )
-
-
-@dataclass(frozen=True)
-class TranslationCheck:
-    host_value: Optional[int]  # None: no tree exists
-    analysis_value: Optional[int]
-    added_cost: int
-    ok: bool
-
-
-def check_translation(
-    g: Graph, classification: ProfileClassification, class_subset: Sequence[int]
-) -> TranslationCheck:
-    """Confirm that root Steiner values shift host values by the access cost.
-
-    The identity speaks about trees that connect several classes; a lone
-    root is its own optimal tree and never enters its access path, so
-    subsets of fewer than two classes are refused.
-    """
-    if len(class_subset) < 2:
-        raise ValueError("the shift identity needs at least two classes")
-    tg = build_translation(g, classification, class_subset)
-    host = steiner_size(g, [classification.classes[i].members for i in class_subset])
-    analysis = steiner_size(tg.graph, [[v] for v in tg.roots])
-    if host is None or analysis is None:
-        ok = host == analysis
-    else:
-        ok = analysis == host + tg.added_cost
-    return TranslationCheck(host, analysis, tg.added_cost, ok)

@@ -1,6 +1,7 @@
 """The benchmark's host families on the test path, the whole-graph Steiner
 DP twin, the plain lattice twin, the clique-level bundle search twin, the
-per-bundle closure verifier twin and the session-wide kernelization sweep.
+per-bundle closure verifier twin, the translation gadget of the paper's size
+argument and the session-wide kernelization sweep.
 
 Tier-1 and the benchmark share one copy of the hosts: the generators, the
 suite graphs and the suite instances live in `bench/workloads.py`, which
@@ -12,15 +13,29 @@ from __future__ import annotations
 import heapq
 import sys
 from dataclasses import dataclass, replace
+from itertools import count
 from pathlib import Path
 from typing import List, Union
 
 import pytest
 from hypothesis import settings
 
-from lkcds.closure import ClosureReport, ClosureResult, build_closure
+from lkcds.closure import (
+    ClosureReport,
+    ClosureResult,
+    avoiding_path_tree,
+    build_closure,
+)
 from lkcds.cores import Rejection
-from lkcds.graphs import Graph, Tree, iter_bits, mask_of, tree_problem
+from lkcds.graphs import (
+    Graph,
+    Tree,
+    iter_bits,
+    mask_of,
+    r_subdivision,
+    subgraph,
+    tree_problem,
+)
 from lkcds.kernel import KernelInstance, KernelParams, kernelize
 from lkcds.oracles import FOUND, INFEASIBLE, NONE_WITHIN_BUDGET
 from lkcds.projections import classify, profile
@@ -31,7 +46,15 @@ for folder in ("bench", "tools"):
     if str(ROOT / folder) not in sys.path:
         sys.path.insert(0, str(ROOT / folder))
 
-from workloads import SUITE_SEED, build_suite, path_graph, suite_hosts  # noqa: E402
+from workloads import (  # noqa: E402
+    SUITE_SEED,
+    build_suite,
+    cycle_graph,
+    grid_graph,
+    path_graph,
+    spider_graph,
+    suite_hosts,
+)
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
@@ -301,6 +324,63 @@ def verify_closure_per_bundle(g: Graph, closure: ClosureResult) -> ClosureReport
                         f"vertices but the closure needs {prime_value}"
                     )
     return ClosureReport((tuple(item1), tuple(item2), tuple(item3)))
+
+
+# (host, blockers, r): the hosts criterion 5 translates
+TRANSLATION_HOSTS = [
+    (cycle_graph(8), [0, 4], 1),
+    (cycle_graph(12), [0, 6], 1),
+    (grid_graph(3, 4), [0, 11], 1),
+    (path_graph(12), [0, 5, 11], 1),
+    (spider_graph(3, 3), [0], 2),
+    (grid_graph(4, 4), [0, 15], 2),
+]
+
+
+def translation(g, cls, subset):
+    """The analysis graph of the paper's size argument for the classes in
+    subset: (graph, roots, added access cost).
+
+    A class whose nearest projection distance is ell gets as root the least
+    blocker at that distance.  Its access tree, the members' least avoiding
+    paths to the root, is cut out of g, every edge becomes a path of 2r+1
+    edges, and the tree is glued back onto g at the members, so the root
+    hangs (2r+1)*ell away from each of them and an exact tree through the
+    roots decomposes into a host tree plus the access costs.  Every vertex
+    but a member gets the next fresh id, tree by tree in sorted order.  A
+    class with an empty projection has no root and is refused."""
+    fresh = count(g.n)
+    edges = list(g.edges())
+    roots, cost = [], 0
+    for idx in subset:
+        pc = cls.classes[idx]
+        if not pc.profile:
+            raise ValueError(f"class {idx} has an empty projection")
+        ell, root = min((d, x) for x, d in pc.profile)
+        ends = [(m, root, ell) for m in pc.members]
+        tree, parents = subgraph(g, *avoiding_path_tree(g, cls, ends))
+        access, _ = r_subdivision(tree, 2 * cls.r + 1)
+        ids = [v if v in pc.members else next(fresh) for v in parents]
+        ids += [next(fresh) for _ in range(tree.n, access.n)]
+        roots.append(ids[parents.index(root)])
+        cost += (2 * cls.r + 1) * ell
+        edges += [(ids[a], ids[b]) for a, b in access.edges()]
+    return Graph.from_edges(next(fresh), edges), tuple(roots), cost
+
+
+def shift_identity(g, cls, subset):
+    """(host value, root value, added cost): the exact Steiner value of the
+    classes in g and of their roots in the translation, which should be the
+    host value plus the cost.
+
+    The identity speaks about trees that connect several classes; a lone
+    root is its own optimal tree and never enters its access path, so
+    subsets of fewer than two classes are refused."""
+    if len(subset) < 2:
+        raise ValueError("the shift identity needs at least two classes")
+    graph, roots, cost = translation(g, cls, subset)
+    host = steiner_size(g, [cls.classes[i].members for i in subset])
+    return host, steiner_size(graph, [[v] for v in roots]), cost
 
 
 def tampered_path5_closure() -> ClosureResult:

@@ -1,4 +1,4 @@
-"""Profile-preserving closure and the subdivided translation gadget."""
+"""Profile-preserving closure, and the translation gadget the fixtures build."""
 
 from dataclasses import replace
 from fractions import Fraction
@@ -11,8 +11,11 @@ from hypothesis import strategies as st
 
 from conftest import (
     SUITE_GRAPHS,
+    TRANSLATION_HOSTS,
     clique_level_search,
+    shift_identity,
     tampered_path5_closure,
+    translation,
     verify_closure_per_bundle,
     whole_graph_dp,
 )
@@ -21,8 +24,6 @@ from lkcds import closure as closure_module
 from lkcds.closure import (
     avoiding_path_tree,
     build_closure,
-    build_translation,
-    check_translation,
     verify_closure,
 )
 from lkcds.domination import ContractViolation, greedy_rdom
@@ -553,12 +554,10 @@ def test_translation_costs():
     blockers = [3]
     cls = classify(p7, blockers, 2)
     nonempty = [i for i, c in enumerate(cls.classes) if c.profile]
-    tg = build_translation(p7, cls, nonempty)
-    assert len(tg.roots) == len(nonempty)
-    assert tg.added_cost == sum(tg.class_costs)
-    for slot, i in enumerate(nonempty):
-        ell = min(d for _, d in cls.classes[i].profile)
-        assert tg.class_costs[slot] == (2 * 2 + 1) * ell
+    _, roots, cost = translation(p7, cls, nonempty)
+    assert len(roots) == len(nonempty)
+    ells = [min(d for _, d in cls.classes[i].profile) for i in nonempty]
+    assert cost == sum((2 * 2 + 1) * ell for ell in ells)
 
 
 def test_translation_rejects_empty_projection():
@@ -568,7 +567,7 @@ def test_translation_rejects_empty_projection():
     empty = [i for i, c in enumerate(cls.classes) if not c.profile]
     assert empty
     with pytest.raises(ValueError):
-        build_translation(p5, cls, empty)
+        translation(p5, cls, empty)
 
 
 def test_translation_shift_identity_small():
@@ -583,8 +582,9 @@ def test_translation_shift_identity_small():
         nonempty = [i for i, c in enumerate(cls.classes) if c.profile]
         for size in (2, 3):
             for subset in combinations(nonempty, size):
-                chk = check_translation(g, cls, list(subset))
-                assert chk.ok, (subset, chk)
+                host, analysis, cost = shift_identity(g, cls, list(subset))
+                assert host is not None, subset
+                assert analysis == host + cost, (subset, host, analysis, cost)
 
 
 def test_translation_check_refuses_singletons():
@@ -592,4 +592,37 @@ def test_translation_check_refuses_singletons():
     cls = classify(g, [0], 1)
     nonempty = [i for i, c in enumerate(cls.classes) if c.profile]
     with pytest.raises(ValueError):
-        check_translation(g, cls, nonempty[:1])
+        shift_identity(g, cls, nonempty[:1])
+
+
+def assert_roots_hang_at_access_distance(g, xs, r):
+    # every member of a class sits (2r+1)*ell from the class's root
+    cls = classify(g, xs, r)
+    nonempty = [i for i, c in enumerate(cls.classes) if c.profile]
+    graph, roots, _ = translation(g, cls, nonempty)
+    for i, root in zip(nonempty, roots):
+        ell = min(d for _, d in cls.classes[i].profile)
+        dist = graph.dist_row(root)
+        for m in cls.classes[i].members:
+            assert dist[m] == (2 * r + 1) * ell, (i, m, dist[m], ell)
+
+
+def test_translation_roots_hang_at_access_distance():
+    for g, xs, r in TRANSLATION_HOSTS:
+        assert_roots_hang_at_access_distance(g, xs, r)
+
+
+@st.composite
+def translation_cases(draw):
+    """A random connected host of 2 to 14 vertices, 1 to 3 blockers and a
+    radius of 1 to 3."""
+    n = draw(st.integers(2, 14))
+    g = random_connected(n, draw(st.integers(0, 6)), draw(st.integers(0, 1 << 30)))
+    xs = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True))
+    return g, xs, draw(st.integers(1, 3))
+
+
+@given(translation_cases())
+@settings(max_examples=60)
+def test_translation_roots_hang_at_access_distance_random(case):
+    assert_roots_hang_at_access_distance(*case)

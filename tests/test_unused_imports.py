@@ -4,12 +4,15 @@ The scan parses each module with `ast` and counts a name as used when it
 appears as a `Name` node, which covers attribute bases such as `math` in
 `math.floor`, or inside a string annotation.  Package `__init__.py` files
 import names only to re-export them, and `from __future__` imports are
-compiler directives, so both are skipped.
+compiler directives, so both are skipped; the package's `__all__` is
+checked instead, so a removal that forgets it fails here.
 """
 
 import ast
 from pathlib import Path
 from typing import List, Set
+
+import lkcds
 
 ROOT = Path(__file__).resolve().parents[1]
 SCANNED = ("src", "tests", "tools", "demos")
@@ -57,3 +60,10 @@ def test_no_module_imports_an_unused_name():
                 continue
             found += [f"{path.relative_to(ROOT)}:{u}" for u in unused_imports(path.read_text())]
     assert found == []
+
+
+def test_every_export_resolves_once_in_sorted_order():
+    names = lkcds.__all__
+    assert [n for n in names if not hasattr(lkcds, n)] == []
+    assert len(set(names)) == len(names)
+    assert names == sorted(names)
