@@ -15,9 +15,9 @@ that meets s disjoint groups holds a vertex of each, so it has at least s
 vertices and s - 1 edges: the levels below s - 1 of a bundle of s groups
 are empty.  So `row` sets those levels down without computing them, a
 split term A[i] & B[d - i] is formed only for i at least |A| - 1 and
-d - i at least |B| - 1, and `walk` and its split search scan a bundle's
-and a side's levels from there.  Rows, walks and trees are those the
-same DP gives with every level and term computed.
+d - i at least |B| - 1, and a walk, which looks for each state's split
+inline, scans a bundle's and a side's levels from there.  Rows, walks and
+trees are those the same DP gives with every level and term computed.
 
 A `SteinerLattice` keeps the rows it is asked to keep, so one lattice per
 closure computes each bundle's row once and shares it with every larger
@@ -44,10 +44,10 @@ state and on the rows of its bundle and sub-bundles, and a stored row never
 changes, so every walk through a state of a stored row visits the same
 vertices and edges below it.  The lattice therefore keeps, by state, the
 walk below each state of a stored row that a rebuild starts from or a split
-enters, and rebuilds a larger bundle's tree from its sub-bundles' kept
-walks; the union, and with it the tree, is the one a fresh walk would pick.
-The states a walk steps through are not kept, so a kept walk costs memory
-in proportion to its own length.
+enters.  A split's sides are stored rows, so a walk reads each side's
+kept walk before it walks that side afresh; the union, and with it the
+tree, is the one a fresh walk would pick.  The states a walk steps through
+are not kept, so a kept walk costs memory in proportion to its length.
 
 `walk` checks every walk it rebuilds, on its vertex mask and the edges as
 the walk lists them, and returns them; `tree` is `walk` plus sorting the
@@ -57,7 +57,7 @@ does, checks every walk but sorts only the ones it keeps.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .domination import ContractViolation
 from .graphs import Graph, Tree, iter_bits, tree_mask_problem, vertex_mask
@@ -67,7 +67,6 @@ GROUP_LIMIT = 8
 Row = Tuple[int, ...]  # vertex masks by level; a short row repeats its last level
 Edges = Tuple[Tuple[int, int], ...]  # each low end first
 Walk = Tuple[int, Edges]  # vertex mask, edges
-Side = Tuple[int, Row, int]  # sub-bundle, its row, a level
 
 
 class SteinerLattice:
@@ -79,7 +78,7 @@ class SteinerLattice:
     every sub-bundle first.  A sub-bundle without a kept row has no tree
     within the cap, and neither does any bundle that contains it.  `walk`
     keeps the walks from the states of kept rows that it starts from or
-    splits into, so walks of larger bundles reuse them.
+    splits into, and a larger bundle's walk reads its sides' walks there.
     """
 
     def __init__(self, g: Graph, groups: Sequence[int], cap: int):
@@ -98,27 +97,40 @@ class SteinerLattice:
         stored for larger bundles.  A row that is not kept stops at its
         first nonempty level, the last one `walk` reads.
         """
-        if bundle & (bundle - 1):
-            sides = self._sides(bundle)
-            if sides is None:
-                return ()
+        # sides: each split's two rows, each with its low, its side's group
+        # count less one.  reach: every vertex some split can ever add; once
+        # the row holds it, splits add nothing and it ends when it stops growing
+        nbr = self.nbr
+        size = bundle.bit_count()
+        sides = []
+        if size > 1:
+            rows = self.rows
             cur = reach = 0
-            for a, b, _, _ in sides:
+            rest = bundle & ~(1 << (bundle.bit_length() - 1))
+            part = rest
+            while part:
+                a = rows.get(bundle ^ part)
+                b = rows.get(part)
+                if a is None or b is None:
+                    return ()
                 reach |= a[-1] & b[-1]
+                low_b = part.bit_count() - 1
+                sides.append((a, b, size - 2 - low_b, low_b))
+                part = (part - 1) & rest
         else:
-            sides = []
             cur = reach = self.groups[bundle.bit_length() - 1]
-        # reach: every vertex some split can ever add; once the row holds
-        # it, splits add nothing and the row ends when it stops growing.
         # The levels below the bundle's group count less one are empty
         # (module docstring), so they are set down without being computed
-        neighborhood = self.g.neighborhood
-        levels = [cur] * max(bundle.bit_count() - 1, 1)
+        levels = [cur] * max(size - 1, 1)
         prev = 0
         for d in range(len(levels), self.top + 1):
             if cur and not keep:
                 break
-            grown = cur | neighborhood(cur & ~prev)
+            grown, shell = cur, cur & ~prev  # shell: joined at level d - 1
+            while shell:
+                low = shell & -shell
+                grown |= nbr[low.bit_length() - 1]
+                shell ^= low
             if reach & ~grown:
                 # i and d - i start at their sides' lows, below which a
                 # side's levels are empty; past its end a row repeats its
@@ -144,24 +156,6 @@ class SteinerLattice:
         if keep:
             self.rows[bundle] = row
         return row
-
-    def _sides(self, bundle: int) -> Optional[List[Tuple[Row, Row, int, int]]]:
-        # the rows of the two sides of every split, each with its low: its
-        # side's group count less one; None when a side has no row
-        rows = self.rows
-        size = bundle.bit_count()
-        rest = bundle & ~(1 << (bundle.bit_length() - 1))
-        sides = []
-        part = rest
-        while part:
-            a = rows.get(bundle ^ part)
-            b = rows.get(part)
-            if a is None or b is None:
-                return None
-            low_b = part.bit_count() - 1
-            sides.append((a, b, size - 2 - low_b, low_b))
-            part = (part - 1) & rest
-        return sides
 
     def walk(self, bundle: int, row: Row) -> Walk:
         """The vertex mask and edges of the walk the tie-breaks pick from
@@ -200,50 +194,50 @@ class SteinerLattice:
         # the vertex mask and edges the tie-breaks pick from v at level d of
         # the bundle's row: steps to the least neighbour one level down
         # until level 0 or a split, whose two sides are walked in turn
+        walks, rows, nbr = self.walks, self.rows, self.nbr
         key = (bundle, v, d)
-        stored = self.rows.get(bundle) is row
-        if stored and key in self.walks:
-            return self.walks[key]
+        stored = rows.get(bundle) is row
+        if stored and key in walks:
+            return walks[key]
+        rest = bundle & ~(1 << (bundle.bit_length() - 1))  # 0: no split
         span, edges = 0, []
         while True:
             span |= 1 << v
-            split = self._split_at(bundle, v, d) if bundle & (bundle - 1) else None
-            if split:
-                (a, ra, i), (b, rb, j) = split
-                span_a, edges_a = self._walk(a, ra, v, i)
-                span_b, edges_b = self._walk(b, rb, v, j)
+            # the first split, by descending side a holding the top group,
+            # whose two levels at v sum to d (a's least level at v, from its
+            # group count less one); part ends 0 when v got its level by growth
+            part = rest & -rest
+            while part:
+                side = bundle ^ part
+                a = rows[side]
+                i = side.bit_count() - 1
+                last = min(d, len(a) - 1)
+                while i <= last and not a[i] >> v & 1:
+                    i += 1
+                if i <= last:
+                    b = rows[part]
+                    j = d - i
+                    if (b[j] if j < len(b) else b[-1]) >> v & 1:
+                        break
+                part = (part - rest) & rest
+            if part:
+                # a side's walk is kept, since its row is stored
+                span_a, edges_a = walks.get((side, v, i)) or self._walk(side, a, v, i)
+                span_b, edges_b = walks.get((part, v, j)) or self._walk(part, b, v, j)
                 span |= span_a | span_b
                 edges += edges_a
                 edges += edges_b
                 break
             if not d:
                 break
-            near = self.nbr[v] & row[d - 1]
+            near = nbr[v] & row[d - 1]
             w = (near & -near).bit_length() - 1
             edges.append((v, w) if v < w else (w, v))
             v, d = w, d - 1
         walk = (span, tuple(edges))
         if stored:
-            self.walks[key] = walk
+            walks[key] = walk
         return walk
-
-    def _split_at(self, bundle: int, v: int, d: int) -> Optional[Tuple[Side, Side]]:
-        # the first split, by descending side holding the top group, whose
-        # two levels at v sum to d; None when v got its level by growth
-        rows = self.rows
-        rest = bundle & ~(1 << (bundle.bit_length() - 1))
-        part = rest & -rest
-        while part:
-            a = rows[bundle ^ part]
-            b = rows[part]
-            # levels of a below its group count less one are empty
-            for i in range((bundle ^ part).bit_count() - 1, min(d, len(a) - 1) + 1):
-                if (a[i] >> v) & 1:
-                    if (b[min(d - i, len(b) - 1)] >> v) & 1:
-                        return (bundle ^ part, a, i), (part, b, d - i)
-                    break
-            part = (part - rest) & rest
-        return None
 
 
 def walk_tree(span: int, edges: Edges) -> Tree:

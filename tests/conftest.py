@@ -128,11 +128,13 @@ def whole_graph_dp(g, groups, size_cap):
 
 class PlainLattice(SteinerLattice):
     """The lattice's DP with every level from 1 and every split term at
-    each level computed, and every level scanned from 0 by a walk.
+    each level computed, and every level scanned from 0 by a walk that
+    keeps no walks.
 
     A test-only twin kept for cross-checks: `SteinerLattice` skips the
     levels below a bundle's group count less one and the terms that read
-    them, which are empty, so its rows and walks must be these."""
+    them, which are empty, and reads the walks it keeps instead of walking
+    again, so its rows and walks must be these."""
 
     def row(self, bundle, keep):
         sides = []
@@ -178,9 +180,27 @@ class PlainLattice(SteinerLattice):
         start = (row[value] & -row[value]).bit_length() - 1
         return self._walk(bundle, row, start, value)
 
-    def _split_at(self, bundle, v, d):
-        halves = _dfs_split(self.rows, bundle, v, d)
-        return tuple((side, row, level) for side, row, _, level in halves) or None
+    def _walk(self, bundle, row, v, d):
+        # steps to the least neighbour one level down until level 0 or the
+        # split `_dfs_split` finds, whose two sides are walked in turn; no
+        # walk is kept, so each is walked afresh
+        span, edges = 0, []
+        while True:
+            span |= 1 << v
+            halves = _dfs_split(self.rows, bundle, v, d) if bundle & (bundle - 1) else []
+            if halves:
+                for side, side_row, _, level in halves:
+                    side_span, side_edges = self._walk(side, side_row, v, level)
+                    span |= side_span
+                    edges += side_edges
+                break
+            if not d:
+                break
+            near = self.nbr[v] & row[d - 1]
+            w = (near & -near).bit_length() - 1
+            edges.append((min(v, w), max(v, w)))
+            v, d = w, d - 1
+        return span, tuple(edges)
 
 
 def clique_level_search(g, groups, cap):

@@ -9,9 +9,10 @@ import pytest
 
 import lkcds
 from conftest import tampered_path5_closure
+from workloads import grid_graph
 from lkcds.cli import main
 from lkcds.cores import DISCONNECTED
-from lkcds.graphs import MAX_VERTICES, parse_graph
+from lkcds.graphs import MAX_VERTICES, parse_graph, serialize_graph
 from lkcds.kernel import KernelInstance, params_from, parse_kernel
 
 
@@ -261,6 +262,23 @@ def test_closure_stats_counts_only_trees_that_hold_a_free_vertex(capsys, tmp_pat
     stats = dict(line.split() for line in out.splitlines())
     assert (stats["blockers"], stats["groups"], stats["terminals"]) == ("6", "7", "1")
     assert (stats["candidate_subsets"], stats["kept_trees"]) == ("43", "12")
+
+
+def test_closure_stats_counts_the_bundle_search_at_cap_4(capsys, tmp_path):
+    # the 12x12 grid at r = 2, alpha 22 has cap 4: 140 blocker groups and 4
+    # classes, so these counts pin how many bundles the search grows
+    grid = tmp_path / "grid.txt"
+    grid.write_text(serialize_graph(grid_graph(12, 12)))
+    code, out, _ = run(
+        capsys,
+        ["closure-stats", "--input", str(grid), "--k", "16", "--r", "2",
+         "--alpha", "22"],
+    )
+    assert code == 0
+    stats = dict(line.split() for line in out.splitlines())
+    assert (stats["blockers"], stats["classes"], stats["groups"]) == ("140", "4", "144")
+    assert (stats["candidate_subsets"], stats["kept_trees"]) == ("6999", "636")
+    assert (stats["pruned_pairs"], stats["terminals"]) == ("8894", "4")
 
 
 def test_input_error_exit_code(capsys, tmp_path):
